@@ -18,9 +18,6 @@ namespace bench {
 
 bool ApplyBenchFlags(int argc, const char* const* argv, BenchConfig* config) {
   FlagParser flags;
-  flags.AddString("index", SpatialBackendName(config->index),
-                  std::string("spatial backend (") + SpatialBackendChoices() +
-                      ")");
   flags.AddInt("runs", config->runs, "independent repetitions per series");
   flags.AddInt("budget", static_cast<int64_t>(config->budget),
                "query budget per run");
@@ -30,14 +27,6 @@ bool ApplyBenchFlags(int argc, const char* const* argv, BenchConfig* config) {
                  flags.HelpText(argv[0]).c_str());
     return false;
   }
-  const std::optional<SpatialBackend> backend =
-      ParseSpatialBackend(flags.GetString("index"));
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "error: unknown --index=%s (choices: %s)\n",
-                 flags.GetString("index").c_str(), SpatialBackendChoices());
-    return false;
-  }
-  config->index = *backend;
   config->runs = static_cast<int>(flags.GetInt("runs"));
   config->budget = static_cast<uint64_t>(flags.GetInt("budget"));
   config->num_pois = static_cast<int>(flags.GetInt("pois"));

@@ -21,7 +21,6 @@
 #include "core/sampler.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
-#include "spatial/backend.h"
 #include "transport/async_dispatcher.h"
 #include "transport/metrics.h"
 #include "transport/simulated_transport.h"
@@ -39,16 +38,10 @@ struct BenchConfig {
   uint64_t budget = 15000;
   int k = 5;
   uint64_t seed_base = 42;
-
-  // SpatialIndex implementation behind every simulated server the bench
-  // builds. All backends answer bit-identically, so this only moves the
-  // setup/query wall time — it lets any fig-style bench rerun its curves
-  // over the learned index (`--index learned`) without a recompile.
-  SpatialBackend index = SpatialBackend::kKdTree;
 };
 
-// Applies the standard bench command line to `config`: --index, --runs,
-// --budget, --pois (each optional, defaults from the passed-in config).
+// Applies the standard bench command line to `config`: --runs, --budget,
+// --pois (each optional, defaults from the passed-in config).
 // Returns false after printing usage/error when the arguments don't parse —
 // the caller should `return 1`.
 bool ApplyBenchFlags(int argc, const char* const* argv, BenchConfig* config);

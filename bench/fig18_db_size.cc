@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < fractions.size(); ++i) {
     const double fraction = fractions[i];
     const SizedScenario& scenario = scenarios[i];
-    LbsServer server(scenario.dataset.get(),
-                     {.max_k = config.k, .index_backend = config.index});
+    LbsServer server(scenario.dataset.get(), {.max_k = config.k});
     CensusSampler sampler(scenario.census.get());
 
     const AggregateSpec spec = AggregateSpec::CountWhere(

@@ -28,6 +28,7 @@
 
 #include "common/bench_common.h"
 #include "lbs/sharded_server.h"
+#include "spatial/backend.h"
 #include "transport/sharded_transport.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -99,9 +100,6 @@ int main(int argc, char** argv) {
   using namespace lbsagg::bench;
 
   FlagParser flags;
-  flags.AddString("index", "kdtree",
-                  std::string("spatial backend (") + SpatialBackendChoices() +
-                      ")");
   flags.AddString("tuples", "10000000", "comma-separated dataset sizes");
   flags.AddString("shards", "1,4,16", "comma-separated shard counts");
   flags.AddInt("queries", 20000, "kNN queries per throughput series");
@@ -117,12 +115,6 @@ int main(int argc, char** argv) {
                  flags.HelpText(argv[0]).c_str());
     return 1;
   }
-  const auto backend = ParseSpatialBackend(flags.GetString("index"));
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "error: unknown --index=%s (choices: %s)\n",
-                 flags.GetString("index").c_str(), SpatialBackendChoices());
-    return 1;
-  }
   const std::vector<int> sizes = ParseIntList(flags.GetString("tuples"));
   const std::vector<int> shard_counts = ParseIntList(flags.GetString("shards"));
   const int num_queries = static_cast<int>(flags.GetInt("queries"));
@@ -134,15 +126,13 @@ int main(int argc, char** argv) {
       "estimator-max-tuples"));
 
   const Box box({0, 0}, {1000, 1000});
-  std::string json = "{\n \"config\": {\"index\": \"" +
-                     std::string(SpatialBackendName(*backend)) +
-                     "\", \"k\": " + std::to_string(k) +
+  std::string json = "{\n \"config\": {\"index\": \"kdtree\", \"k\": " +
+                     std::to_string(k) +
                      ", \"queries\": " + std::to_string(num_queries) +
                      ", \"modeled_cores\": " + std::to_string(cores) + "}";
 
   for (int n : sizes) {
-    std::printf("== n = %d (%s index) ==\n", n,
-                SpatialBackendName(*backend));
+    std::printf("== n = %d ==\n", n);
     Rng rng(2015);
     const std::vector<Vec2> points = GenerateUniform(n, box, rng);
     Dataset dataset(box, Schema{});
@@ -153,14 +143,13 @@ int main(int argc, char** argv) {
     // shards.
     ServerOptions sopts;
     sopts.max_k = k;
-    sopts.index_backend = *backend;
     sopts.max_radius =
         4.0 * std::sqrt(k * box.Area() / (3.141592653589793 * n));
 
     // --- 1. Build scaling ---------------------------------------------
     double t0 = NowMs();
     const std::unique_ptr<SpatialIndex> single =
-        MakeSpatialIndex(*backend, points, box);
+        MakeSpatialIndex(SpatialBackend::kKdTree, points);
     const double single_ms = NowMs() - t0;
     std::printf("single index build: %.0f ms\n", single_ms);
 

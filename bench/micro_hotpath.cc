@@ -6,7 +6,6 @@
 //       > BENCH_hotpath.json
 // on a quiet machine; see DESIGN.md "Hot path & complexity").
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "spatial/kdtree.h"
-#include "spatial/learned_index.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -68,10 +66,10 @@ BENCHMARK(BM_KnnQueryFiltered)->Arg(10);
 
 // ---------------------------------------------------------------------------
 // Layer 2: top-k region refinement. The batch benchmark measures one
-// from-scratch ComputeTopkRegion over n constraint points (what every
-// refinement round used to pay); the incremental benchmark measures a full
-// refinement schedule — points arriving in batches across rounds — through
-// the TopkRegionRefiner versus recomputing from scratch each round.
+// from-scratch ComputeTopkRegion over n constraint points; the scratch
+// benchmark measures a full refinement schedule — points arriving in
+// batches across rounds — recomputing the region each round, as
+// LrCellComputer does.
 
 void BM_TopkRegionBatch(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
@@ -106,26 +104,6 @@ void BM_RefineScratch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRounds);
 }
 BENCHMARK(BM_RefineScratch)->Arg(1)->Arg(3)->Arg(5);
-
-void BM_RefineIncremental(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const auto pts = RandomPoints(kRounds * kPointsPerRound + 1, 7);
-  const Vec2 focal = pts[0];
-  const ConvexPolygon domain = ConvexPolygon::FromBox(kBox);
-  for (auto _ : state) {
-    double area = 0.0;
-    TopkRegionRefiner refiner(domain, k);
-    for (int r = 0; r < kRounds; ++r) {
-      refiner.AddPoints(
-          focal, std::vector<Vec2>(pts.begin() + 1 + r * kPointsPerRound,
-                                   pts.begin() + 1 + (r + 1) * kPointsPerRound));
-      area = refiner.Region().area;
-    }
-    benchmark::DoNotOptimize(area);
-  }
-  state.SetItemsProcessed(state.iterations() * kRounds);
-}
-BENCHMARK(BM_RefineIncremental)->Arg(1)->Arg(3)->Arg(5);
 
 // ---------------------------------------------------------------------------
 // Layer 3: end-to-end LR rounds — the exact Theorem-1 cell computation an
@@ -173,14 +151,7 @@ BENCHMARK(BM_LrExactCellNoMemo);
 BENCHMARK(BM_LrExactCellMemo);
 
 // ---------------------------------------------------------------------------
-// Backend crossover: KdTree vs LearnedIndex at 10^5..10^7 points. Build
-// cost and k=10 query cost per backend over the *same* point sets, plus an
-// in-process dual-implementation comparison (BM_KnnCrossover) — both
-// backends timed alternately inside one process, min over reps, results
-// checksummed equal — because cross-process timings on this 1-core VM are
-// bimodal under load. The curves are tracked in BENCH_hotpath.json
-// ("learned_vs_kdtree"); DESIGN.md §4.10 discusses where and why the
-// learned index wins.
+// Scale: k-d tree build cost and k=10 query cost at 10^5..10^7 points.
 
 const std::vector<Vec2>& PointsOfSize(int64_t n) {
   static auto* cache = new std::map<int64_t, std::vector<Vec2>>();
@@ -193,13 +164,6 @@ const std::vector<Vec2>& PointsOfSize(int64_t n) {
 
 const KdTree& KdOfSize(int64_t n) {
   static auto* cache = new std::map<int64_t, KdTree>();
-  auto it = cache->find(n);
-  if (it == cache->end()) it = cache->emplace(n, PointsOfSize(n)).first;
-  return it->second;
-}
-
-const LearnedIndex& LearnedOfSize(int64_t n) {
-  static auto* cache = new std::map<int64_t, LearnedIndex>();
   auto it = cache->find(n);
   if (it == cache->end()) it = cache->emplace(n, PointsOfSize(n)).first;
   return it->second;
@@ -225,98 +189,16 @@ BENCHMARK(BM_BuildKdTree)
     ->Arg(100000)->Arg(1000000)->Arg(10000000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BuildLearned(benchmark::State& state) {
-  const auto& pts = PointsOfSize(state.range(0));
-  for (auto _ : state) {
-    const LearnedIndex index(pts);
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BuildLearned)
-    ->Arg(100000)->Arg(1000000)->Arg(10000000)
-    ->Unit(benchmark::kMillisecond);
-
-template <typename Index>
-void KnnLoop(benchmark::State& state, const Index& index) {
+void BM_Knn10KdTree(benchmark::State& state) {
+  const KdTree& tree = KdOfSize(state.range(0));
   const auto queries = QueryBatch(1024, 99);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Nearest(queries[i++ & 1023], 10));
+    benchmark::DoNotOptimize(tree.Nearest(queries[i++ & 1023], 10));
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_Knn10KdTree(benchmark::State& state) {
-  KnnLoop(state, KdOfSize(state.range(0)));
-}
 BENCHMARK(BM_Knn10KdTree)->Arg(100000)->Arg(1000000)->Arg(10000000);
-
-void BM_Knn10Learned(benchmark::State& state) {
-  KnnLoop(state, LearnedOfSize(state.range(0)));
-}
-BENCHMARK(BM_Knn10Learned)->Arg(100000)->Arg(1000000)->Arg(10000000);
-
-// One process, both backends, alternating; min over reps defeats load
-// spikes, and the checksum pins down that both answered every query
-// identically (the bit-identical contract). Every rep draws a FRESH query
-// batch from a continuing stream: replaying one small batch would keep
-// each backend's touched nodes/blocks resident in the LLC after the first
-// pass, and that warm regime flatters the kd-tree's pointer-chasing —
-// estimator workloads do not re-ask the same point. Counters carry the
-// result; the benchmark's own timing (one empty-ish iteration) is
-// irrelevant.
-void BM_KnnCrossover(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const KdTree& kd = KdOfSize(n);
-  const LearnedIndex& learned = LearnedOfSize(n);
-  constexpr int kReps = 6;
-  constexpr int kQueriesPerRep = 4000;
-  using Clock = std::chrono::steady_clock;
-  Rng qrng(101);
-
-  auto run_batch = [&](const auto& index, const std::vector<Vec2>& qs,
-                       uint64_t* checksum) {
-    const auto t0 = Clock::now();
-    uint64_t ck = 0;
-    for (const Vec2& q : qs) {
-      for (const Neighbor& nb : index.Nearest(q, 10)) {
-        ck = ck * 1315423911u + static_cast<uint64_t>(nb.index);
-      }
-    }
-    const auto t1 = Clock::now();
-    benchmark::DoNotOptimize(ck);
-    *checksum = ck;
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  double kd_best = 1e300, learned_best = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<Vec2> qs;
-    qs.reserve(kQueriesPerRep);
-    for (int i = 0; i < kQueriesPerRep; ++i) qs.push_back(kBox.SamplePoint(qrng));
-    uint64_t kd_ck = 0, learned_ck = 0;
-    const double l = run_batch(learned, qs, &learned_ck);
-    const double t = run_batch(kd, qs, &kd_ck);
-    if (kd_ck != learned_ck) {
-      state.SkipWithError("kd and learned kNN results diverged");
-      return;
-    }
-    learned_best = std::min(learned_best, l);
-    kd_best = std::min(kd_best, t);
-  }
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sink);
-  }
-  const double per_query = 1e9 / static_cast<double>(kQueriesPerRep);
-  state.counters["kd_ns_per_query"] = kd_best * per_query;
-  state.counters["learned_ns_per_query"] = learned_best * per_query;
-  state.counters["learned_speedup"] = kd_best / learned_best;
-}
-BENCHMARK(BM_KnnCrossover)
-    ->Arg(100000)->Arg(1000000)->Arg(10000000)
-    ->Iterations(1);
 
 void BM_LbsServerQuery(benchmark::State& state) {
   static const LrFixture* fixture = new LrFixture(11);

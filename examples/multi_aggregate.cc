@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <optional>
 
 #include "core/aggregate.h"
 #include "core/runner.h"
@@ -54,9 +53,6 @@ int main(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("trace", "", "write the run's Chrome trace_event JSON here");
   flags.AddString("report", "", "write the RunReport JSON here");
-  flags.AddString("index", "kdtree",
-                  "spatial index backend serving the simulated LBS: kdtree | "
-                  "grid | brute | learned (estimates are bit-identical)");
   if (!flags.Parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
                  flags.HelpText(argv[0]).c_str());
@@ -64,13 +60,6 @@ int main(int argc, char** argv) {
   }
   const std::string trace_path = flags.GetString("trace");
   const std::string report_path = flags.GetString("report");
-  const std::optional<SpatialBackend> backend =
-      ParseSpatialBackend(flags.GetString("index"));
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "unknown --index=%s (choices: %s)\n",
-                 flags.GetString("index").c_str(), SpatialBackendChoices());
-    return 1;
-  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   obs::Tracer tracer;
@@ -79,9 +68,8 @@ int main(int argc, char** argv) {
   UsaOptions options;
   options.num_pois = 8000;
   const UsaScenario usa = BuildUsaScenario(options);
-  LbsServer server(usa.dataset.get(), {.max_k = 10,
-                                       .index_backend = *backend,
-                                       .stats_registry = &registry});
+  LbsServer server(usa.dataset.get(),
+                   {.max_k = 10, .stats_registry = &registry});
   UniformSampler sampler(usa.dataset->box());
 
   const int rating = usa.columns.rating;

@@ -128,25 +128,12 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
   std::unordered_map<LocKey, bool, LocKeyHash> queried;  // value: t in top-h
   double prev_area = std::numeric_limits<double>::infinity();
 
-  // Incremental path: feed the refiner only the tuples discovered since the
-  // last round (known[consumed..]) instead of re-clipping all of `known`.
-  TopkRegionRefiner refiner(domain, h);
-  size_t consumed = 0;
-
   while (true) {
     ++out.rounds;
     LBSAGG_CHECK_LE(out.rounds, options_.max_rounds)
         << "Voronoi refinement did not converge";
 
-    TopkRegion region;
-    if (options_.incremental_regions) {
-      refiner.AddPoints(
-          pos, std::vector<Vec2>(known.begin() + consumed, known.end()));
-      consumed = known.size();
-      region = refiner.Region();
-    } else {
-      region = ComputeTopkRegion(pos, known, domain, h);
-    }
+    TopkRegion region = ComputeTopkRegion(pos, known, domain, h);
     LBSAGG_CHECK(!region.IsEmpty());
 
     // §3.2.4 early stop: the bounding region barely shrank last round.

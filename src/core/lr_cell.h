@@ -37,16 +37,6 @@ struct LrCellOptions {
   double mc_shrink_threshold = 0.05;
   int mc_min_rounds = 2;
 
-  // Incremental region refinement: keep a TopkRegionRefiner alive across
-  // rounds and clip only the bisectors of tuples discovered since the last
-  // round, instead of recomputing the whole arrangement from every known
-  // tuple each round. Turns the per-round cost from O(total bisectors) into
-  // O(new bisectors). The resulting cell matches the from-scratch cell up
-  // to floating-point clipping accuracy, but its boundary subdivision (and
-  // hence the vertex query order) can differ, so traces are not
-  // bit-identical to the default path — off by default.
-  bool incremental_regions = false;
-
   // Safety cap on refinement rounds (never reached in practice).
   int max_rounds = 256;
 

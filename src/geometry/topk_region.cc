@@ -55,6 +55,13 @@ EdgeKey UndirectedKey(const PointKey& a, const PointKey& b) {
   return {b, a};
 }
 
+// One convex piece of a level-region decomposition together with the number
+// of lines whose positive side contains it.
+struct LevelPiece {
+  ConvexPolygon poly;
+  int closer_count = 0;
+};
+
 // Applies one oriented line to the piece set: pieces fully on the negative
 // side pass through, pieces fully on the positive side gain a closer-count
 // (and die at k), straddling pieces split. Returns true if any piece
@@ -367,43 +374,6 @@ TopkRegion ComputeTopkRegionUnpruned(const Vec2& focal,
   std::vector<double> half_dists;
   SortedBisectors(focal, others, lines, half_dists);
   return ComputeLevelRegionFromLinesUnpruned(lines, domain, k);
-}
-
-TopkRegionRefiner::TopkRegionRefiner(const ConvexPolygon& domain, int k)
-    : k_(k), domain_(domain) {
-  LBSAGG_CHECK_GE(k, 1);
-  LBSAGG_CHECK(!domain.IsEmpty());
-  area_eps_ = domain.Area() * 1e-14;
-  bbox_ = domain.BoundingBox();
-  margin_ = DomainScale(bbox_) * 1e-6;
-  pieces_.push_back({domain, 0});
-}
-
-void TopkRegionRefiner::AddLine(const Line& line) {
-  if (pieces_.empty()) return;
-  if (bbox_dirty_) {
-    bbox_ = PiecesBoundingBox(pieces_);
-    bbox_dirty_ = false;
-  }
-  if (NegativeWithMargin(line, bbox_, margin_)) return;
-  lines_.push_back(line);
-  if (ApplyLine(pieces_, line, k_, area_eps_)) bbox_dirty_ = true;
-}
-
-void TopkRegionRefiner::AddPoints(const Vec2& focal,
-                                  std::vector<Vec2> new_others) {
-  std::sort(new_others.begin(), new_others.end(),
-            [&](const Vec2& a, const Vec2& b) {
-              return SquaredDistance(a, focal) < SquaredDistance(b, focal);
-            });
-  for (const Vec2& o : new_others) {
-    if (SquaredDistance(o, focal) == 0.0) continue;
-    AddLine(Line::Bisector(focal, o));
-  }
-}
-
-TopkRegion TopkRegionRefiner::Region() const {
-  return FinalizeRegion(pieces_, lines_, domain_, k_);
 }
 
 ConvexPolygon InscribedCirclePolygon(const Vec2& center, double radius,

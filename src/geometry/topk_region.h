@@ -57,14 +57,6 @@ struct TopkRegion {
 // Number of points of `others` strictly closer to q than `focal` is.
 int RankAt(const Vec2& q, const Vec2& focal, const std::vector<Vec2>& others);
 
-// One convex piece of a level-region decomposition together with the number
-// of lines whose positive side contains it. Internal representation shared
-// by the batch computation and TopkRegionRefiner.
-struct LevelPiece {
-  ConvexPolygon poly;
-  int closer_count = 0;
-};
-
 // Generalized level-set region over a line arrangement: the set of points of
 // `box` lying on the positive side of fewer than k of the oriented `lines`.
 //
@@ -97,46 +89,6 @@ TopkRegion ComputeLevelRegionFromLinesUnpruned(const std::vector<Line>& lines,
 TopkRegion ComputeTopkRegionUnpruned(const Vec2& focal,
                                      const std::vector<Vec2>& others,
                                      const ConvexPolygon& domain, int k);
-
-// Incrementally maintains a level region as lines arrive across refinement
-// rounds, re-clipping only the surviving pieces instead of recomputing the
-// whole arrangement from scratch. Because lines are applied in arrival
-// order rather than globally sorted, the piece decomposition (and hence
-// boundary subdivision vertices) may differ from a batch recomputation; the
-// region itself matches up to floating-point clipping accuracy. Callers
-// that need bit-identical query traces must recompute from scratch instead
-// (LrCellOptions::incremental_regions gates this).
-class TopkRegionRefiner {
- public:
-  // Requires k >= 1 and a non-empty convex domain.
-  TopkRegionRefiner(const ConvexPolygon& domain, int k);
-
-  // Applies one oriented line ({rank increments on the positive side}).
-  // Lines that cannot intersect the live region are dropped (exact, see
-  // above).
-  void AddLine(const Line& line);
-
-  // Adds the bisectors B(focal, other) for each new point, nearest first.
-  // Points coincident with `focal` are ignored.
-  void AddPoints(const Vec2& focal, std::vector<Vec2> new_others);
-
-  bool IsEmpty() const { return pieces_.empty(); }
-  size_t num_active_lines() const { return lines_.size(); }
-
-  // Finalizes the current state into a region. Boundary extraction runs on
-  // every call, so call once per refinement round, not per line.
-  TopkRegion Region() const;
-
- private:
-  int k_;
-  double area_eps_ = 0.0;
-  double margin_ = 0.0;
-  ConvexPolygon domain_;
-  std::vector<Line> lines_;  // active (non-pruned) lines, arrival order
-  std::vector<LevelPiece> pieces_;
-  Box bbox_;  // bounding box of `pieces_`, refreshed lazily
-  bool bbox_dirty_ = false;
-};
 
 // Inscribed regular n-gon of the disc around `center` — the polygonal
 // approximation of a d_max disc. The area defect vs the true disc is

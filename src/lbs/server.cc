@@ -31,7 +31,7 @@ LbsServer::LbsServer(const Dataset* dataset, ServerOptions options)
       effective_pos_(ComputeEffectivePositions(*dataset, options)) {
   LBSAGG_CHECK_GE(options_.max_k, 1);
   index_ = MakeSpatialIndex(options_.index_backend, effective_pos_,
-                            dataset->box(), options_.stats_registry);
+                            options_.stats_registry);
   if (options_.ranking == RankingMode::kProminence) {
     LBSAGG_CHECK(std::isfinite(options_.max_radius))
         << "prominence ranking requires a finite max_radius";

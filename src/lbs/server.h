@@ -23,8 +23,9 @@ enum class RankingMode {
 };
 
 // Spatial index backend of the simulated service — invisible through the
-// interface (all backends return bit-identical results; see
-// spatial/backend.h for the selection trade-offs).
+// interface (both backends return bit-identical results): the k-d tree for
+// a server that answers queries, brute force for a metadata-only server
+// that is never searched (see spatial/backend.h).
 using IndexBackend = SpatialBackend;
 
 // Server-side configuration mirroring the real-world interface constraints
@@ -53,7 +54,7 @@ struct ServerOptions {
   IndexBackend index_backend = IndexBackend::kKdTree;
 
   // When set, the spatial index publishes its per-search work counters
-  // (spatial.kdtree.* / spatial.learned.*) to this registry. Opt-in —
+  // (spatial.kdtree.*) to this registry. Opt-in —
   // unlike the client and
   // estimator layers there is no null-means-default fallback, because the
   // index search is the hottest loop in the system and only runs that emit

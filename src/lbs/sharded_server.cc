@@ -15,8 +15,7 @@ namespace lbsagg {
 namespace {
 
 // 16-bit Z-curve interleave for the spatial partitioner. Partition-grade
-// resolution only — shard membership just needs spatial coherence, not the
-// full-precision curve the learned index uses.
+// resolution only — shard membership just needs spatial coherence.
 uint32_t SpreadBits16(uint32_t v) {
   v &= 0xffffu;
   v = (v | (v << 8)) & 0x00ff00ffu;
@@ -142,9 +141,8 @@ ShardedLbsServer::ShardedLbsServer(const Dataset* dataset,
           .count();
 
   auto indexes = MakeSpatialIndexes(
-      options_.server.index_backend, shard_points, dataset_->box(),
-      options_.build_threads, options_.server.stats_registry,
-      &build_stats_.shard_build_ms);
+      options_.server.index_backend, shard_points, options_.build_threads,
+      options_.server.stats_registry, &build_stats_.shard_build_ms);
   for (int s = 0; s < num_shards; ++s) {
     shards_[s].index = std::move(indexes[s]);
   }

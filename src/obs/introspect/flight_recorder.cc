@@ -2,39 +2,25 @@
 
 #include <sstream>
 
+#include "util/json_writer.h"
+
 namespace lbsagg {
 namespace obs {
 namespace introspect {
 
-namespace {
-
-std::string EscapeJson(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-  return out;
-}
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string FlightRecordJson(const FlightRecord& record) {
-  std::ostringstream os;
-  os << "{\"kind\":\""
-     << (record.kind == FlightRecord::Kind::kSpan ? "span" : "event")
-     << "\",\"name\":\"" << EscapeJson(record.name)
-     << "\",\"ts_us\":" << FormatDouble(record.ts_us)
-     << ",\"dur_us\":" << FormatDouble(record.dur_us) << ",\"a\":" << record.a
-     << ",\"b\":" << record.b << "}";
-  return os.str();
+  std::string out = "{\"kind\":\"";
+  out += record.kind == FlightRecord::Kind::kSpan ? "span" : "event";
+  out += "\",\"name\":\"";
+  JsonWriter::AppendEscaped(&out, record.name);
+  // Full round-trip precision, as in Tracer::ToChromeTraceJson.
+  out += "\",\"ts_us\":";
+  JsonWriter::AppendShortestDouble(&out, record.ts_us);
+  out += ",\"dur_us\":";
+  JsonWriter::AppendShortestDouble(&out, record.dur_us);
+  out += ",\"a\":" + std::to_string(record.a) +
+         ",\"b\":" + std::to_string(record.b) + "}";
+  return out;
 }
 
 #ifndef LBSAGG_OBS_DISABLED

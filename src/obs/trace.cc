@@ -2,8 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
 #include <utility>
+
+#include "util/json_writer.h"
 
 namespace lbsagg {
 namespace obs {
@@ -16,24 +17,6 @@ int CurrentTid() {
   static std::atomic<int> next{1};
   thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-// Trace names are compile-time literals and metric-style strings; escape
-// the JSON specials anyway so a hostile name cannot corrupt the document.
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -134,18 +117,25 @@ size_t Tracer::event_count() const {
 
 std::string Tracer::ToChromeTraceJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
+  // Steady-clock timestamps pass 10^9 µs after ~17 minutes of uptime, so
+  // they print at full round-trip precision: spans 1 µs apart stay apart.
+  // Names are escaped so a hostile one cannot corrupt the document.
+  std::string out = "{\"traceEvents\":[";
   for (size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& e = events_[i];
-    if (i > 0) os << ',';
-    os << "\n{\"name\":\"" << EscapeJson(e.name) << "\",\"cat\":\""
-       << EscapeJson(e.category) << "\",\"ph\":\"X\",\"ts\":"
-       << FormatDouble(e.ts_us) << ",\"dur\":" << FormatDouble(e.dur_us)
-       << ",\"pid\":1,\"tid\":" << e.tid << "}";
+    if (i > 0) out += ',';
+    out += "\n{\"name\":\"";
+    JsonWriter::AppendEscaped(&out, e.name);
+    out += "\",\"cat\":\"";
+    JsonWriter::AppendEscaped(&out, e.category);
+    out += "\",\"ph\":\"X\",\"ts\":";
+    JsonWriter::AppendShortestDouble(&out, e.ts_us);
+    out += ",\"dur\":";
+    JsonWriter::AppendShortestDouble(&out, e.dur_us);
+    out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid) + "}";
   }
-  os << "\n],\"displayTimeUnit\":\"ms\"}";
-  return os.str();
+  out += "\n],\"displayTimeUnit\":\"ms\"}";
+  return out;
 }
 
 }  // namespace obs

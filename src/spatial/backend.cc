@@ -5,38 +5,12 @@
 #include <thread>
 
 #include "spatial/brute_force.h"
-#include "spatial/grid_index.h"
 #include "spatial/kdtree.h"
-#include "spatial/learned_index.h"
 
 namespace lbsagg {
 
-const char* SpatialBackendName(SpatialBackend backend) {
-  switch (backend) {
-    case SpatialBackend::kKdTree:
-      return "kdtree";
-    case SpatialBackend::kGrid:
-      return "grid";
-    case SpatialBackend::kBruteForce:
-      return "brute";
-    case SpatialBackend::kLearned:
-      return "learned";
-  }
-  return "unknown";
-}
-
-std::optional<SpatialBackend> ParseSpatialBackend(const std::string& name) {
-  if (name == "kdtree") return SpatialBackend::kKdTree;
-  if (name == "grid") return SpatialBackend::kGrid;
-  if (name == "brute") return SpatialBackend::kBruteForce;
-  if (name == "learned") return SpatialBackend::kLearned;
-  return std::nullopt;
-}
-
-const char* SpatialBackendChoices() { return "kdtree | grid | brute | learned"; }
-
 std::unique_ptr<SpatialIndex> MakeSpatialIndex(
-    SpatialBackend backend, const std::vector<Vec2>& points, const Box& box,
+    SpatialBackend backend, const std::vector<Vec2>& points,
     obs::MetricsRegistry* stats_registry) {
   switch (backend) {
     case SpatialBackend::kKdTree: {
@@ -44,22 +18,15 @@ std::unique_ptr<SpatialIndex> MakeSpatialIndex(
       if (stats_registry != nullptr) tree->EnableStats(stats_registry);
       return tree;
     }
-    case SpatialBackend::kGrid:
-      return std::make_unique<GridIndex>(points, box);
     case SpatialBackend::kBruteForce:
       return std::make_unique<BruteForceIndex>(points);
-    case SpatialBackend::kLearned: {
-      auto learned = std::make_unique<LearnedIndex>(points);
-      if (stats_registry != nullptr) learned->EnableStats(stats_registry);
-      return learned;
-    }
   }
   return nullptr;
 }
 
 std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
     SpatialBackend backend, const std::vector<std::vector<Vec2>>& shard_points,
-    const Box& box, unsigned threads, obs::MetricsRegistry* stats_registry,
+    unsigned threads, obs::MetricsRegistry* stats_registry,
     std::vector<double>* build_ms) {
   const size_t shards = shard_points.size();
   std::vector<std::unique_ptr<SpatialIndex>> indexes(shards);
@@ -79,7 +46,7 @@ std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
       if (shard_points[shard].empty()) continue;  // null index for the slot
       const auto start = std::chrono::steady_clock::now();
       indexes[shard] =
-          MakeSpatialIndex(backend, shard_points[shard], box, stats_registry);
+          MakeSpatialIndex(backend, shard_points[shard], stats_registry);
       if (build_ms != nullptr) {
         (*build_ms)[shard] =
             std::chrono::duration<double, std::milli>(

@@ -2,11 +2,8 @@
 #define LBSAGG_SPATIAL_BACKEND_H_
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "geometry/box.h"
 #include "spatial/spatial_index.h"
 
 namespace lbsagg {
@@ -15,37 +12,23 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-// The selectable SpatialIndex implementations. All four return bit-identical
-// results through the SpatialIndex interface (spatial_equivalence_test.cc),
-// so the choice is purely a build-time/query-time trade-off:
-//   kKdTree     — flat preorder k-d tree; the default, fastest at mid scale.
-//   kGrid       — uniform grid; competitive on uniformly dense data.
-//   kBruteForce — O(n) scan; the test oracle, fine for tiny datasets.
-//   kLearned    — Morton-ordered learned index (PGM-style PLA over the
-//                 curve) with SoA blocks and batched distance kernels;
-//                 overtakes the k-d tree at ~10^6 points (DESIGN.md §4.10).
+// The SpatialIndex implementations a server can build. Both return
+// bit-identical results through the SpatialIndex interface
+// (spatial_equivalence_test.cc), so the choice never changes an answer
+// (DESIGN.md §4.10):
+//   kKdTree     — flat preorder k-d tree; every server that searches.
+//   kBruteForce — O(n) scan; the test oracle, and the metadata-only server
+//                 of sharded set-ups, which is never searched and so pays
+//                 only its O(n) construction.
 enum class SpatialBackend {
   kKdTree,
-  kGrid,
   kBruteForce,
-  kLearned,
 };
 
-// Canonical lowercase name ("kdtree" | "grid" | "brute" | "learned").
-const char* SpatialBackendName(SpatialBackend backend);
-
-// Parses a canonical name; nullopt for anything else.
-std::optional<SpatialBackend> ParseSpatialBackend(const std::string& name);
-
-// All selectable backend names, comma-separated, for usage/help strings.
-const char* SpatialBackendChoices();
-
-// Builds the chosen index over `points`. `box` is the dataset's bounding
-// region (the grid backend buckets over it; the others derive their own
-// bounds). When `stats_registry` is non-null the backends that publish
-// per-search work counters (kdtree, learned) start publishing to it.
+// Builds the chosen index over `points`. When `stats_registry` is non-null
+// the k-d tree publishes its per-search work counters to it.
 std::unique_ptr<SpatialIndex> MakeSpatialIndex(
-    SpatialBackend backend, const std::vector<Vec2>& points, const Box& box,
+    SpatialBackend backend, const std::vector<Vec2>& points,
     obs::MetricsRegistry* stats_registry = nullptr);
 
 // Parallel multi-index build: one index per entry of `shard_points`, shard
@@ -59,8 +42,7 @@ std::unique_ptr<SpatialIndex> MakeSpatialIndex(
 // (lbs/sharded_server.h) and benchmarked in bench/fig18_sharded.cc.
 std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
     SpatialBackend backend, const std::vector<std::vector<Vec2>>& shard_points,
-    const Box& box, unsigned threads = 0,
-    obs::MetricsRegistry* stats_registry = nullptr,
+    unsigned threads = 0, obs::MetricsRegistry* stats_registry = nullptr,
     std::vector<double>* build_ms = nullptr);
 
 }  // namespace lbsagg

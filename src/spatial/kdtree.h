@@ -27,7 +27,7 @@ namespace lbsagg {
 // happens per query beyond the result vector the interface returns.
 //
 // Results are exactly the k smallest under the (distance, index) total
-// order, bit-identical to BruteForceIndex / GridIndex.
+// order, bit-identical to BruteForceIndex.
 class KdTree : public SpatialIndex {
  public:
   // Builds the tree over `points` in O(n log n).

@@ -1,5 +1,6 @@
 #include "util/json_writer.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -35,6 +36,12 @@ void JsonWriter::AppendEscaped(std::string* out, std::string_view s) {
         }
     }
   }
+}
+
+void JsonWriter::AppendShortestDouble(std::string* out, double v) {
+  char buf[32];  // the longest shortest form: -1.7976931348623157e+308
+  const std::to_chars_result result = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, result.ptr);
 }
 
 void JsonWriter::BeforeValue() {

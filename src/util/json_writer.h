@@ -9,10 +9,11 @@
 //
 // The writer is strictly append-only and comma-managing: Key()/Value()
 // calls emit separators automatically based on a small nesting stack.
-// Numbers print exactly like the legacy emitters did (integers via the
-// stream insertion of the integral type, doubles via
-// obs-report-compatible shortest round-trip formatting), so swapping a
-// hand-built emitter for JsonWriter is byte-identical output.
+// Numbers print exactly like the legacy emitters did (integers in decimal,
+// doubles via `ostream << double`, i.e. 6 significant digits), so swapping
+// a hand-built emitter for JsonWriter is byte-identical output. Values that
+// need every digit, such as trace timestamps, go through
+// AppendShortestDouble instead.
 
 #include <cstdint>
 #include <string>
@@ -60,6 +61,10 @@ class JsonWriter {
   // JSON string escaping (quotes not included) — shared with callers that
   // still assemble fragments by hand.
   static void AppendEscaped(std::string* out, std::string_view s);
+
+  // Appends the shortest text that parses back to exactly `v`
+  // (std::to_chars), for numbers that 6 significant digits would round.
+  static void AppendShortestDouble(std::string* out, double v);
 
  private:
   void BeforeValue();

@@ -170,22 +170,23 @@ TEST(Server, ProminenceCanOutrankDistance) {
   EXPECT_EQ(hits[0].tuple_id, 1);
 }
 
-TEST(Server, GridBackendMatchesKdTreeBackend) {
+TEST(Server, BruteForceBackendMatchesKdTreeBackend) {
   const Dataset d = MakeDataset(400, 59);
   ServerOptions kd_opts;
   kd_opts.max_k = 5;
-  ServerOptions grid_opts = kd_opts;
-  grid_opts.index_backend = IndexBackend::kGrid;
+  ServerOptions brute_opts = kd_opts;
+  brute_opts.index_backend = IndexBackend::kBruteForce;
   const LbsServer kd(&d, kd_opts);
-  const LbsServer grid(&d, grid_opts);
+  const LbsServer brute(&d, brute_opts);
   Rng rng(61);
   for (int trial = 0; trial < 100; ++trial) {
     const Vec2 q = kBox.SamplePoint(rng);
     const auto a = kd.Query(q, 5);
-    const auto b = grid.Query(q, 5);
+    const auto b = brute.Query(q, 5);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].tuple_id, b[i].tuple_id);
+      EXPECT_EQ(a[i].distance, b[i].distance);  // bit for bit
     }
   }
 }

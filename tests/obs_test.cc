@@ -5,6 +5,7 @@
 // the tracer's Chrome trace_event serialization, and RunReport assembly.
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
+#include "obs/introspect/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -224,6 +226,31 @@ TEST(Tracer, VirtualClockDrivesTimestamps) {
   const std::string json = tracer.ToChromeTraceJson();
   EXPECT_NE(json.find("\"ts\":500"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":400"), std::string::npos);
+}
+
+// Steady-clock timestamps pass 10^9 µs after ~17 minutes of uptime, where 6
+// significant digits print two spans 1 µs apart as the same "ts".
+TEST(Tracer, TimestampsResolveMicrosecondsAtLongUptime) {
+  obs::Tracer tracer;
+  tracer.AddComplete("first", "estimator", /*ts_us=*/3.6e9, /*dur_us=*/0.5);
+  tracer.AddComplete("second", "estimator", /*ts_us=*/3.6e9 + 1.0,
+                     /*dur_us=*/0.5);
+  const std::string json = tracer.ToChromeTraceJson();
+  std::vector<double> ts;
+  const std::string key = "\"ts\":";
+  for (size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + 1)) {
+    ts.push_back(std::strtod(json.c_str() + pos + key.size(), nullptr));
+  }
+  ASSERT_EQ(ts.size(), 2u) << json;
+  EXPECT_EQ(ts[0], 3.6e9) << json;
+  EXPECT_EQ(ts[1], 3.6e9 + 1.0) << json;
+
+  obs::introspect::FlightRecord record;
+  record.ts_us = 3.6e9 + 1.0;
+  EXPECT_NE(obs::introspect::FlightRecordJson(record).find(
+                "\"ts_us\":3600000001,"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

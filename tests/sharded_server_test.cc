@@ -151,14 +151,12 @@ TEST(ShardedServer, ProminenceBitIdentical) {
 }
 
 TEST(ShardedServer, AlternateIndexBackendsBitIdentical) {
+  // Brute-force shards against the k-d tree monolith.
   const Dataset d = MakeDataset(1000, 23);
-  const std::vector<Vec2> queries = MakeQueries(80, 37);
-  for (IndexBackend backend : {IndexBackend::kGrid, IndexBackend::kLearned}) {
-    ServerOptions opts;
-    opts.index_backend = backend;
-    ExpectBitIdentical(d, opts, {.num_shards = 8, .server = opts}, queries,
-                       5, nullptr, SpatialBackendName(backend));
-  }
+  ServerOptions brute;
+  brute.index_backend = IndexBackend::kBruteForce;
+  ExpectBitIdentical(d, {}, {.num_shards = 8, .server = brute},
+                     MakeQueries(80, 37), 5, nullptr, "brute-force shards");
 }
 
 TEST(ShardedServer, WithinRadiusMatchesBruteForceScan) {

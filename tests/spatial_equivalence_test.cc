@@ -1,15 +1,14 @@
-// Randomized 4-way equivalence: KdTree, GridIndex, LearnedIndex, and
-// BruteForceIndex must return *bit-identical* results — same indices, same
-// exact distance doubles — for Nearest, NearestFiltered, and WithinRadius.
-// The candidate ordering contract in spatial_index.h (rank by the exact
-// (squared distance, index) total order) makes this well-defined even under
-// distance ties, which the duplicate-point cases below force; the total
-// order is additionally asserted directly on every Nearest result, so a
-// backend cannot pass by agreeing with an unordered oracle. The LBS server
+// Randomized equivalence of the two SpatialIndex implementations: KdTree
+// must return *bit-identical* results to the BruteForceIndex oracle — same
+// indices, same exact distance doubles — for Nearest, NearestFiltered, and
+// WithinRadius. The candidate ordering contract in spatial_index.h (rank by
+// the exact (squared distance, index) total order) makes this well-defined
+// even under distance ties, which the duplicate-point cases below force; the
+// total order is additionally asserted directly on every Nearest result, so
+// the tree cannot pass by agreeing with an unordered oracle. The LBS server
 // relies on this to make the index backend invisible through the interface;
 // every kd-tree search specialization (k == 1, sorted-insertion small k,
-// buffered large k) and every learned-index phase (seed scan, ball cover,
-// block pruning) is covered by the k values used here.
+// buffered large k) is covered by the k values used here.
 
 #include <algorithm>
 #include <memory>
@@ -20,9 +19,7 @@
 #include "geometry/box.h"
 #include "spatial/backend.h"
 #include "spatial/brute_force.h"
-#include "spatial/grid_index.h"
 #include "spatial/kdtree.h"
-#include "spatial/learned_index.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -42,6 +39,23 @@ std::vector<Vec2> RandomPointsWithDuplicates(int n, uint64_t seed) {
     } else {
       pts.push_back(kBox.SamplePoint(rng));
     }
+  }
+  return pts;
+}
+
+// Zipf-ish city clusters: heavy spatial skew, the shape of the benchmark's
+// city-clustered datasets.
+std::vector<Vec2> ClusteredPoints(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec2> centers;
+  for (int c = 0; c < 12; ++c) centers.push_back(kBox.SamplePoint(rng));
+  std::vector<Vec2> pts;
+  pts.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    const Vec2& c = centers[i % 3 == 0 ? rng.UniformInt(12) : 0];
+    const double spread = 5.0 + 20.0 * rng.Uniform01();
+    pts.push_back(kBox.Clamp(c + Vec2{rng.Uniform(-spread, spread),
+                                      rng.Uniform(-spread, spread)}));
   }
   return pts;
 }
@@ -89,20 +103,16 @@ void ExpectSameSet(std::vector<Neighbor> a, std::vector<Neighbor> b,
 
 // The k values cover all three KdTree search paths (the k == 1 register
 // path, sorted insertion for 2 <= k <= leaf size 16, buffered compaction
-// beyond) and stress the learned index's seed-scan/ball-cover split, plus
-// k > n truncation.
+// beyond), plus k > n truncation.
 const int kTestKs[] = {1, 2, 7, 16, 17, 50, 400};
 
-TEST(SpatialEquivalence, FourWayRandomized) {
+TEST(SpatialEquivalence, KdTreeMatchesBruteForceRandomized) {
   for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
     const int n = 50 + static_cast<int>(seed) * 71;
     const auto pts = RandomPointsWithDuplicates(n, seed);
     const KdTree kd(pts);
-    const GridIndex grid(pts, kBox);
-    const LearnedIndex learned(pts);
     const BruteForceIndex brute(pts);
     ASSERT_EQ(kd.size(), pts.size());
-    ASSERT_EQ(learned.size(), pts.size());
 
     Rng rng(100 + seed);
     for (int trial = 0; trial < 40; ++trial) {
@@ -116,72 +126,89 @@ TEST(SpatialEquivalence, FourWayRandomized) {
         const auto want = brute.Nearest(q, k);
         ExpectTotalOrder(want, "brute Nearest");
         ExpectIdentical(kd.Nearest(q, k), want, "kd Nearest");
-        ExpectIdentical(grid.Nearest(q, k), want, "grid Nearest");
-        ExpectIdentical(learned.Nearest(q, k), want, "learned Nearest");
       }
 
       const IndexFilter filter = [](int id) { return (id & 3) != 0; };
       for (const int k : {1, 7, 30}) {
-        const auto want = brute.NearestFiltered(q, k, filter);
-        ExpectIdentical(kd.NearestFiltered(q, k, filter), want,
+        ExpectIdentical(kd.NearestFiltered(q, k, filter),
+                        brute.NearestFiltered(q, k, filter),
                         "kd NearestFiltered");
-        ExpectIdentical(grid.NearestFiltered(q, k, filter), want,
-                        "grid NearestFiltered");
-        ExpectIdentical(learned.NearestFiltered(q, k, filter), want,
-                        "learned NearestFiltered");
       }
 
       // Sparse-accepting filters: few tuples pass, so filtered searches
-      // must keep expanding well past the seed leaves/blocks (and, at 1/64,
-      // often exhaust the index without filling k).
+      // must keep expanding well past the seed leaves (and, at 1/64, often
+      // exhaust the index without filling k).
       for (const int modulus : {16, 64}) {
         const IndexFilter sparse = [modulus](int id) {
           return id % modulus == 1;
         };
         for (const int k : {1, 5}) {
-          const auto want = brute.NearestFiltered(q, k, sparse);
-          ExpectIdentical(kd.NearestFiltered(q, k, sparse), want,
+          ExpectIdentical(kd.NearestFiltered(q, k, sparse),
+                          brute.NearestFiltered(q, k, sparse),
                           "kd sparse filter");
-          ExpectIdentical(grid.NearestFiltered(q, k, sparse), want,
-                          "grid sparse filter");
-          ExpectIdentical(learned.NearestFiltered(q, k, sparse), want,
-                          "learned sparse filter");
         }
       }
 
       // Null filter must behave exactly like Nearest.
       ExpectIdentical(kd.NearestFiltered(q, 9, nullptr), brute.Nearest(q, 9),
                       "kd null filter");
-      ExpectIdentical(learned.NearestFiltered(q, 9, nullptr),
-                      brute.Nearest(q, 9), "learned null filter");
 
       for (const double radius : {0.0, 15.0, 120.0, 2000.0}) {
-        const auto want = brute.WithinRadius(q, radius);
-        ExpectSameSet(kd.WithinRadius(q, radius), want, "kd WithinRadius");
-        ExpectSameSet(grid.WithinRadius(q, radius), want,
-                      "grid WithinRadius");
-        ExpectSameSet(learned.WithinRadius(q, radius), want,
-                      "learned WithinRadius");
+        ExpectSameSet(kd.WithinRadius(q, radius),
+                      brute.WithinRadius(q, radius), "kd WithinRadius");
       }
     }
+  }
+}
+
+// The benchmark's servers index 2x10^4 city-clustered points; the same size
+// and shape here, where dense clusters sit beside empty space.
+TEST(SpatialEquivalence, ClusteredAtBenchmarkScale) {
+  const int n = 20000;
+  const auto pts = ClusteredPoints(n, 11);
+  const KdTree kd(pts);
+  const BruteForceIndex brute(pts);
+  Rng rng(12);
+  for (int trial = 0; trial < 60; ++trial) {
+    Vec2 q = kBox.SamplePoint(rng);
+    if (trial % 2 == 1) q = pts[rng.UniformInt(static_cast<uint64_t>(n))];
+    for (const int k : {1, 10, 50}) {
+      ExpectIdentical(kd.Nearest(q, k), brute.Nearest(q, k),
+                      "clustered Nearest");
+    }
+    ExpectSameSet(kd.WithinRadius(q, 25.0), brute.WithinRadius(q, 25.0),
+                  "clustered WithinRadius");
+  }
+}
+
+// Every point in one corner: a query from the far corner must cross the
+// whole empty box before it meets a candidate.
+TEST(SpatialEquivalence, CornerClusterFarQuery) {
+  std::vector<Vec2> pts;
+  Rng rng(407);
+  for (int i = 0; i < 100; ++i) {
+    pts.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
+  }
+  const KdTree kd(pts);
+  const BruteForceIndex brute(pts);
+  const Vec2 far_query{990, 990};
+  for (const int k : {1, 5, 100}) {
+    ExpectIdentical(kd.Nearest(far_query, k), brute.Nearest(far_query, k),
+                    "corner cluster far query");
   }
 }
 
 TEST(SpatialEquivalence, AllPointsCoincident) {
   const std::vector<Vec2> pts(37, Vec2{500, 500});
   const KdTree kd(pts);
-  const LearnedIndex learned(pts);
   const BruteForceIndex brute(pts);
   for (const int k : kTestKs) {
     // Every distance ties; order must fall back to index order identically.
     const auto want = brute.Nearest({400, 400}, k);
-    for (const auto* index :
-         std::initializer_list<const SpatialIndex*>{&kd, &learned}) {
-      const auto got = index->Nearest({400, 400}, k);
-      ExpectIdentical(got, want, "coincident Nearest");
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].index, static_cast<int>(i));
-      }
+    const auto got = kd.Nearest({400, 400}, k);
+    ExpectIdentical(got, want, "coincident Nearest");
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, static_cast<int>(i));
     }
   }
 }
@@ -206,8 +233,6 @@ TEST(SpatialEquivalence, WithinRadiusBoundaryInclusive) {
   for (int i = 0; i < 40; ++i) pts.push_back(kBox.SamplePoint(rng));
 
   const KdTree kd(pts);
-  const GridIndex grid(pts, kBox);
-  const LearnedIndex learned(pts);
   const BruteForceIndex brute(pts);
 
   const auto want = brute.WithinRadius(q, radius);
@@ -222,40 +247,29 @@ TEST(SpatialEquivalence, WithinRadiusBoundaryInclusive) {
   EXPECT_FALSE(std::binary_search(got_ids.begin(), got_ids.end(), 5));
 
   ExpectSameSet(kd.WithinRadius(q, radius), want, "kd boundary");
-  ExpectSameSet(grid.WithinRadius(q, radius), want, "grid boundary");
-  ExpectSameSet(learned.WithinRadius(q, radius), want, "learned boundary");
 
-  // Nearest at k = count-of-ties must break the 4-way distance tie by id on
-  // every backend.
+  // Nearest at k = count-of-ties must break the 4-way distance tie by id.
   for (const int k : {4, 5, 6}) {
-    const auto tie_want = brute.Nearest(q, k);
-    ExpectIdentical(kd.Nearest(q, k), tie_want, "kd boundary tie");
-    ExpectIdentical(grid.Nearest(q, k), tie_want, "grid boundary tie");
-    ExpectIdentical(learned.Nearest(q, k), tie_want, "learned boundary tie");
+    ExpectIdentical(kd.Nearest(q, k), brute.Nearest(q, k), "kd boundary tie");
   }
 }
 
-// The factory covers the same four backends behind the enum used by
-// ServerOptions; spot-check each against the oracle through the interface.
+// The factory builds both backends behind the enum used by ServerOptions;
+// spot-check each against the oracle through the interface.
 TEST(SpatialEquivalence, FactoryBackendsAgree) {
   const auto pts = RandomPointsWithDuplicates(300, 77);
   const BruteForceIndex brute(pts);
   Rng rng(78);
   for (const SpatialBackend backend :
-       {SpatialBackend::kKdTree, SpatialBackend::kGrid,
-        SpatialBackend::kBruteForce, SpatialBackend::kLearned}) {
-    const auto index = MakeSpatialIndex(backend, pts, kBox);
+       {SpatialBackend::kKdTree, SpatialBackend::kBruteForce}) {
+    const auto index = MakeSpatialIndex(backend, pts);
     ASSERT_NE(index, nullptr);
     ASSERT_EQ(index->size(), pts.size());
     for (int trial = 0; trial < 10; ++trial) {
       const Vec2 q = kBox.SamplePoint(rng);
-      ExpectIdentical(index->Nearest(q, 8), brute.Nearest(q, 8),
-                      SpatialBackendName(backend));
+      ExpectIdentical(index->Nearest(q, 8), brute.Nearest(q, 8), "factory");
     }
-    // Round-trip of the name <-> enum mapping the CLI and examples use.
-    EXPECT_EQ(ParseSpatialBackend(SpatialBackendName(backend)), backend);
   }
-  EXPECT_EQ(ParseSpatialBackend("noSuchBackend"), std::nullopt);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "geometry/box.h"
 #include "spatial/brute_force.h"
-#include "spatial/grid_index.h"
 #include "spatial/kdtree.h"
 #include "util/rng.h"
 
@@ -136,71 +135,6 @@ TEST(KdTree, DuplicateCoordinatesHandled) {
   const auto r = tree.Nearest({5.0, 10.2}, 3);
   ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r[0].index, 10);
-}
-
-// The grid index must agree with brute force for all k, including the
-// skewed layouts that stress its expanding-ring termination rule.
-class GridEquivalenceTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(GridEquivalenceTest, MatchesBruteForce) {
-  const int k = GetParam();
-  const auto pts = RandomPoints(300, 401);
-  const GridIndex grid(pts, kBox);
-  const BruteForceIndex brute(pts);
-  Rng rng(403);
-  for (int trial = 0; trial < 150; ++trial) {
-    const Vec2 q = kBox.SamplePoint(rng);
-    const auto a = grid.Nearest(q, k);
-    const auto b = brute.Nearest(q, k);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].index, b[i].index) << "k=" << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(KSweep, GridEquivalenceTest,
-                         ::testing::Values(1, 3, 10, 50));
-
-TEST(GridIndex, SkewedClusterStillCorrect) {
-  // All points in one corner cell: rings must expand far enough for distant
-  // queries.
-  std::vector<Vec2> pts;
-  Rng rng(407);
-  for (int i = 0; i < 100; ++i) {
-    pts.push_back({rng.Uniform(0, 10), rng.Uniform(0, 10)});
-  }
-  const GridIndex grid(pts, kBox);
-  const BruteForceIndex brute(pts);
-  const Vec2 far_query{990, 990};
-  const auto a = grid.Nearest(far_query, 5);
-  const auto b = brute.Nearest(far_query, 5);
-  ASSERT_EQ(a.size(), 5u);
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].index, b[i].index);
-}
-
-TEST(GridIndex, FilteredSearchMatchesBruteForce) {
-  const auto pts = RandomPoints(200, 409);
-  const GridIndex grid(pts, kBox);
-  const BruteForceIndex brute(pts);
-  const IndexFilter thirds = [](int i) { return i % 3 == 0; };
-  Rng rng(411);
-  for (int trial = 0; trial < 60; ++trial) {
-    const Vec2 q = kBox.SamplePoint(rng);
-    const auto a = grid.NearestFiltered(q, 4, thirds);
-    const auto b = brute.NearestFiltered(q, 4, thirds);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].index, b[i].index);
-  }
-}
-
-TEST(GridIndex, EmptyAndTinyInputs) {
-  const GridIndex empty({}, kBox);
-  EXPECT_TRUE(empty.Nearest({1, 1}, 3).empty());
-  const GridIndex one({{5, 5}}, kBox);
-  const auto r = one.Nearest({900, 900}, 2);
-  ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(r[0].index, 0);
 }
 
 TEST(BruteForce, TieBreakByIndex) {

@@ -245,7 +245,7 @@ TEST(TopkRegion, ConcaveTopKCellIsRepresented) {
   EXPECT_GT(r.pieces.size(), 1u);  // genuinely non-convex decomposition
 }
 
-// --- Pruning / incremental regression (DESIGN.md "Hot path & complexity").
+// --- Pruning regression (DESIGN.md "Hot path & complexity").
 
 std::vector<Vec2> SortedVertices(const TopkRegion& r) {
   std::vector<Vec2> vs = r.BoundaryVertices();
@@ -297,60 +297,6 @@ TEST(TopkRegionPruning, LevelRegionFromLinesMatchesUnpruned) {
         ComputeLevelRegionFromLinesUnpruned(lines, domain, h);
     EXPECT_EQ(pruned.area, reference.area) << "h " << h;
     EXPECT_EQ(pruned.pieces.size(), reference.pieces.size()) << "h " << h;
-  }
-}
-
-// Feeding the refiner every point in one batch applies the same lines in
-// the same (distance-sorted) order as the batch computation, so the result
-// is bit-identical to ComputeTopkRegion.
-TEST(TopkRegionPruning, RefinerSingleBatchMatchesBatchBitExact) {
-  Rng rng(78);
-  const std::vector<Vec2> pts = RandomPoints(35, rng);
-  const ConvexPolygon domain = ConvexPolygon::FromBox(kBox);
-  for (int h = 1; h <= 4; ++h) {
-    TopkRegionRefiner refiner(domain, h);
-    refiner.AddPoints(pts[0], OthersOf(pts, 0));
-    const TopkRegion got = refiner.Region();
-    const TopkRegion want = ComputeTopkRegion(pts[0], OthersOf(pts, 0),
-                                              domain, h);
-    EXPECT_EQ(got.area, want.area) << "h " << h;
-    EXPECT_EQ(got.pieces.size(), want.pieces.size()) << "h " << h;
-  }
-}
-
-// Incremental arrival (points in several round-sized batches) clips in a
-// different order, so the decomposition may differ — but the *region* must
-// match the from-scratch recompute up to floating-point clipping accuracy.
-TEST(TopkRegionPruning, RefinerIncrementalMatchesScratchRegion) {
-  for (const uint64_t seed : {21u, 22u, 23u}) {
-    Rng rng(seed);
-    const std::vector<Vec2> pts = RandomPoints(41, rng);
-    const ConvexPolygon domain = ConvexPolygon::FromBox(kBox);
-    const Vec2 focal = pts[0];
-    const std::vector<Vec2> others = OthersOf(pts, 0);
-    for (int h = 1; h <= 5; ++h) {
-      TopkRegionRefiner refiner(domain, h);
-      constexpr size_t kBatch = 10;
-      for (size_t lo = 0; lo < others.size(); lo += kBatch) {
-        const size_t hi = std::min(lo + kBatch, others.size());
-        refiner.AddPoints(
-            focal, std::vector<Vec2>(others.begin() + lo, others.begin() + hi));
-      }
-      const TopkRegion got = refiner.Region();
-      const TopkRegion want = ComputeTopkRegion(focal, others, domain, h);
-      EXPECT_NEAR(got.area, want.area, 1e-9 * kBox.Area())
-          << "seed " << seed << " h " << h;
-      // Membership agrees at points sampled from either region (probed a
-      // hair inside to stay clear of boundary rounding).
-      Rng probe_rng(seed * 1000 + h);
-      for (int t = 0; t < 200; ++t) {
-        const Vec2 p = want.SamplePoint(probe_rng);
-        const int rank = RankAt(p, focal, others);
-        if (rank < h) {
-          EXPECT_TRUE(got.Contains(p, 1e-7)) << "seed " << seed << " h " << h;
-        }
-      }
-    }
   }
 }
 

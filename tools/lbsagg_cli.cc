@@ -148,25 +148,11 @@ bool DumpText(const std::string& path, const std::string& text,
   return true;
 }
 
-// --index: which SpatialIndex implementation answers the simulated
-// service's kNN queries. Invisible in the results (all backends are
-// bit-identical); visible in server-side build/query time at scale.
-std::optional<SpatialBackend> ParseIndexFlag(const FlagParser& flags) {
-  const std::string name = flags.GetString("index");
-  const std::optional<SpatialBackend> backend = ParseSpatialBackend(name);
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "error: unknown --index=%s (choices: %s)\n",
-                 name.c_str(), SpatialBackendChoices());
-  }
-  return backend;
-}
-
 // --localize=N: pick N random tuples of an LNR view of the dataset and
 // recover their positions from ranked ids alone (§4.3).
-int RunLocalize(const FlagParser& flags, Dataset& dataset,
-                SpatialBackend backend) {
+int RunLocalize(const FlagParser& flags, Dataset& dataset) {
   const int targets = static_cast<int>(flags.GetInt("localize"));
-  LbsServer server(&dataset, {.max_k = 1, .index_backend = backend});
+  LbsServer server(&dataset, {.max_k = 1});
   LnrClient client(&server, {.k = 1});
   Localizer localizer(&client);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
@@ -343,12 +329,7 @@ int Run(const FlagParser& flags) {
   if (!world.has_value()) return 1;
   Dataset& dataset = *world->dataset;
 
-  const std::optional<SpatialBackend> backend = ParseIndexFlag(flags);
-  if (!backend.has_value()) return 1;
-
-  if (flags.GetInt("localize") > 0) {
-    return RunLocalize(flags, dataset, *backend);
-  }
+  if (flags.GetInt("localize") > 0) return RunLocalize(flags, dataset);
 
   const std::string export_path = flags.GetString("export");
   if (!export_path.empty()) {
@@ -420,16 +401,14 @@ int Run(const FlagParser& flags) {
   // build (DESIGN.md §4.11).
   LbsServer server(&dataset,
                    {.max_k = std::max(k, 1),
-                    .index_backend =
-                        shards > 1 ? SpatialBackend::kBruteForce : *backend});
+                    .index_backend = shards > 1 ? SpatialBackend::kBruteForce
+                                                : SpatialBackend::kKdTree});
   std::unique_ptr<ShardedLbsServer> sharded;
   std::unique_ptr<ShardedTransport> transport;
   if (shards > 1) {
     sharded = std::make_unique<ShardedLbsServer>(
-        &dataset, ShardedServerOptions{
-                      .num_shards = shards,
-                      .server = {.max_k = std::max(k, 1),
-                                 .index_backend = *backend}});
+        &dataset, ShardedServerOptions{.num_shards = shards,
+                                       .server = {.max_k = std::max(k, 1)}});
     transport = std::make_unique<ShardedTransport>(sharded.get());
   }
   std::unique_ptr<QuerySampler> sampler;
@@ -666,9 +645,6 @@ int main(int argc, char** argv) {
   flags.AddString("where", "",
                   "selection condition: 'col=value' (string) or 'col' (bool)");
   flags.AddInt("k", 5, "results requested per query");
-  flags.AddString("index", "kdtree",
-                  "server-side spatial index backend: kdtree | grid | brute "
-                  "| learned (results are identical; speed differs)");
   flags.AddInt("shards", 1,
                "partition the hidden database across this many shards and "
                "answer kNN by scatter-gather (results are identical; lr/nno "
