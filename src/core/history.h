@@ -41,10 +41,11 @@ class History {
   // Positions of the `limit` known tuples nearest to `p`, excluding
   // `excluded_id`, ascending by (squared distance, insertion order). This is
   // query-free offline work (free in the paper's §2.1 cost model) but it
-  // runs once per cell computation, which made the linear scan the top
-  // wall-clock cost of an LR run; the scan is replaced by a kd-tree over
-  // the settled prefix of the history (rebuilt on doubling) plus a linear
-  // pass over the recent tail.
+  // seeds every cell computation and every λ_h bound (one per level tried
+  // for each wanted returned tuple), so it sits on LR's hot path. A kd-tree
+  // over the settled prefix of the history (rebuilt on doubling) answers
+  // for the prefix; a linear pass over the recent tail keeps only entries
+  // nearer than the tree's limit-th hit, and the two sorted runs merge.
   std::vector<Vec2> NearestOtherPositions(const Vec2& p, int excluded_id,
                                           size_t limit) const;
 
@@ -52,7 +53,8 @@ class History {
   // `pos` (§3.2.3): the cell computed from a subset of the database always
   // contains the true cell, so its area from history is a valid bound. At
   // most `max_constraints` nearest history tuples are used (a looser bound
-  // is still a bound).
+  // is still a bound). Only the area is computed (ComputeTopkRegionArea),
+  // bit-identical to ComputeTopkRegion(...).area.
   double UpperBoundCellArea(int id, const Vec2& pos, const Box& box, int h,
                             size_t max_constraints = 64) const;
 

@@ -82,12 +82,16 @@ void LrCellResolver::ResolveRound(const EvidenceDemand& demand,
                      return a.distance < b.distance;
                    });
 
-  // Decide h for every returned tuple *before* ingesting the new locations:
+  // Decide h for every wanted tuple *before* ingesting the new locations:
   // Algorithm 4 derives h from history alone, keeping the inclusion event
-  // independent of the current query's outcome.
-  std::vector<int> chosen_h(items.size(), 1);
+  // independent of the current query's outcome. A tuple no aggregate wants
+  // is dropped whatever its h, so it gets h = 0 and never pays for the
+  // bound; the demand gate reads only the returned tuple.
+  std::vector<int> chosen_h(items.size(), 0);
   for (size_t i = 0; i < items.size(); ++i) {
-    chosen_h[i] = ChooseH(items[i].id, items[i].location);
+    if (demand.WantsLrTuple(*client_, items[i].id, items[i].location)) {
+      chosen_h[i] = ChooseH(items[i].id, items[i].location);
+    }
   }
   for (const LrClient::Item& item : items) {
     history_.Record(item.id, item.location);
@@ -99,9 +103,8 @@ void LrCellResolver::ResolveRound(const EvidenceDemand& demand,
     const int h = chosen_h[i];
     // The sample "q ∈ V_h(t)" occurred iff t ranks within the top h, so a
     // tuple only contributes when rank <= h (see DESIGN.md on the Eq. (2)
-    // inclusion condition).
+    // inclusion condition). Unwanted tuples (h = 0) fail this too.
     if (rank > h) continue;
-    if (!demand.WantsLrTuple(*client_, item.id, item.location)) continue;
 
     const uint64_t queries_before = client_->queries_used();
     LrCellComputer::Result cell;

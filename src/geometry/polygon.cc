@@ -23,19 +23,18 @@ void ConvexPolygon::Normalize(double eps) {
     vertices_.clear();
     return;
   }
-  std::vector<Vec2> cleaned;
-  cleaned.reserve(vertices_.size());
-  for (const Vec2& v : vertices_) {
-    if (cleaned.empty() || Distance(cleaned.back(), v) > eps) {
-      cleaned.push_back(v);
+  // Compacts in place: vertices_[0..kept) is the cleaned prefix.
+  size_t kept = 0;
+  for (size_t i = 0; i < vertices_.size(); ++i) {
+    if (kept == 0 || Distance(vertices_[kept - 1], vertices_[i]) > eps) {
+      vertices_[kept++] = vertices_[i];
     }
   }
-  while (cleaned.size() >= 2 &&
-         Distance(cleaned.front(), cleaned.back()) <= eps) {
-    cleaned.pop_back();
+  while (kept >= 2 && Distance(vertices_[0], vertices_[kept - 1]) <= eps) {
+    --kept;
   }
-  if (cleaned.size() < 3) cleaned.clear();
-  vertices_ = std::move(cleaned);
+  if (kept < 3) kept = 0;
+  vertices_.resize(kept);
 }
 
 double ConvexPolygon::Area() const {

@@ -64,13 +64,14 @@ struct LevelPiece {
 
 // Applies one oriented line to the piece set: pieces fully on the negative
 // side pass through, pieces fully on the positive side gain a closer-count
-// (and die at k), straddling pieces split. Returns true if any piece
-// changed (split, count bump, or drop) — i.e. if the live bounding box may
-// have shrunk.
-bool ApplyLine(std::vector<LevelPiece>& pieces, const Line& line, int k,
+// (and die at k), straddling pieces split. The survivors are built in
+// `scratch` and swapped in, so one pair of buffers serves every line of a
+// clip loop. Returns true if any piece changed (split, count bump, or
+// drop) — i.e. if the live bounding box may have shrunk.
+bool ApplyLine(std::vector<LevelPiece>& pieces,
+               std::vector<LevelPiece>& scratch, const Line& line, int k,
                double area_eps) {
-  std::vector<LevelPiece> next;
-  next.reserve(pieces.size() + 4);
+  scratch.clear();
   bool changed = false;
   for (LevelPiece& piece : pieces) {
     bool any_neg = false;
@@ -82,26 +83,35 @@ bool ApplyLine(std::vector<LevelPiece>& pieces, const Line& line, int k,
       if (any_neg && any_pos) break;
     }
     if (!any_pos) {
-      next.push_back(std::move(piece));
+      scratch.push_back(std::move(piece));
       continue;
     }
     changed = true;
     if (!any_neg) {
       piece.closer_count += 1;
-      if (piece.closer_count < k) next.push_back(std::move(piece));
+      if (piece.closer_count < k) scratch.push_back(std::move(piece));
       continue;
     }
     auto [neg, pos] = piece.poly.Split(line);
     if (!neg.IsEmpty() && neg.Area() > area_eps) {
-      next.push_back({std::move(neg), piece.closer_count});
+      scratch.push_back({std::move(neg), piece.closer_count});
     }
     if (!pos.IsEmpty() && pos.Area() > area_eps &&
         piece.closer_count + 1 < k) {
-      next.push_back({std::move(pos), piece.closer_count + 1});
+      scratch.push_back({std::move(pos), piece.closer_count + 1});
     }
   }
-  pieces = std::move(next);
+  pieces.swap(scratch);
   return changed;
+}
+
+// Total area of the pieces, summed in piece order. FinalizeRegion and the
+// area-only path both take the region area from here, so they agree bit
+// for bit.
+double PiecesArea(const std::vector<LevelPiece>& pieces) {
+  double area = 0.0;
+  for (const LevelPiece& piece : pieces) area += piece.poly.Area();
+  return area;
 }
 
 Box PiecesBoundingBox(const std::vector<LevelPiece>& pieces) {
@@ -148,9 +158,9 @@ TopkRegion FinalizeRegion(std::vector<LevelPiece> pieces,
                           const std::vector<Line>& lines,
                           const ConvexPolygon& domain, int k) {
   TopkRegion region;
+  region.area = PiecesArea(pieces);
   region.pieces.reserve(pieces.size());
   for (LevelPiece& piece : pieces) {
-    region.area += piece.poly.Area();
     region.pieces.push_back(std::move(piece.poly));
   }
   if (region.pieces.empty()) return region;
@@ -205,19 +215,23 @@ TopkRegion FinalizeRegion(std::vector<LevelPiece> pieces,
   return region;
 }
 
-// Shared pruned clip loop. `half_dists`, when given, holds for each line a
-// lower bound on its distance to `focal` (d(t,o)/2 for bisectors) in
-// ascending order: once a line's bound exceeds the farthest live corner
-// plus the margin, every remaining line is prunable and the loop breaks.
-TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
-                             const ConvexPolygon& domain, int k,
-                             const Vec2* focal,
-                             const std::vector<double>* half_dists) {
+// Shared pruned clip loop; returns the surviving pieces. `half_dists`,
+// when given, holds for each line a lower bound on its distance to `focal`
+// (d(t,o)/2 for bisectors) in ascending order: once a line's bound exceeds
+// the farthest live corner plus the margin, every remaining line is
+// prunable and the loop breaks. `active`, when given, receives every line
+// the loop applied — the set boundary extraction probes against.
+std::vector<LevelPiece> ClipPruned(const std::vector<Line>& lines,
+                                   const ConvexPolygon& domain, int k,
+                                   const Vec2* focal,
+                                   const std::vector<double>* half_dists,
+                                   std::vector<Line>* active) {
   LBSAGG_CHECK_GE(k, 1);
   LBSAGG_CHECK(!domain.IsEmpty());
 
   std::vector<LevelPiece> pieces;
   pieces.push_back({domain, 0});
+  std::vector<LevelPiece> scratch;
   const double area_eps = domain.Area() * 1e-14;
 
   Box bbox = domain.BoundingBox();
@@ -225,8 +239,6 @@ TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
   double r_far = focal ? FarthestCornerDistance(bbox, *focal) : 0.0;
   bool dirty = false;
 
-  std::vector<Line> active;
-  active.reserve(lines.size());
   for (size_t i = 0; i < lines.size(); ++i) {
     if (dirty) {
       bbox = PiecesBoundingBox(pieces);
@@ -235,10 +247,21 @@ TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
     }
     if (half_dists && (*half_dists)[i] > r_far + margin) break;
     if (NegativeWithMargin(lines[i], bbox, margin)) continue;
-    active.push_back(lines[i]);
-    if (ApplyLine(pieces, lines[i], k, area_eps)) dirty = true;
+    if (active) active->push_back(lines[i]);
+    if (ApplyLine(pieces, scratch, lines[i], k, area_eps)) dirty = true;
     if (pieces.empty()) break;
   }
+  return pieces;
+}
+
+TopkRegion LevelRegionPruned(const std::vector<Line>& lines,
+                             const ConvexPolygon& domain, int k,
+                             const Vec2* focal,
+                             const std::vector<double>* half_dists) {
+  std::vector<Line> active;
+  active.reserve(lines.size());
+  std::vector<LevelPiece> pieces =
+      ClipPruned(lines, domain, k, focal, half_dists, &active);
   return FinalizeRegion(std::move(pieces), active, domain, k);
 }
 
@@ -315,10 +338,11 @@ TopkRegion ComputeLevelRegionFromLinesUnpruned(const std::vector<Line>& lines,
 
   std::vector<LevelPiece> pieces;
   pieces.push_back({domain, 0});
+  std::vector<LevelPiece> scratch;
   const double area_eps = domain.Area() * 1e-14;
 
   for (const Line& line : lines) {
-    ApplyLine(pieces, line, k, area_eps);
+    ApplyLine(pieces, scratch, line, k, area_eps);
     if (pieces.empty()) break;
   }
   return FinalizeRegion(std::move(pieces), lines, domain, k);
@@ -344,9 +368,18 @@ void SortedBisectors(const Vec2& focal, const std::vector<Vec2>& others,
   for (const Vec2& o : others) {
     if (SquaredDistance(o, focal) > 0.0) sorted.push_back(o);
   }
-  std::sort(sorted.begin(), sorted.end(), [&](const Vec2& a, const Vec2& b) {
+  const auto nearer = [&](const Vec2& a, const Vec2& b) {
     return SquaredDistance(a, focal) < SquaredDistance(b, focal);
-  });
+  };
+  // History seeds arrive nearest first, and a strictly ascending input is
+  // the only order any sort can return. So only an input with an inversion
+  // or a tie is sorted, exactly as before.
+  if (std::adjacent_find(sorted.begin(), sorted.end(),
+                         [&](const Vec2& a, const Vec2& b) {
+                           return !nearer(a, b);
+                         }) != sorted.end()) {
+    std::sort(sorted.begin(), sorted.end(), nearer);
+  }
 
   lines.reserve(sorted.size());
   half_dists.reserve(sorted.size());
@@ -365,6 +398,16 @@ TopkRegion ComputeTopkRegion(const Vec2& focal,
   std::vector<double> half_dists;
   SortedBisectors(focal, others, lines, half_dists);
   return LevelRegionPruned(lines, domain, k, &focal, &half_dists);
+}
+
+double ComputeTopkRegionArea(const Vec2& focal,
+                             const std::vector<Vec2>& others, const Box& box,
+                             int k) {
+  std::vector<Line> lines;
+  std::vector<double> half_dists;
+  SortedBisectors(focal, others, lines, half_dists);
+  return PiecesArea(ClipPruned(lines, ConvexPolygon::FromBox(box), k, &focal,
+                               &half_dists, /*active=*/nullptr));
 }
 
 TopkRegion ComputeTopkRegionUnpruned(const Vec2& focal,

@@ -105,6 +105,13 @@ ConvexPolygon InscribedCirclePolygon(const Vec2& center, double radius,
 TopkRegion ComputeTopkRegion(const Vec2& focal, const std::vector<Vec2>& others,
                              const Box& box, int k);
 
+// ComputeTopkRegion(focal, others, box, k).area, bit for bit: the same
+// pruned clip loop and the same in-order sum over the surviving pieces,
+// without assembling the region (no boundary extraction). For callers that
+// read only the area, such as the adaptive-h bound λ_h (§3.2.3).
+double ComputeTopkRegionArea(const Vec2& focal, const std::vector<Vec2>& others,
+                             const Box& box, int k);
+
 }  // namespace lbsagg
 
 #endif  // LBSAGG_GEOMETRY_TOPK_REGION_H_

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/history.h"
@@ -57,6 +61,79 @@ TEST(History, NearestOtherPositionsLimitLargerThanSize) {
   h.Record(2, {20, 20});
   EXPECT_EQ(h.NearestOtherPositions({0, 0}, -1, 50).size(), 2u);
   EXPECT_EQ(h.NearestOtherPositions({0, 0}, 1, 50).size(), 1u);
+}
+
+// Linear reference for NearestOtherPositions: every admissible entry ranked
+// by (squared distance, insertion order).
+std::vector<Vec2> ReferenceNearest(const History& h, const Vec2& p,
+                                   int excluded_id, size_t limit) {
+  const std::vector<std::pair<int, Vec2>> entries = h.Entries();
+  std::vector<std::tuple<double, size_t, Vec2>> ranked;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].first == excluded_id) continue;
+    ranked.emplace_back(SquaredDistance(p, entries[i].second), i,
+                        entries[i].second);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return std::tie(std::get<0>(a), std::get<1>(a)) <
+           std::tie(std::get<0>(b), std::get<1>(b));
+  });
+  std::vector<Vec2> out;
+  for (size_t i = 0; i < std::min(limit, ranked.size()); ++i) {
+    out.push_back(std::get<2>(ranked[i]));
+  }
+  return out;
+}
+
+// The kd-indexed prefix plus linear tail must agree with the linear
+// reference exactly, on both sides of every index rebuild (the index
+// appears at 128 entries and is rebuilt at 256 and 512). Positions sit on
+// an integer grid and some repeat, so many candidates tie on distance and
+// only insertion order separates them. The excluded id lies in the indexed
+// prefix (the first entry), in the tail (the last entry, when there is a
+// tail), or nowhere.
+TEST(History, NearestOtherPositionsMatchesLinearReference) {
+  for (const size_t size : {127u, 128u, 129u, 255u, 256u, 257u, 600u}) {
+    History h;
+    Rng rng(size);
+    std::vector<Vec2> recorded;
+    for (size_t i = 0; i < size; ++i) {
+      Vec2 pos{static_cast<double>(rng.UniformInt(40)),
+               static_cast<double>(rng.UniformInt(40))};
+      if (i % 7 == 6) pos = recorded[rng.UniformInt(recorded.size())];
+      recorded.push_back(pos);
+      h.Record(1000 + static_cast<int>(i), pos);
+    }
+    ASSERT_EQ(h.size(), size);
+    std::vector<Vec2> probes = {{20, 20}, {0, 0}, {39, 0}, {13.5, 27.25}};
+    for (int i = 0; i < 4; ++i) probes.push_back(kBox.SamplePoint(rng) * 0.4);
+    probes.push_back(recorded.front());
+    probes.push_back(recorded.back());
+    const int first_id = 1000;
+    const int last_id = 1000 + static_cast<int>(size) - 1;
+    for (const Vec2& probe : probes) {
+      for (const int excluded : {first_id, last_id, -1, 7}) {
+        for (const size_t limit : {size_t{0}, size_t{1}, size_t{32},
+                                   size_t{64}, size + 5}) {
+          const std::vector<Vec2> got =
+              h.NearestOtherPositions(probe, excluded, limit);
+          const std::vector<Vec2> want =
+              ReferenceNearest(h, probe, excluded, limit);
+          ASSERT_EQ(got.size(), want.size())
+              << "size " << size << " probe " << probe << " excluded "
+              << excluded << " limit " << limit;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].x, want[i].x)
+                << "size " << size << " probe " << probe << " excluded "
+                << excluded << " limit " << limit << " rank " << i;
+            ASSERT_EQ(got[i].y, want[i].y)
+                << "size " << size << " probe " << probe << " excluded "
+                << excluded << " limit " << limit << " rank " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(History, UpperBoundCellAreaShrinksWithKnowledge) {

@@ -255,25 +255,71 @@ std::vector<Vec2> SortedVertices(const TopkRegion& r) {
   return vs;
 }
 
+// Points in a few tight Gaussian clusters: near-ties between bisectors and
+// thin slivers are common, and most lines are far from any live piece.
+std::vector<Vec2> ClusteredPoints(int n, Rng& rng) {
+  std::vector<Vec2> centers;
+  for (int c = 0; c < 3; ++c) centers.push_back(kBox.SamplePoint(rng));
+  std::vector<Vec2> pts;
+  pts.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    const Vec2& c = centers[rng.UniformInt(centers.size())];
+    const Vec2 p{c.x + rng.Normal(0.0, 2.0), c.y + rng.Normal(0.0, 2.0)};
+    pts.push_back({std::clamp(p.x, kBox.lo.x, kBox.hi.x),
+                   std::clamp(p.y, kBox.lo.y, kBox.hi.y)});
+  }
+  return pts;
+}
+
 // Line pruning only skips lines whose clip would be a no-op, so the pruned
 // production path must be *bit-identical* to the unpruned reference: same
-// area double, same piece decomposition, same boundary vertices.
+// area double, same piece decomposition, same boundary vertices. The
+// area-only path runs the pruned loop without assembling the region and
+// must return the same area double. Inputs: uniform points, clustered
+// points, and a focal tuple on the box edge (and in a corner).
 TEST(TopkRegionPruning, PrunedMatchesUnprunedBitExact) {
+  struct Case {
+    uint64_t seed;
+    Vec2 focal;
+    std::vector<Vec2> others;
+  };
+  std::vector<Case> cases;
   for (const uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
     Rng rng(seed);
     const std::vector<Vec2> pts = RandomPoints(40, rng);
-    const ConvexPolygon domain = ConvexPolygon::FromBox(kBox);
+    cases.push_back({seed, pts[0], OthersOf(pts, 0)});
+  }
+  for (const uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
+    Rng rng(seed);
+    const std::vector<Vec2> pts = ClusteredPoints(60, rng);
+    cases.push_back({seed, pts[0], OthersOf(pts, 0)});
+  }
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    Rng rng(seed);
+    const std::vector<Vec2> pts = RandomPoints(40, rng);
+    for (const Vec2& focal : {Vec2{kBox.lo.x, pts[0].y},
+                              Vec2{pts[0].x, kBox.hi.y},
+                              Vec2{kBox.hi.x, kBox.lo.y}}) {
+      cases.push_back({seed, focal, OthersOf(pts, 0)});
+    }
+  }
+  const ConvexPolygon domain = ConvexPolygon::FromBox(kBox);
+  for (const Case& c : cases) {
     for (int h = 1; h <= 5; ++h) {
-      const TopkRegion pruned =
-          ComputeTopkRegion(pts[0], OthersOf(pts, 0), domain, h);
+      const TopkRegion pruned = ComputeTopkRegion(c.focal, c.others, domain, h);
       const TopkRegion reference =
-          ComputeTopkRegionUnpruned(pts[0], OthersOf(pts, 0), domain, h);
+          ComputeTopkRegionUnpruned(c.focal, c.others, domain, h);
       ASSERT_EQ(pruned.pieces.size(), reference.pieces.size())
-          << "seed " << seed << " h " << h;
-      EXPECT_EQ(pruned.area, reference.area) << "seed " << seed << " h " << h;
+          << "seed " << c.seed << " focal " << c.focal << " h " << h;
+      EXPECT_EQ(pruned.area, reference.area)
+          << "seed " << c.seed << " focal " << c.focal << " h " << h;
+      EXPECT_EQ(ComputeTopkRegionArea(c.focal, c.others, kBox, h),
+                reference.area)
+          << "seed " << c.seed << " focal " << c.focal << " h " << h;
       const auto va = SortedVertices(pruned);
       const auto vb = SortedVertices(reference);
-      ASSERT_EQ(va.size(), vb.size()) << "seed " << seed << " h " << h;
+      ASSERT_EQ(va.size(), vb.size())
+          << "seed " << c.seed << " focal " << c.focal << " h " << h;
       for (size_t i = 0; i < va.size(); ++i) {
         EXPECT_EQ(va[i].x, vb[i].x);
         EXPECT_EQ(va[i].y, vb[i].y);
