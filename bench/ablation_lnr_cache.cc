@@ -29,9 +29,10 @@ int main() {
       LnrAggOptions opts = DefaultLnrBenchOptions();
       opts.reuse_cell_probabilities = cache;
       opts.seed = 500 + r;
-      LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-      const RunResult run = RunWithBudget(MakeHandle(&est), budget);
-      total_rounds += static_cast<double>(est.rounds()) / runs;
+      engine::LnrCellResolver resolver(&client, &sampler, opts);
+      const RunResult run =
+          RunToBudget(&resolver, AggregateSpec::Count(), budget);
+      total_rounds += static_cast<double>(run.trace.size()) / runs;
       total_err += RelativeError(run.final_estimate, 300.0) / runs;
     }
     table.AddRow({cache ? "probability cache ON" : "probability cache OFF",

@@ -135,6 +135,15 @@ void PrintErrorVersusCostTable(
   std::printf("\n");
 }
 
+RunResult RunToBudget(engine::CellResolver* resolver,
+                      const AggregateSpec& aggregate, uint64_t budget,
+                      engine::EngineOptions options) {
+  engine::EstimationEngine eng(resolver, options);
+  eng.AddAggregate(aggregate);
+  RunEngine(&eng, {.budget = budget});
+  return EngineResults(eng)[0];
+}
+
 EstimatorSpec MakeLrSpec(const std::string& name, LbsServer* server,
                          const QuerySampler* sampler, AggregateSpec aggregate,
                          int k, LrAggOptions options) {
@@ -142,8 +151,9 @@ EstimatorSpec MakeLrSpec(const std::string& name, LbsServer* server,
             LrClient client(server, {.k = k, .budget = budget});
             LrAggOptions opts = options;
             opts.seed = seed;
-            LrAggEstimator est(&client, sampler, aggregate, opts);
-            return RunWithBudget(MakeHandle(&est), budget);
+            engine::LrCellResolver resolver(&client, sampler, opts);
+            return RunToBudget(&resolver, aggregate, budget,
+                               {opts.registry, opts.tracer});
           }};
 }
 
@@ -154,8 +164,9 @@ EstimatorSpec MakeLnrSpec(const std::string& name, LbsServer* server,
             LnrClient client(server, {.k = k, .budget = budget});
             LnrAggOptions opts = options;
             opts.seed = seed;
-            LnrAggEstimator est(&client, sampler, aggregate, opts);
-            return RunWithBudget(MakeHandle(&est), budget);
+            engine::LnrCellResolver resolver(&client, sampler, opts);
+            return RunToBudget(&resolver, aggregate, budget,
+                               {opts.registry, opts.tracer});
           }};
 }
 
@@ -165,8 +176,9 @@ EstimatorSpec MakeNnoSpec(const std::string& name, LbsServer* server,
             LrClient client(server, {.k = k, .budget = budget});
             NnoOptions opts = options;
             opts.seed = seed;
-            NnoEstimator est(&client, aggregate, opts);
-            return RunWithBudget(MakeHandle(&est), budget);
+            engine::NnoProbeResolver resolver(&client, opts);
+            return RunToBudget(&resolver, aggregate, budget,
+                               {opts.registry, opts.tracer});
           }};
 }
 
@@ -201,8 +213,9 @@ EstimatorSpec MakeLrTransportSpec(const std::string& name, LbsServer* server,
             LrClient client(server, {.k = k, .budget = budget}, &transport);
             LrAggOptions opts = options;
             opts.seed = seed;
-            LrAggEstimator est(&client, sampler, aggregate, opts);
-            RunResult result = RunWithBudget(MakeHandle(&est), budget);
+            engine::LrCellResolver resolver(&client, sampler, opts);
+            RunResult result = RunToBudget(&resolver, aggregate, budget,
+                                           {opts.registry, opts.tracer});
             MergeMetrics(metrics_sink, transport.Metrics());
             return result;
           }};
@@ -225,8 +238,9 @@ EstimatorSpec MakeNnoTransportSpec(const std::string& name, LbsServer* server,
                             dispatcher.get());
             NnoOptions opts = options;
             opts.seed = seed;
-            NnoEstimator est(&client, aggregate, opts);
-            RunResult result = RunWithBudget(MakeHandle(&est), budget);
+            engine::NnoProbeResolver resolver(&client, opts);
+            RunResult result = RunToBudget(&resolver, aggregate, budget,
+                                           {opts.registry, opts.tracer});
             MergeMetrics(metrics_sink, transport.Metrics());
             return result;
           }};

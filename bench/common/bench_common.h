@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "core/aggregate.h"
-#include "core/lnr_agg.h"
-#include "core/lr_agg.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lnr_resolver.h"
+#include "engine/lr_resolver.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "transport/async_dispatcher.h"
@@ -77,6 +78,12 @@ void PrintErrorVersusCostTable(
     const std::string& title,
     const std::map<std::string, std::vector<RunResult>>& traces, double truth,
     int checkpoints = 8);
+
+// One run of one aggregate: an engine over `resolver`, stepped by the run
+// loop to the soft budget.
+RunResult RunToBudget(engine::CellResolver* resolver,
+                      const AggregateSpec& aggregate, uint64_t budget,
+                      engine::EngineOptions options = {});
 
 // Convenience builders for the three estimator families over a fixed server.
 // All pointers must outlive the returned spec.

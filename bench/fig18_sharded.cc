@@ -240,9 +240,10 @@ int main(int argc, char** argv) {
       double err_sum = 0.0, query_sum = 0.0;
       for (int r = 0; r < runs; ++r) {
         LrClient client(&meta, {.k = k, .budget = budget}, &transport);
-        NnoEstimator est(&client, AggregateSpec::Count(),
-                         {.seed = 42 + static_cast<uint64_t>(r)});
-        const RunResult result = RunWithBudget(MakeHandle(&est), budget);
+        engine::NnoProbeResolver resolver(
+            &client, {.seed = 42 + static_cast<uint64_t>(r)});
+        const RunResult result =
+            RunToBudget(&resolver, AggregateSpec::Count(), budget);
         err_sum += std::abs(result.final_estimate - n) / n;
         query_sum += static_cast<double>(result.queries);
       }

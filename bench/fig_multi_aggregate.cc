@@ -4,7 +4,7 @@
 // driver answers COUNT(restaurants), SUM(rating) and AVG(rating |
 // restaurant) two ways at the same per-run budget:
 //   - engine:  one LrCellResolver run, three AggregateQuery consumers;
-//   - legacy:  three independent LrAggEstimator runs, one per aggregate.
+//   - legacy:  three independent single-aggregate runs, one per aggregate.
 // and prints accuracy plus total interface queries for each. The accuracy
 // is comparable (both fold the same HT contributions); the legacy column
 // pays ~3x the queries for it.
@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "common/bench_common.h"
-#include "engine/engine.h"
-#include "engine/lr_resolver.h"
 #include "util/table.h"
 
 int main() {
@@ -61,8 +59,8 @@ int main() {
     engine::LrCellResolver resolver(&client, &sampler, {.seed = seed});
     engine::EstimationEngine eng(&resolver);
     for (const AggregateSpec& spec : specs) eng.AddAggregate(spec);
-    const std::vector<RunResult> results =
-        RunEngineWithBudget(&eng, config.budget);
+    RunEngine(&eng, {.budget = config.budget});
+    const std::vector<RunResult> results = EngineResults(eng);
     for (size_t i = 0; i < specs.size(); ++i) {
       engine_err[i].Add(RelativeError(results[i].final_estimate, truths[i]));
       engine_traces[specs[i].name].push_back(results[i]);
@@ -78,8 +76,8 @@ int main() {
     double total_queries = 0.0;
     for (size_t i = 0; i < specs.size(); ++i) {
       LrClient client(&server, {.k = config.k});
-      LrAggEstimator est(&client, &sampler, specs[i], {.seed = seed});
-      const RunResult r = RunWithBudget(MakeHandle(&est), config.budget);
+      engine::LrCellResolver resolver(&client, &sampler, {.seed = seed});
+      const RunResult r = RunToBudget(&resolver, specs[i], config.budget);
       legacy_err[i].Add(RelativeError(r.final_estimate, truths[i]));
       total_queries += static_cast<double>(r.queries);
     }

@@ -31,8 +31,9 @@ int main() {
       client.SetPassThroughFilter(NameIs(usa.columns, "Starbucks"));
       LrAggOptions opts;
       opts.cell.monte_carlo = false;
-      LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-      const RunResult run = RunWithBudget(MakeHandle(&est), 5000);
+      engine::LrCellResolver resolver(&client, &sampler, opts);
+      const RunResult run =
+          RunToBudget(&resolver, AggregateSpec::Count(), 5000);
       table.AddRow({"Google-Places-like", "COUNT(Starbucks in US)",
                     Table::Num(run.final_estimate, 0), Table::Num(truth, 0),
                     "5000"});
@@ -50,8 +51,8 @@ int main() {
       LrClient client(&server, {.k = 10, .budget = 5000});
       LrAggOptions opts;
       opts.cell.monte_carlo = false;
-      LrAggEstimator est(&client, &sampler, spec, opts);
-      const RunResult run = RunWithBudget(MakeHandle(&est), 5000);
+      engine::LrCellResolver resolver(&client, &sampler, opts);
+      const RunResult run = RunToBudget(&resolver, spec, 5000);
       table.AddRow({"Google-Places-like", "COUNT(rest. open Sundays)",
                     Table::Num(run.final_estimate, 0), Table::Num(truth, 0),
                     "5000"});
@@ -78,18 +79,19 @@ int main() {
       LnrClient count_client(&server, {.k = 10, .budget = 10000});
       LnrAggOptions o = opts;
       o.seed = 1000 + r;
-      LnrAggEstimator count_est(&count_client, &sampler,
-                                AggregateSpec::Count(), o);
-      count_estimate +=
-          RunWithBudget(MakeHandle(&count_est), 10000).final_estimate / runs;
+      engine::LnrCellResolver count_resolver(&count_client, &sampler, o);
+      const RunResult count =
+          RunToBudget(&count_resolver, AggregateSpec::Count(), 10000);
+      count_estimate += count.final_estimate / runs;
 
       LnrClient ratio_client(&server, {.k = 10, .budget = 10000});
-      LnrAggEstimator ratio_est(
-          &ratio_client, &sampler,
-          AggregateSpec::Avg(china.columns.male_indicator, "AVG(male)"), o);
-      RunWithBudget(MakeHandle(&ratio_est), 10000);
-      num += ratio_est.NumeratorMean();
-      den += ratio_est.DenominatorMean();
+      engine::LnrCellResolver ratio_resolver(&ratio_client, &sampler, o);
+      engine::EstimationEngine ratio_eng(&ratio_resolver);
+      const engine::AggregateQuery* ratio = ratio_eng.AddAggregate(
+          AggregateSpec::Avg(china.columns.male_indicator, "AVG(male)"));
+      RunEngine(&ratio_eng, {.budget = 10000});
+      num += ratio->NumeratorMean();
+      den += ratio->DenominatorMean();
     }
     const double share = den > 0 ? num / den : 0.0;
     table.AddRow({label, "COUNT(users)", Table::Num(count_estimate, 0),

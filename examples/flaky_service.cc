@@ -24,8 +24,9 @@
 #include <fstream>
 
 #include "core/aggregate.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
+#include "engine/engine.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "obs/metrics.h"
@@ -92,8 +93,11 @@ int main(int argc, char** argv) {
   // --- Baseline: ideal in-process wire.
   {
     LrClient client(&server, {.k = 5, .budget = kBudget});
-    NnoEstimator est(&client, spec, {.seed = 7});
-    const RunResult run = RunWithBudget(MakeHandle(&est), kBudget);
+    engine::NnoProbeResolver resolver(&client, {.seed = 7});
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(spec);
+    RunEngine(&eng, {.budget = kBudget});
+    const RunResult run = EngineResults(eng)[0];
     table.AddRow({"direct", Table::Num(run.final_estimate, 0),
                   Table::Num(truth, 0),
                   Table::Num(100.0 * RelativeError(run.final_estimate, truth),
@@ -132,8 +136,12 @@ int main(int argc, char** argv) {
   LrClient client(&server,
                   {.k = 5, .budget = kBudget, .tracer = trace_sink},
                   &transport, &dispatcher);
-  NnoEstimator est(&client, spec, {.seed = 7, .tracer = trace_sink});
-  const RunResult run = RunWithBudget(MakeHandle(&est), kBudget);
+  engine::NnoProbeResolver resolver(&client,
+                                   {.seed = 7, .tracer = trace_sink});
+  engine::EstimationEngine eng(&resolver, {.tracer = trace_sink});
+  eng.AddAggregate(spec);
+  RunEngine(&eng, {.budget = kBudget});
+  const RunResult run = EngineResults(eng)[0];
   table.AddRow({"flaky", Table::Num(run.final_estimate, 0),
                 Table::Num(truth, 0),
                 Table::Num(100.0 * RelativeError(run.final_estimate, truth),

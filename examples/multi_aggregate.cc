@@ -102,10 +102,10 @@ int main(int argc, char** argv) {
 
   // Spend half the budget, then attach a latecomer: it replays the evidence
   // log and its trace covers the whole run as if registered up front.
-  while (eng.queries_used() < kBudget / 2) eng.Step();
+  RunEngine(&eng, {.budget = kBudget / 2});
   auto* late_count = eng.AddAggregate(
       AggregateSpec::CountWhere(is_restaurant, "COUNT(restaurants), late"));
-  while (eng.queries_used() < kBudget) eng.Step();
+  RunEngine(&eng, {.budget = kBudget});
 
   Table table({"aggregate", "estimate", "truth", "rel.err"});
   const auto add_row = [&](const engine::AggregateQuery* q, double truth) {
@@ -136,11 +136,8 @@ int main(int argc, char** argv) {
 
   // The one-artifact view: run meta, engine.* counters, and the engine's
   // layered diagnostics as the "engine" section.
-  RunResult run;
-  run.trace = count->trace();
-  run.final_estimate = count->Estimate();
-  run.queries = eng.queries_used();
-  obs::RunReport report = BuildRunReport("engine.lr", run, &registry);
+  obs::RunReport report =
+      BuildRunReport("engine.lr", EngineResults(eng)[0], &registry);
   report.SetMeta("example", "multi_aggregate");
   report.SetMetaNum("budget", static_cast<double>(kBudget));
   report.SetMetaNum("aggregates", static_cast<double>(eng.num_aggregates()));

@@ -9,9 +9,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "workload/scenarios.h"
@@ -35,17 +36,22 @@ int main() {
   // 4. Query locations weighted by census population density (§5.2).
   CensusSampler sampler(&usa.census);
 
-  // 5. Estimate COUNT(*) with Algorithm LR-LBS-AGG.
-  LrAggEstimator estimator(&client, &sampler, AggregateSpec::Count(), {});
-  const RunResult run = RunWithBudget(MakeHandle(&estimator), client.budget());
+  // 5. Estimate COUNT(*) with Algorithm LR-LBS-AGG: the resolver turns
+  //    sampled locations into cell probabilities, the engine folds them into
+  //    the aggregate, and the run loop steps it to the budget.
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = client.budget()});
+  const RunResult run = EngineResults(eng)[0];
 
   const double truth = usa.dataset->GroundTruthCount();
   std::printf("LR-LBS-AGG estimate of COUNT(*)\n");
   std::printf("  queries spent : %llu\n",
               static_cast<unsigned long long>(run.queries));
-  std::printf("  samples       : %zu\n", estimator.rounds());
+  std::printf("  samples       : %zu\n", count->rounds());
   std::printf("  estimate      : %.0f  (95%% CI ±%.0f)\n", run.final_estimate,
-              estimator.ConfidenceHalfWidth());
+              count->ConfidenceHalfWidth());
   std::printf("  ground truth  : %.0f\n", truth);
   std::printf("  relative error: %.1f%%\n",
               100.0 * RelativeError(run.final_estimate, truth));

@@ -7,9 +7,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/table.h"
@@ -25,8 +26,11 @@ lbsagg::RunResult Estimate(lbsagg::LrClient& client,
   opts.adaptive_h = false;
   opts.fixed_h = 1;
   opts.cell.monte_carlo = false;  // exact cells under coverage limits
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  return RunWithBudget(MakeHandle(&est), budget);
+  engine::LrCellResolver resolver(&client, &sampler, opts);
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = budget});
+  return EngineResults(eng)[0];
 }
 
 }  // namespace

@@ -11,9 +11,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "lbs/sharded_server.h"
@@ -81,9 +82,11 @@ int main() {
   // over the sharded wire as over the monolithic stack.
   CensusSampler sampler(&usa.census);
   LrClient client(&meta, {.k = k, .budget = 6000}, &transport);
-  LrAggEstimator estimator(&client, &sampler, AggregateSpec::Count(),
-                           {.seed = 42});
-  const RunResult run = RunWithBudget(MakeHandle(&estimator), 6000);
+  engine::LrCellResolver resolver(&client, &sampler, {.seed = 42});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = 6000});
+  const RunResult run = EngineResults(eng)[0];
   const double truth = usa.dataset->GroundTruthCount();
   std::printf("LR-LBS-AGG over the sharded wire\n");
   std::printf("  estimate      : %.0f  (truth %.0f, error %.1f%%)\n",

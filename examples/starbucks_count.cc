@@ -6,9 +6,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/table.h"
@@ -38,8 +39,11 @@ int main() {
     client.SetPassThroughFilter(NameIs(usa.columns, "Starbucks"));
     LrAggOptions opts;
     opts.cell.monte_carlo = false;  // exact cells under the coverage radius
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    const RunResult run = RunWithBudget(MakeHandle(&est), client.budget());
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(AggregateSpec::Count());
+    RunEngine(&eng, {.budget = client.budget()});
+    const RunResult run = EngineResults(eng)[0];
     table.AddRow({"COUNT(Starbucks in US)", Table::Num(run.final_estimate, 0),
                   Table::Num(truth, 0),
                   Table::Num(100.0 * RelativeError(run.final_estimate, truth),
@@ -61,8 +65,11 @@ int main() {
     LrClient client(&server, {.k = 10, .budget = 5000});
     LrAggOptions opts;
     opts.cell.monte_carlo = false;
-    LrAggEstimator est(&client, &sampler, spec, opts);
-    const RunResult run = RunWithBudget(MakeHandle(&est), client.budget());
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(spec);
+    RunEngine(&eng, {.budget = client.budget()});
+    const RunResult run = EngineResults(eng)[0];
     table.AddRow({"COUNT(restaurants open Sun)",
                   Table::Num(run.final_estimate, 0), Table::Num(truth, 0),
                   Table::Num(100.0 * RelativeError(run.final_estimate, truth),

@@ -8,8 +8,9 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "geometry/voronoi_diagram.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
@@ -28,8 +29,10 @@ int main() {
   client.EnableQueryLog();
   CensusSampler sampler(&usa.census);
 
-  LrAggEstimator estimator(&client, &sampler, AggregateSpec::Count(), {});
-  for (int i = 0; i < 12; ++i) estimator.Step();
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 12; ++i) eng.Step();
 
   SvgCanvas canvas(usa.dataset->box(), 1400.0);
   // Context: the true decomposition (what the estimator is discovering).

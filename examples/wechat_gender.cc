@@ -5,9 +5,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
-#include "core/lnr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lnr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/table.h"
@@ -38,27 +39,29 @@ ServiceResult EstimateService(const lbsagg::ChinaScenario& scenario,
   opts.cell.search.delta_prime_fraction = 1e-4;
 
   LnrClient count_client(&server, {.k = k, .budget = budget / 2});
-  LnrAggEstimator count_est(&count_client, &sampler, AggregateSpec::Count(),
-                            opts);
-  const RunResult count_run =
-      RunWithBudget(MakeHandle(&count_est), count_client.budget());
+  engine::LnrCellResolver count_resolver(&count_client, &sampler, opts);
+  engine::EstimationEngine count_eng(&count_resolver);
+  count_eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&count_eng, {.budget = count_client.budget()});
+  const RunResult count_run = EngineResults(count_eng)[0];
 
   // The gender share is a ratio: AVG(male_indicator) shares samples between
   // numerator and denominator and converges far faster than the quotient of
   // two independent COUNTs.
   LnrClient ratio_client(&server, {.k = k, .budget = budget / 2});
-  LnrAggEstimator ratio_est(
-      &ratio_client, &sampler,
-      AggregateSpec::Avg(scenario.columns.male_indicator, "AVG(male)"), opts);
-  RunWithBudget(MakeHandle(&ratio_est), ratio_client.budget());
+  engine::LnrCellResolver ratio_resolver(&ratio_client, &sampler, opts);
+  engine::EstimationEngine ratio_eng(&ratio_resolver);
+  const engine::AggregateQuery* ratio = ratio_eng.AddAggregate(
+      AggregateSpec::Avg(scenario.columns.male_indicator, "AVG(male)"));
+  RunEngine(&ratio_eng, {.budget = ratio_client.budget()});
 
   ServiceResult r;
   r.users = count_run.final_estimate;
-  r.male_share = ratio_est.NumeratorMean();   // pooled by the caller
+  r.male_share = ratio->NumeratorMean();   // pooled by the caller
   r.queries = count_run.queries + ratio_client.queries_used();
   // Stash the denominator in male_share's pair: see EstimateAveraged.
-  r.ratio_num = ratio_est.NumeratorMean();
-  r.ratio_den = ratio_est.DenominatorMean();
+  r.ratio_num = ratio->NumeratorMean();
+  r.ratio_den = ratio->DenominatorMean();
   return r;
 }
 

@@ -9,76 +9,53 @@
 
 namespace lbsagg {
 
-RunResult RunWithBudget(const EstimatorHandle& handle, uint64_t budget,
-                        size_t max_rounds) {
-  LBSAGG_CHECK_GT(budget, 0u);
-  RunResult result;
-  size_t rounds = 0;
-  while (handle.queries_used() < budget && rounds < max_rounds) {
-    handle.step();
-    ++rounds;
-    result.trace.push_back({handle.queries_used(), handle.estimate()});
+namespace {
+
+// §2.3's stopping rule on the first registered aggregate (StopRule).
+bool ConfidenceReached(const engine::EstimationEngine& engine,
+                       const StopRule& rule) {
+  if (rule.target_ci <= 0.0 ||
+      engine.evidence().num_rounds() < rule.min_rounds) {
+    return false;
   }
-  result.final_estimate = handle.estimate();
-  result.queries = handle.queries_used();
-  return result;
+  const engine::AggregateQuery& query = *engine.aggregate(0);
+  const double estimate = query.Estimate();
+  return estimate != 0.0 &&
+         query.ConfidenceHalfWidth() <= rule.target_ci * std::abs(estimate);
 }
 
-RunResult RunUntilConfidence(const EstimatorHandle& handle,
-                             double target_fraction, uint64_t budget,
-                             size_t min_rounds) {
-  LBSAGG_CHECK(handle.confidence_half_width != nullptr)
-      << "estimator does not report confidence intervals";
-  LBSAGG_CHECK_GT(target_fraction, 0.0);
-  RunResult result;
-  size_t rounds = 0;
-  while (handle.queries_used() < budget) {
-    handle.step();
-    ++rounds;
-    result.trace.push_back({handle.queries_used(), handle.estimate()});
-    if (rounds < min_rounds) continue;
-    const double estimate = handle.estimate();
-    if (estimate != 0.0 &&
-        handle.confidence_half_width() <=
-            target_fraction * std::abs(estimate)) {
-      break;
-    }
-  }
-  result.final_estimate = handle.estimate();
-  result.queries = handle.queries_used();
-  return result;
-}
+}  // namespace
 
-std::vector<RunResult> RunEngineWithBudget(engine::EstimationEngine* engine,
-                                           uint64_t budget,
-                                           size_t max_rounds) {
-  return RunEngineWithBudget(engine, nullptr, budget, max_rounds);
-}
-
-std::vector<RunResult> RunEngineWithBudget(engine::EstimationEngine* engine,
-                                           engine::DurableEvidenceLog* wal,
-                                           uint64_t budget,
-                                           size_t max_rounds) {
+size_t RunEngine(engine::EstimationEngine* engine, const StopRule& rule,
+                 engine::DurableEvidenceLog* wal) {
   LBSAGG_CHECK(engine != nullptr);
-  LBSAGG_CHECK_GT(budget, 0u);
+  LBSAGG_CHECK_GT(rule.budget, 0u);
+  if (rule.target_ci > 0.0) {
+    LBSAGG_CHECK_GT(engine->num_aggregates(), 0u);
+    LBSAGG_CHECK(engine->aggregate(0)->spec().kind !=
+                 AggregateSpec::Kind::kAvg)
+        << "the confidence rule needs a COUNT or SUM first aggregate (an "
+           "AVG's half-width is its numerator's)";
+  }
   size_t rounds = 0;
-  while (engine->queries_used() < budget && rounds < max_rounds) {
+  while (rounds < rule.max_rounds && engine->queries_used() < rule.budget &&
+         !ConfidenceReached(*engine, rule)) {
     engine->Step();
     ++rounds;
-    // Checkpoints run between steps, never inside the sink callbacks: the
-    // aggregates fold after EndRound commits, and a checkpoint must capture
-    // post-fold state.
     if (wal != nullptr) wal->MaybeCheckpoint();
   }
-  if (wal != nullptr) wal->Close();
+  return rounds;
+}
+
+std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine) {
   std::vector<RunResult> results;
-  results.reserve(engine->num_aggregates());
-  for (size_t i = 0; i < engine->num_aggregates(); ++i) {
-    const engine::AggregateQuery& query = *engine->aggregate(i);
+  results.reserve(engine.num_aggregates());
+  for (size_t i = 0; i < engine.num_aggregates(); ++i) {
+    const engine::AggregateQuery& query = *engine.aggregate(i);
     RunResult result;
     result.trace = query.trace();
     result.final_estimate = query.Estimate();
-    result.queries = engine->queries_used();
+    result.queries = engine.queries_used();
     results.push_back(std::move(result));
   }
   return results;
@@ -134,17 +111,6 @@ obs::RunReport BuildRunReport(const std::string& estimator_name,
 
   if (registry == nullptr) registry = &obs::MetricsRegistry::Default();
   report.SetSnapshot(registry->Snapshot());
-  return report;
-}
-
-obs::RunReport BuildRunReport(const std::string& estimator_name,
-                              const RunResult& result,
-                              const EstimatorHandle& handle,
-                              obs::MetricsRegistry* registry) {
-  obs::RunReport report = BuildRunReport(estimator_name, result, registry);
-  if (handle.diagnostics_json != nullptr) {
-    report.AddJsonSection("diagnostics", handle.diagnostics_json());
-  }
   return report;
 }
 

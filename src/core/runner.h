@@ -1,7 +1,6 @@
 #ifndef LBSAGG_CORE_RUNNER_H_
 #define LBSAGG_CORE_RUNNER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,45 +15,6 @@ class DurableEvidenceLog;
 class EstimationEngine;
 }  // namespace engine
 
-// Type-erased handle over any estimator (LrAggEstimator, LnrAggEstimator,
-// NnoEstimator, ...) so the experiment driver can sweep them uniformly.
-struct EstimatorHandle {
-  std::function<void()> step;
-  std::function<double()> estimate;
-  std::function<uint64_t()> queries_used;
-  // Optional: 95% confidence half-width of the current estimate.
-  std::function<double()> confidence_half_width;
-  // Optional: estimator diagnostics as a raw JSON object — embedded by
-  // BuildRunReport without estimator-specific branches.
-  std::function<std::string()> diagnostics_json;
-};
-
-// Wraps a concrete estimator type exposing Step()/Estimate()/queries_used()
-// and, when available, ConfidenceHalfWidth() and diagnostics_json().
-template <typename Estimator>
-EstimatorHandle MakeHandle(Estimator* estimator) {
-  EstimatorHandle handle{
-      [estimator] { estimator->Step(); },
-      [estimator] { return estimator->Estimate(); },
-      [estimator] { return estimator->queries_used(); },
-      nullptr,
-      nullptr,
-  };
-  if constexpr (requires { estimator->ConfidenceHalfWidth(); }) {
-    handle.confidence_half_width = [estimator] {
-      return estimator->ConfidenceHalfWidth();
-    };
-  }
-  if constexpr (requires {
-                  { estimator->diagnostics_json() } -> std::convertible_to<std::string>;
-                }) {
-    handle.diagnostics_json = [estimator] {
-      return estimator->diagnostics_json();
-    };
-  }
-  return handle;
-}
-
 // One run: estimate trace until the query budget is reached.
 struct RunResult {
   std::vector<TracePoint> trace;
@@ -62,51 +22,54 @@ struct RunResult {
   uint64_t queries = 0;
 };
 
-// Steps the estimator until `budget` queries have been issued (the round in
-// flight when the budget trips is allowed to finish — the paper's soft
-// rate-limit semantics) or `max_rounds` sampling rounds completed.
-//
-// Retries and the budget: `handle.queries_used` reports the client's
-// counter, and through a retrying transport that counter charges once per
-// *interface attempt*, not once per logical query (§2.1 meters what hits
-// the service — a query that succeeded on its third attempt consumed three
-// slots of the service's rate limit). So under fault injection a run
-// finishes fewer sampling rounds for the same budget, which is precisely
-// the degradation the transport exists to measure; the soft-budget
-// semantics are unchanged (the round in flight when attempts exhaust the
-// budget still completes). Pinned by transport_test.cc.
-RunResult RunWithBudget(const EstimatorHandle& handle, uint64_t budget,
-                        size_t max_rounds = 1u << 20);
+// When the run loop stops: at the soft budget, at a round cap, or — when
+// asked — at §2.3's confidence target, whichever comes first.
+struct StopRule {
+  // Soft interface-attempt budget (§2.1): the loop steps while
+  // queries_used < budget, so the round in flight when the budget trips
+  // finishes — the paper's soft rate-limit semantics. Must be > 0.
+  //
+  // Retries and the budget: the engine reports the client's counter, and
+  // through a retrying transport that counter charges once per *interface
+  // attempt*, not once per logical query (§2.1 meters what hits the
+  // service — a query that succeeded on its third attempt consumed three
+  // slots of the service's rate limit). So under fault injection a run
+  // finishes fewer sampling rounds for the same budget, which is precisely
+  // the degradation the transport exists to measure. Pinned by
+  // transport_test.cc.
+  uint64_t budget = 0;
 
-// Steps the estimator until the 95% confidence half-width falls below
-// `target_fraction` of the current estimate (the practical stopping rule of
-// §2.3: approximate the population variance with the Bessel-corrected
-// sample variance), after at least `min_rounds` rounds; `budget` still
-// bounds the run. Requires a handle with confidence_half_width.
-RunResult RunUntilConfidence(const EstimatorHandle& handle,
-                             double target_fraction, uint64_t budget,
-                             size_t min_rounds = 30);
+  // Cap on the rounds *this call* runs; rounds restored from a durable log
+  // do not count. The service's time slices and the kill-after-rounds crash
+  // harness lean on that.
+  size_t max_rounds = 1u << 20;
 
-// Engine-native sweep path: steps the engine until `budget` interface
-// queries have been issued (soft-budget semantics as above) or `max_rounds`
-// rounds completed, then returns one RunResult per registered aggregate —
-// all carved from the same evidence stream, so the N results together cost
-// one budget. results[i] corresponds to engine->aggregate(i).
-std::vector<RunResult> RunEngineWithBudget(engine::EstimationEngine* engine,
-                                           uint64_t budget,
-                                           size_t max_rounds = 1u << 20);
+  // §2.3's practical stopping rule, off at 0: stop once the first
+  // registered aggregate's 95% confidence half-width (Bessel-corrected
+  // sample variance) is at most `target_ci` × |estimate|, after at least
+  // `min_rounds` committed rounds. It reads engine state only — committed
+  // rounds, restored ones included, and the aggregate's estimate and
+  // half-width — so a resumed durable run stops where the uninterrupted run
+  // stops. The first aggregate must be a COUNT or SUM: an AVG's half-width
+  // is its numerator's, on the SUM scale, and would never meet the rule.
+  double target_ci = 0.0;
+  size_t min_rounds = 30;
+};
 
-// Durable variant (DESIGN.md §4.14): identical loop and results, but the
-// round-aligned checkpoint policy runs between steps — MaybeCheckpoint
-// after every committed round, Close (final checkpoint + sync) when the
-// budget trips. The engine must already carry the `wal` sink; on a resumed
-// engine the loop continues from the restored query count, and `max_rounds`
-// bounds the rounds executed by *this call* (the kill-after-rounds harness
-// leans on that). A null `wal` degrades to the plain overload.
-std::vector<RunResult> RunEngineWithBudget(engine::EstimationEngine* engine,
-                                           engine::DurableEvidenceLog* wal,
-                                           uint64_t budget,
-                                           size_t max_rounds = 1u << 20);
+// The one run loop (DESIGN.md §4.9): steps `engine` until `rule` says stop
+// and returns the number of rounds this call ran. When `wal` is set, its
+// round-aligned checkpoint policy runs after every round (MaybeCheckpoint,
+// between steps: the aggregates fold after EndRound commits, and a
+// checkpoint must capture post-fold state). The engine must already carry
+// the `wal` sink. The loop never closes the log — the caller does, where
+// the run ends, so a time slice or a crash harness can stop mid-run.
+size_t RunEngine(engine::EstimationEngine* engine, const StopRule& rule,
+                 engine::DurableEvidenceLog* wal = nullptr);
+
+// One RunResult per registered aggregate, results[i] for
+// engine.aggregate(i) — all carved from the same evidence stream, so the N
+// results together cost one budget.
+std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine);
 
 // The running estimate of a trace at query cost `c` (last round completed at
 // or before c; 0 before the first round).
@@ -138,14 +101,6 @@ double QueryCostForError(const ErrorCurve& curve, double target);
 // transport's own JSON).
 obs::RunReport BuildRunReport(const std::string& estimator_name,
                               const RunResult& result,
-                              obs::MetricsRegistry* registry = nullptr);
-
-// Same, plus the handle's diagnostics_json (when bound) as the
-// "diagnostics" section — per-estimator diagnostics with no
-// estimator-specific branches here.
-obs::RunReport BuildRunReport(const std::string& estimator_name,
-                              const RunResult& result,
-                              const EstimatorHandle& handle,
                               obs::MetricsRegistry* registry = nullptr);
 
 }  // namespace lbsagg

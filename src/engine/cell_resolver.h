@@ -24,8 +24,8 @@ namespace engine {
 // The union, over all registered aggregates, of the pre-engine estimators'
 // "is this tuple worth a cell computation?" gates. With a single registered
 // aggregate each Wants* method reproduces the corresponding monolith's skip
-// conditions verbatim — that is what keeps single-aggregate adapter runs
-// bit-identical. With several aggregates a tuple is resolved once if *any*
+// conditions verbatim — that is what keeps single-aggregate engine runs
+// bit-identical to the monoliths. With several aggregates a tuple is resolved once if *any*
 // of them wants it, which is exactly the budget amortization: the weight is
 // aggregate-independent (§2.3), so one resolution serves every consumer.
 class EvidenceDemand {

@@ -10,7 +10,7 @@
 //   auto* count = engine.AddAggregate(AggregateSpec::Count());
 //   auto* sum   = engine.AddAggregate(AggregateSpec::Sum(col, "SUM(x)"));
 //   auto* avg   = engine.AddAggregate(AggregateSpec::Avg(col, "AVG(x)"));
-//   while (engine.queries_used() < budget) engine.Step();
+//   RunEngine(&engine, {.budget = budget});  // the run loop, core/runner.h
 //
 // Every Step spends interface queries once and every registered aggregate
 // folds the same observations — the paper's point that one HT evidence

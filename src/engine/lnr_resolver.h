@@ -3,7 +3,7 @@
 
 // Acquisition layer for rank-only kNN interfaces: the sampling, cell
 // inference, probability caching and localization core of Algorithm
-// LNR-LBS-AGG (§4), carved out of the pre-engine LnrAggEstimator. Emits
+// LNR-LBS-AGG (§4), carved out of the pre-engine LNR estimator. Emits
 // kProbability observations (contribution = value / p), matching the
 // monolith's floating-point arithmetic exactly.
 
@@ -22,16 +22,15 @@
 
 namespace lbsagg {
 
-// Per-run diagnostics of the rank-only estimator. (Defined here with the
-// resolver that fills it in; core/lnr_agg.h re-exports it.)
+// Per-run diagnostics of the rank-only estimator.
 struct LnrAggDiagnostics {
   size_t rounds = 0;
   size_t cells_inferred = 0;  // cells actually computed via binary search
   size_t cache_hits = 0;      // samples served from the probability cache
 };
 
-// Configuration of Algorithm LNR-LBS-AGG (§4). Shared verbatim by the
-// LnrCellResolver and the LnrAggEstimator adapter over it.
+// Configuration of Algorithm LNR-LBS-AGG (§4), read by the
+// LnrCellResolver.
 struct LnrAggOptions {
   // When true and the interface k > 1, each sample infers the top-k cell of
   // every returned tuple (§4.2); otherwise only the top-1 tuple's convex

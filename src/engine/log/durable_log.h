@@ -8,10 +8,7 @@
 // Writing side — attach a DurableEvidenceLog to a live engine:
 //
 //   engine::DurableEvidenceLog wal({.dir = wal_dir}, &engine, &client);
-//   while (engine.queries_used() < budget) {
-//     engine.Step();
-//     wal.MaybeCheckpoint();
-//   }
+//   RunEngine(&engine, {.budget = budget}, &wal);  // MaybeCheckpoint per round
 //   wal.Close();  // final checkpoint; also done by the destructor
 //
 // Reading side — resume after a crash (same process or a new one):

@@ -3,7 +3,7 @@
 
 // Acquisition layer for location-returned kNN interfaces: the sampling,
 // adaptive-h, and cell-computation core of Algorithm LR-LBS-AGG (§3.3),
-// carved out of the pre-engine LrAggEstimator. The HT accumulation moved to
+// carved out of the pre-engine LR estimator. The HT accumulation moved to
 // engine::AggregateQuery; this class owns everything that costs interface
 // queries or consumes randomness, and its query/rng streams are bit-for-bit
 // those of the monolith it replaces.
@@ -23,8 +23,7 @@
 namespace lbsagg {
 
 // Per-estimator run diagnostics — what an operator needs to tune λ0, the
-// Monte-Carlo thresholds and the budget. (Defined here with the resolver
-// that fills it in; core/lr_agg.h re-exports it for the adapter's users.)
+// Monte-Carlo thresholds and the budget.
 struct LrAggDiagnostics {
   size_t rounds = 0;            // sampling rounds completed
   size_t cells_exact = 0;       // cells pinned down exactly (Theorem 1)
@@ -34,8 +33,8 @@ struct LrAggDiagnostics {
   uint64_t cell_queries = 0;    // queries spent inside cell computations
 };
 
-// Configuration of Algorithm LR-LBS-AGG (Algorithm 5). Shared verbatim by
-// the LrCellResolver and the LrAggEstimator adapter over it.
+// Configuration of Algorithm LR-LBS-AGG (Algorithm 5), read by the
+// LrCellResolver.
 struct LrAggOptions {
   // §3.2.3 adaptive choice of h per returned tuple (Algorithm 4). When
   // false, a fixed h = min(fixed_h, k) is used for every tuple.

@@ -19,8 +19,7 @@ namespace lbsagg {
 
 // Configuration of the prior-work baseline. The knobs mirror the tunable
 // parameters of [10]; benchmarks use settings tuned for its best behaviour,
-// as the paper's experiments did. (Defined here with the resolver;
-// core/nno_baseline.h re-exports it for the adapter's users.)
+// as the paper's experiments did.
 struct NnoOptions {
   // Points probed on each ring while growing the candidate disc.
   int ring_points = 6;
@@ -42,7 +41,7 @@ struct NnoOptions {
 };
 
 // Per-run diagnostics of the probe baseline (new with the engine refactor —
-// the pre-engine NnoEstimator only exposed these through the metric plane).
+// the pre-engine baseline only exposed these through the metric plane).
 struct NnoDiagnostics {
   size_t rounds = 0;
   uint64_t growth_rounds = 0;  // disc doublings across all area estimates

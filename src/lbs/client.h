@@ -29,7 +29,7 @@ struct ClientOptions {
   // logical queries. Through a fault-injecting transport a retried query
   // charges once per attempt — the service's rate limiter meters attempts,
   // so a flaky network genuinely buys fewer logical answers per budget
-  // (runner.h documents the interaction with RunWithBudget).
+  // (StopRule::budget in core/runner.h documents the interaction).
   uint64_t budget = 0;
 
   // Cross-round query memo: remember every (quantized location → answer)

@@ -380,16 +380,8 @@ void EstimationService::Finalize(Session* session, SessionState state,
     // finalized at its budget leaves a WAL that recovers to exactly the
     // finalized state (and a cancelled one resumes from where it stopped).
     if (session->run->wal != nullptr) session->run->wal->Close();
-    const engine::EstimationEngine& eng = *session->run->engine;
-    session->queries = eng.queries_used();
-    session->results.reserve(session->run->aggregates.size());
-    for (const engine::AggregateQuery* agg : session->run->aggregates) {
-      RunResult result;
-      result.trace = agg->trace();
-      result.final_estimate = agg->Estimate();
-      result.queries = eng.queries_used();
-      session->results.push_back(std::move(result));
-    }
+    session->queries = session->run->engine->queries_used();
+    session->results = EngineResults(*session->run->engine);
     session->run.reset();
     active_gauge_.Set(static_cast<double>(active_.size()));
   }
@@ -489,17 +481,15 @@ bool EstimationService::RunSlice() {
   engine::EstimationEngine* eng = session->run->engine.get();
 
   if (rt.dedup != nullptr) rt.dedup->SetHitSink(&session->dedup_hits);
-  size_t ran = 0;
-  // Exactly RunWithBudget's loop condition, time-sliced: the session ends
-  // with the same rounds and counted-query trace as running it alone.
-  while (ran < options_.slice_rounds && eng->queries_used() < budget &&
-         session->rounds < max_rounds) {
-    eng->Step();
-    ++session->rounds;
-    ++ran;
-    // Round-aligned checkpoint policy, between steps (post-fold state).
-    if (session->run->wal != nullptr) session->run->wal->MaybeCheckpoint();
-  }
+  // The one run loop, time-sliced: the session ends with the same rounds
+  // and counted-query trace as running it alone. The slice never runs past
+  // the session's round cap (a resumed session may already be at it).
+  const size_t slice_cap =
+      session->rounds < max_rounds
+          ? std::min(options_.slice_rounds, max_rounds - session->rounds)
+          : 0;
+  session->rounds += RunEngine(eng, {.budget = budget, .max_rounds = slice_cap},
+                               session->run->wal.get());
   if (rt.dedup != nullptr) rt.dedup->SetHitSink(nullptr);
 
   FireEvent(SessionEventKind::kProgress, *session);

@@ -66,9 +66,9 @@ struct SessionSpec {
   // Page size requested per interface query (clamped to the backend max_k).
   int k = 5;
 
-  // Soft interface-attempt budget, exactly RunWithBudget's semantics: the
-  // engine steps while queries_used < budget, so mid-round work may overrun
-  // like every fixed-budget experiment in the paper. Must be > 0.
+  // Soft interface-attempt budget, exactly StopRule::budget (core/runner.h):
+  // the engine steps while queries_used < budget, so mid-round work may
+  // overrun like every fixed-budget experiment in the paper. Must be > 0.
   uint64_t budget = 200;
 
   // Hard cap on sampling rounds (0 = service default). The budget is the

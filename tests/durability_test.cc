@@ -146,9 +146,10 @@ void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b,
 }
 
 // Runs a fresh durable run to completion in `dir` and returns its outcome.
+// A positive `target_ci` adds §2.3's confidence stop to the budget.
 RunOutcome RunDurably(Family family, const std::string& dir, uint64_t seed,
                       uint64_t budget, uint64_t checkpoint_every,
-                      const AggregateSpec& spec) {
+                      const AggregateSpec& spec, double target_ci = 0.0) {
   const UsaScenario& usa = SmallUsa();
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   UniformSampler sampler(usa.dataset->box());
@@ -158,16 +159,20 @@ RunOutcome RunDurably(Family family, const std::string& dir, uint64_t seed,
   options.checkpoint_every_rounds = checkpoint_every;
   DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
   EXPECT_TRUE(wal.ok()) << wal.error();
-  RunEngineWithBudget(stack.engine.get(), &wal, budget);
+  RunEngine(stack.engine.get(), {.budget = budget, .target_ci = target_ci},
+            &wal);
+  wal.Close();
   return Outcome(stack);
 }
 
-// Recovers `dir`, rebuilds the identical stack, and finishes the run.
-// `error_out` non-null captures a refusal instead of failing the test.
+// Recovers `dir`, rebuilds the identical stack, and finishes the run under
+// the same stop rule. `error_out` non-null captures a refusal instead of
+// failing the test.
 RunOutcome ResumeAndFinish(Family family, const std::string& dir,
                            uint64_t seed, uint64_t budget,
                            uint64_t checkpoint_every, const AggregateSpec& spec,
-                           std::string* error_out = nullptr) {
+                           std::string* error_out = nullptr,
+                           double target_ci = 0.0) {
   const UsaScenario& usa = SmallUsa();
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   UniformSampler sampler(usa.dataset->box());
@@ -193,7 +198,9 @@ RunOutcome ResumeAndFinish(Family family, const std::string& dir,
   options.checkpoint_every_rounds = checkpoint_every;
   DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
   EXPECT_TRUE(wal.ok()) << wal.error();
-  RunEngineWithBudget(stack.engine.get(), &wal, budget);
+  RunEngine(stack.engine.get(), {.budget = budget, .target_ci = target_ci},
+            &wal);
+  wal.Close();
   return Outcome(stack);
 }
 
@@ -283,7 +290,7 @@ TEST(Durability, CleanHandoffAcrossStacksMatchesUninterruptedRun) {
   // Uninterrupted oracle (no WAL attached: attaching one must not perturb).
   Stack oracle_stack =
       BuildStack(Family::kLr, server, &sampler, 3, 400, spec);
-  RunEngineWithBudget(oracle_stack.engine.get(), 400);
+  RunEngine(oracle_stack.engine.get(), {.budget = 400});
   const RunOutcome oracle = Outcome(oracle_stack);
 
   const std::string dir = TestDir("handoff");
@@ -294,13 +301,43 @@ TEST(Durability, CleanHandoffAcrossStacksMatchesUninterruptedRun) {
     options.checkpoint_every_rounds = 8;
     DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
     // Half the run: stop after 15 rounds, Close (final checkpoint).
-    RunEngineWithBudget(stack.engine.get(), &wal, 400, /*max_rounds=*/15);
+    RunEngine(stack.engine.get(), {.budget = 400, .max_rounds = 15}, &wal);
+    wal.Close();
     EXPECT_TRUE(wal.ok()) << wal.error();
     EXPECT_EQ(stack.engine->evidence().num_rounds(), 15u);
   }
   const RunOutcome resumed =
       ResumeAndFinish(Family::kLr, dir, 3, 400, 8, spec);
   ExpectSameOutcome(resumed, oracle, "clean handoff");
+}
+
+// §2.3's confidence stop reads engine state only — committed rounds,
+// restored ones included — so a confidence-stopped run killed mid-way, or a
+// few rounds short of its stop (fewer than min_rounds past the checkpoint it
+// resumes from), resumes to exactly the uninterrupted run's stop.
+TEST(Durability, ConfidenceStoppedRunResumesToTheSameStop) {
+  const AggregateSpec spec = AggregateSpec::Count();
+  const uint64_t budget = 20000, seed = 7, every = 4;
+  const double target_ci = 0.3;
+  const std::string oracle_dir = TestDir("ci_oracle");
+  const RunOutcome oracle =
+      RunDurably(Family::kLr, oracle_dir, seed, budget, every, spec, target_ci);
+  ASSERT_LT(oracle.queries, budget) << "the budget, not the rule, stopped it";
+  ASSERT_GT(oracle.rounds, 40u);
+
+  const WalReadResult read = ReadWal(oracle_dir);
+  ASSERT_TRUE(read.error.empty()) << read.error;
+  const uint64_t full =
+      fs::file_size(fs::path(oracle_dir) / WalSegmentName(0));
+  const std::string cut_dir = TestDir("ci_cut");
+  for (const uint64_t cut :
+       {full / 2, read.round_offsets[oracle.rounds - 10].second + 1}) {
+    CopyWalDir(oracle_dir, cut_dir);
+    TruncateSegment(cut_dir, cut);
+    const RunOutcome resumed = ResumeAndFinish(
+        Family::kLr, cut_dir, seed, budget, every, spec, nullptr, target_ci);
+    ExpectSameOutcome(resumed, oracle, "ci stop, cut=" + std::to_string(cut));
+  }
 }
 
 // --- Refusals ---------------------------------------------------------------
@@ -366,7 +403,8 @@ TEST(DurabilityRegression, Fig12FingerprintSurvivesCrashAndResume) {
       options.dir = dir;
       options.checkpoint_every_rounds = 32;
       DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
-      RunEngineWithBudget(stack.engine.get(), &wal, 4000);
+      RunEngine(stack.engine.get(), {.budget = 4000}, &wal);
+      wal.Close();
     }
     // Kill at an arbitrary mid-record byte (~60% in, varied per seed).
     const fs::path segment = fs::path(dir) / WalSegmentName(0);
@@ -385,7 +423,8 @@ TEST(DurabilityRegression, Fig12FingerprintSurvivesCrashAndResume) {
     options.dir = dir;
     options.checkpoint_every_rounds = 32;
     DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
-    RunEngineWithBudget(stack.engine.get(), &wal, 4000);
+    RunEngine(stack.engine.get(), {.budget = 4000}, &wal);
+    wal.Close();
 
     for (const TracePoint& tp : stack.query->trace()) {
       uint64_t bits;
@@ -394,8 +433,8 @@ TEST(DurabilityRegression, Fig12FingerprintSurvivesCrashAndResume) {
       hash = MixHash(hash, bits);
     }
   }
-  // The constant from engine_regression_test.cc — the adapter, the engine,
-  // and now the crash+resume path all reproduce the monolith bit pattern.
+  // The constant from engine_regression_test.cc — the engine run loop and
+  // the crash+resume path both reproduce the monolith bit pattern.
   EXPECT_EQ(hash, 0x8e13737b33817270ull);
 }
 
@@ -421,10 +460,7 @@ TEST(DurabilityTwoProcess, SigkilledChildResumesBitIdenticallyInParent) {
     options.checkpoint_every_rounds = every;
     DurableEvidenceLog wal(options, stack.engine.get(), stack.client.get());
     if (!wal.ok()) _exit(3);
-    for (int i = 0; i < 12; ++i) {
-      stack.engine->Step();
-      wal.MaybeCheckpoint();
-    }
+    RunEngine(stack.engine.get(), {.budget = budget, .max_rounds = 12}, &wal);
     std::raise(SIGKILL);
     _exit(4);  // unreachable
   }

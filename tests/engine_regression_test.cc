@@ -1,8 +1,8 @@
-// Adapter-vs-legacy regression: the pre-engine estimator monoliths produced
+// Engine-vs-legacy regression: the pre-engine estimator monoliths produced
 // a fixed bit pattern for a fixed-seed end-to-end run, captured here as a
-// trace fingerprint. The thin adapters over the engine must reproduce it
-// exactly — same rng draw order, same query order, same FP accumulation
-// order, down to the last ulp.
+// trace fingerprint. A resolver + engine run through the run loop must
+// reproduce it exactly — same rng draw order, same query order, same FP
+// accumulation order, down to the last ulp.
 
 #include <cstdint>
 #include <cstring>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
 #include "engine/engine.h"
@@ -44,8 +43,11 @@ TEST(EngineRegression, LegacyTraceFingerprintIsBitIdentical) {
     LrClient client(&server, {.k = 5, .budget = 4000});
     LrAggOptions opts;
     opts.seed = seed;
-    LrAggEstimator est(&client, &sampler, spec, opts);
-    const RunResult r = RunWithBudget(MakeHandle(&est), 4000);
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(spec);
+    RunEngine(&eng, {.budget = 4000});
+    const RunResult r = EngineResults(eng)[0];
     for (const TracePoint& tp : r.trace) {
       uint64_t bits;
       std::memcpy(&bits, &tp.estimate, sizeof bits);
@@ -89,7 +91,8 @@ TEST(EngineRegression, LrMultiLevelTraceFingerprintIsBitIdentical) {
     engine::EstimationEngine eng(&resolver);
     eng.AddAggregate(west);
     eng.AddAggregate(avg);
-    for (const RunResult& r : RunEngineWithBudget(&eng, 3000)) {
+    RunEngine(&eng, {.budget = 3000});
+    for (const RunResult& r : EngineResults(eng)) {
       for (const TracePoint& tp : r.trace) {
         uint64_t bits;
         std::memcpy(&bits, &tp.estimate, sizeof bits);

@@ -1,8 +1,8 @@
 // The estimation engine (DESIGN.md §4.9): acquisition → evidence →
 // aggregation. These tests pin the layer contracts — the shared-evidence
 // AVG == SUM/COUNT identity, per-resolver unbiasedness, the evidence
-// store's append/replay/snapshot protocol, seed determinism, and the
-// adapter/engine equivalence that keeps the monolith-era API bit-identical.
+// store's append/replay/snapshot protocol, seed determinism, and the run
+// loop's one-budget results.
 
 #include <cstring>
 #include <memory>
@@ -12,9 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lnr_agg.h"
-#include "core/lr_agg.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
 #include "core/sampler.h"
 #include "engine/engine.h"
@@ -138,34 +135,6 @@ TEST(EstimationEngine, LateAggregateReplaysToIdenticalState) {
 }
 
 // --- Adapter equivalence ----------------------------------------------------
-
-// The LrAggEstimator adapter and an engine-native single-aggregate run are
-// the same computation: identical traces, estimates, and query counts.
-TEST(EstimationEngine, AdapterMatchesEngineNativeRun) {
-  const UsaScenario usa = SmallUsa();
-  LbsServer server(usa.dataset.get(), {.max_k = 5});
-  UniformSampler sampler(usa.dataset->box());
-  const AggregateSpec spec = AggregateSpec::CountWhere(
-      ColumnEquals(usa.columns.category, "restaurant"), "COUNT(restaurants)");
-
-  LrClient adapter_client(&server, {.k = 5});
-  LrAggEstimator adapter(&adapter_client, &sampler, spec, {.seed = 13});
-  for (int i = 0; i < 80; ++i) adapter.Step();
-
-  LrClient native_client(&server, {.k = 5});
-  engine::LrCellResolver resolver(&native_client, &sampler, {.seed = 13});
-  engine::EstimationEngine eng(&resolver);
-  auto* query = eng.AddAggregate(spec);
-  for (int i = 0; i < 80; ++i) eng.Step();
-
-  EXPECT_EQ(adapter.queries_used(), eng.queries_used());
-  EXPECT_EQ(adapter.Estimate(), query->Estimate());
-  ASSERT_EQ(adapter.trace().size(), query->trace().size());
-  for (size_t i = 0; i < query->trace().size(); ++i) {
-    EXPECT_EQ(adapter.trace()[i].queries, query->trace()[i].queries);
-    EXPECT_EQ(adapter.trace()[i].estimate, query->trace()[i].estimate);
-  }
-}
 
 // --- Unbiasedness smoke, one per resolver -----------------------------------
 
@@ -347,7 +316,8 @@ TEST(EstimationEngine, RunEngineWithBudgetSharesOneBudget) {
   eng.AddAggregate(AggregateSpec::AvgWhere(rating, is_restaurant, "AVG"));
 
   const uint64_t budget = 500;
-  const std::vector<RunResult> results = RunEngineWithBudget(&eng, budget);
+  RunEngine(&eng, {.budget = budget});
+  const std::vector<RunResult> results = EngineResults(eng);
   ASSERT_EQ(results.size(), 3u);
   // All three answers came from the same (soft-bounded) budget.
   for (const RunResult& r : results) {
@@ -380,27 +350,6 @@ TEST(EstimationEngine, DiagnosticsJsonCoversLayers) {
   EXPECT_NE(json.find("\"evidence\":"), std::string::npos);
   EXPECT_NE(json.find("\"aggregates\":1"), std::string::npos);
   EXPECT_NE(json.find("\"rounds\":5"), std::string::npos);
-}
-
-// MakeHandle binds diagnostics_json via `requires`, so RunReport embeds
-// per-estimator diagnostics with no estimator-specific branches.
-TEST(EstimationEngine, MakeHandleBindsDiagnosticsJson) {
-  const UsaScenario usa = SmallUsa(300);
-  LbsServer server(usa.dataset.get(), {.max_k = 3});
-  UniformSampler sampler(usa.dataset->box());
-  LrClient client(&server, {.k = 3});
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {.seed = 9});
-  const EstimatorHandle handle = MakeHandle(&est);
-  ASSERT_NE(handle.diagnostics_json, nullptr);
-  est.Step();
-  EXPECT_NE(handle.diagnostics_json().find("\"resolver\":\"lr\""),
-            std::string::npos);
-
-  obs::MetricsRegistry registry;
-  const RunResult result = RunWithBudget(handle, 50);
-  const obs::RunReport report =
-      BuildRunReport("lr", result, handle, &registry);
-  EXPECT_NE(report.ToJson().find("\"diagnostics\":"), std::string::npos);
 }
 
 }  // namespace

@@ -6,16 +6,35 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lnr_agg.h"
-#include "core/lr_agg.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
+#include "engine/engine.h"
+#include "engine/lnr_resolver.h"
+#include "engine/lr_resolver.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "util/stats.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
 namespace {
+
+// One aggregate over `resolver`, stepped by the run loop to `budget`.
+RunResult RunToBudget(engine::CellResolver* resolver,
+                      const AggregateSpec& spec, uint64_t budget) {
+  engine::EstimationEngine eng(resolver);
+  eng.AddAggregate(spec);
+  RunEngine(&eng, {.budget = budget});
+  return EngineResults(eng)[0];
+}
+
+// One aggregate over `resolver`: `rounds` engine rounds, then the estimate.
+double EstimateAfter(engine::CellResolver* resolver, const AggregateSpec& spec,
+                     int rounds) {
+  engine::EstimationEngine eng(resolver);
+  const engine::AggregateQuery* query = eng.AddAggregate(spec);
+  for (int i = 0; i < rounds; ++i) eng.Step();
+  return query->Estimate();
+}
 
 TEST(Integration, LrBeatsNnoAtEqualBudget) {
   // Figure 12/14 shape: at the same query budget, LR-LBS-AGG's mean
@@ -33,14 +52,14 @@ TEST(Integration, LrBeatsNnoAtEqualBudget) {
     LrClient lr_client(&server, {.k = 5, .budget = budget});
     LrAggOptions lr_opts;
     lr_opts.seed = seed;
-    LrAggEstimator lr(&lr_client, &sampler, AggregateSpec::Count(), lr_opts);
-    lr_runs.push_back(RunWithBudget(MakeHandle(&lr), budget));
+    engine::LrCellResolver lr(&lr_client, &sampler, lr_opts);
+    lr_runs.push_back(RunToBudget(&lr, AggregateSpec::Count(), budget));
 
     LrClient nno_client(&server, {.k = 5, .budget = budget});
     NnoOptions nno_opts;
     nno_opts.seed = seed;
-    NnoEstimator nno(&nno_client, AggregateSpec::Count(), nno_opts);
-    nno_runs.push_back(RunWithBudget(MakeHandle(&nno), budget));
+    engine::NnoProbeResolver nno(&nno_client, nno_opts);
+    nno_runs.push_back(RunToBudget(&nno, AggregateSpec::Count(), budget));
   }
   const ErrorCurve lr_curve = ComputeErrorCurve(lr_runs, truth, 10);
   const ErrorCurve nno_curve = ComputeErrorCurve(nno_runs, truth, 10);
@@ -63,8 +82,8 @@ TEST(Integration, StarbucksPassThroughPipeline) {
   CensusSampler sampler(&usa.census);
   LrAggOptions opts;
   opts.seed = 5;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  const RunResult run = RunWithBudget(MakeHandle(&est), 6000);
+  engine::LrCellResolver resolver(&client, &sampler, opts);
+  const RunResult run = RunToBudget(&resolver, AggregateSpec::Count(), 6000);
   EXPECT_NEAR(run.final_estimate, truth, 0.3 * truth);
 }
 
@@ -83,16 +102,14 @@ TEST(Integration, WeChatGenderRatioPipeline) {
 
   LnrAggOptions opts;
   opts.seed = 7;
-  LnrAggEstimator male_est(
-      &male_client, &sampler,
-      AggregateSpec::CountWhere(ColumnEquals(gender_col, "M"), "COUNT(male)"),
-      opts);
-  LnrAggEstimator all_est(&all_client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 150; ++i) {
-    male_est.Step();
-    all_est.Step();
-  }
-  const double ratio = male_est.Estimate() / all_est.Estimate();
+  engine::LnrCellResolver male(&male_client, &sampler, opts);
+  engine::LnrCellResolver all(&all_client, &sampler, opts);
+  const double ratio =
+      EstimateAfter(&male,
+                    AggregateSpec::CountWhere(ColumnEquals(gender_col, "M"),
+                                              "COUNT(male)"),
+                    150) /
+      EstimateAfter(&all, AggregateSpec::Count(), 150);
   EXPECT_NEAR(ratio, 0.671, 0.15);
 }
 
@@ -110,13 +127,15 @@ TEST(Integration, SharedHistoryAcrossSamplesReducesMarginalCost) {
   LrAggOptions opts;
   opts.adaptive_h = false;
   opts.fixed_h = 1;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
+  engine::LrCellResolver resolver(&client, &sampler, opts);
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
   uint64_t first10 = 0, last10 = 0;
-  for (int i = 0; i < 10; ++i) est.Step();
+  for (int i = 0; i < 10; ++i) eng.Step();
   first10 = client.queries_used();
-  for (int i = 0; i < 90; ++i) est.Step();
+  for (int i = 0; i < 90; ++i) eng.Step();
   const uint64_t before_last = client.queries_used();
-  for (int i = 0; i < 10; ++i) est.Step();
+  for (int i = 0; i < 10; ++i) eng.Step();
   last10 = client.queries_used() - before_last;
   EXPECT_LT(last10, first10);
 }
@@ -128,8 +147,9 @@ TEST(Integration, BudgetIsSoftButBounding) {
   LbsServer server(usa.dataset.get(), {.max_k = 3});
   LrClient client(&server, {.k = 3, .budget = 200});
   UniformSampler sampler(usa.dataset->box());
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  const RunResult run = RunWithBudget(MakeHandle(&est), client.budget());
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  const RunResult run =
+      RunToBudget(&resolver, AggregateSpec::Count(), client.budget());
   EXPECT_GE(run.queries, 200u);
   // Soft overshoot is bounded by one sample's worth of queries.
   EXPECT_LT(run.queries, 200u + 500u);
@@ -149,10 +169,9 @@ TEST(Integration, SubsampledDatabasesGiveProportionalCounts) {
     UniformSampler sampler(sub.box());
     LrAggOptions opts;
     opts.seed = 13;
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 200; ++i) est.Step();
-    EXPECT_NEAR(est.Estimate(), sub.GroundTruthCount(),
-                0.25 * sub.GroundTruthCount())
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    EXPECT_NEAR(EstimateAfter(&resolver, AggregateSpec::Count(), 200),
+                sub.GroundTruthCount(), 0.25 * sub.GroundTruthCount())
         << fraction;
   }
 }

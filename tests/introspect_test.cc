@@ -16,9 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/server.h"
 #include "obs/introspect/flight_recorder.h"
 #include "obs/introspect/prometheus.h"
@@ -842,17 +843,16 @@ TEST(IntrospectionDeterminism, LegacyFig12FingerprintSurvivesThePlane) {
     opts.seed = seed;
     opts.registry = &registry;
     opts.tracer = &tracer;
-    LrAggEstimator est(&client, &sampler, spec, opts);
-    const EstimatorHandle handle = MakeHandle(&est);
-    // RunWithBudget's exact loop, with the sampler ticking live inside it.
-    RunResult r;
-    while (handle.queries_used() < 4000) {
-      handle.step();
-      r.trace.push_back({handle.queries_used(), handle.estimate()});
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver, {&registry, &tracer});
+    const engine::AggregateQuery* query = eng.AddAggregate(spec);
+    // The run loop one round per call, with the sampler ticking live
+    // between calls.
+    while (RunEngine(&eng, {.budget = 4000, .max_rounds = 1}) == 1) {
       clock += 1.0;
       series.MaybeTick();
     }
-    for (const TracePoint& tp : r.trace) {
+    for (const TracePoint& tp : query->trace()) {
       uint64_t bits;
       std::memcpy(&bits, &tp.estimate, sizeof bits);
       hash = Mix(hash, tp.queries);

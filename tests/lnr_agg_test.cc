@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lnr_agg.h"
+#include "engine/engine.h"
+#include "engine/lnr_resolver.h"
 #include "lbs/client.h"
 #include "workload/scenarios.h"
 
@@ -13,6 +14,18 @@ ChinaScenario SmallChina(int n = 800, double male = 0.671) {
   opts.num_users = n;
   opts.male_fraction = male;
   return BuildChinaScenario(opts);
+}
+
+// Algorithm LNR-LBS-AGG on one aggregate: `rounds` engine rounds over
+// `client`, then the estimate.
+double LnrEstimate(LnrClient* client, const QuerySampler* sampler,
+                   const AggregateSpec& spec, const LnrAggOptions& opts,
+                   int rounds) {
+  engine::LnrCellResolver resolver(client, sampler, opts);
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* query = eng.AddAggregate(spec);
+  for (int i = 0; i < rounds; ++i) eng.Step();
+  return query->Estimate();
 }
 
 TEST(LnrAgg, CountConvergesWithSmallBias) {
@@ -28,9 +41,7 @@ TEST(LnrAgg, CountConvergesWithSmallBias) {
     LnrClient client(&server, {.k = 1});
     LnrAggOptions opts;
     opts.seed = seed;
-    LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 150; ++i) est.Step();
-    total += est.Estimate();
+    total += LnrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 150);
   }
   EXPECT_NEAR(total / 3.0, 800.0, 0.2 * 800.0);
 }
@@ -45,12 +56,11 @@ TEST(LnrAgg, GenderRatioEstimation) {
   const int gender_col = client.schema().Require("gender");
   LnrAggOptions opts;
   opts.seed = 73;
-  LnrAggEstimator est(
+  const double estimate = LnrEstimate(
       &client, &sampler,
       AggregateSpec::CountWhere(ColumnEquals(gender_col, "M"), "COUNT(male)"),
-      opts);
-  for (int i = 0; i < 250; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), males, 0.25 * males);
+      opts, 250);
+  EXPECT_NEAR(estimate, males, 0.25 * males);
 }
 
 TEST(LnrAgg, AvgViaRatioOfMeans) {
@@ -64,14 +74,10 @@ TEST(LnrAgg, AvgViaRatioOfMeans) {
       AggregateSpec::CountWhere(ColumnEquals(gender_col, "M"), "COUNT(male)");
   LnrAggOptions opts;
   opts.seed = 79;
-  LnrAggEstimator male_est(&client, &sampler, male_count, opts);
   LnrClient client2(&server, {.k = 1});
-  LnrAggEstimator all_est(&client2, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 200; ++i) {
-    male_est.Step();
-    all_est.Step();
-  }
-  const double ratio = male_est.Estimate() / all_est.Estimate();
+  const double ratio =
+      LnrEstimate(&client, &sampler, male_count, opts, 200) /
+      LnrEstimate(&client2, &sampler, AggregateSpec::Count(), opts, 200);
   EXPECT_NEAR(ratio, 0.671, 0.12);
 }
 
@@ -83,9 +89,8 @@ TEST(LnrAgg, TopkCellsModeConverges) {
   LnrAggOptions opts;
   opts.use_topk_cells = true;
   opts.seed = 83;
-  LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 80; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), 400.0, 0.3 * 400.0);
+  EXPECT_NEAR(LnrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 80),
+              400.0, 0.3 * 400.0);
 }
 
 TEST(LnrAgg, EmptyResultsUnderMaxRadius) {
@@ -100,9 +105,7 @@ TEST(LnrAgg, EmptyResultsUnderMaxRadius) {
     LnrClient client(&server, {.k = 1});
     LnrAggOptions opts;
     opts.seed = seed;
-    LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 150; ++i) est.Step();
-    total += est.Estimate();
+    total += LnrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 150);
   }
   // Still a valid estimate (empty answers contribute zero, Σp < 1; the
   // coverage disc is recovered from three chord crossings).
@@ -129,9 +132,8 @@ TEST(LnrAgg, PositionConditionViaLocalization) {
   };
   LnrAggOptions opts;
   opts.seed = 97;
-  LnrAggEstimator est(&client, &sampler, spec, opts);
-  for (int i = 0; i < 120; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), truth, 0.35 * truth);
+  EXPECT_NEAR(LnrEstimate(&client, &sampler, spec, opts, 120), truth,
+              0.35 * truth);
 }
 
 TEST(LnrAgg, DiagnosticsTrackCacheHits) {
@@ -140,9 +142,11 @@ TEST(LnrAgg, DiagnosticsTrackCacheHits) {
   LbsServer server(china.dataset.get(), {.max_k = 1});
   LnrClient client(&server, {.k = 1});
   CensusSampler sampler(&china.census);
-  LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  for (int i = 0; i < 120; ++i) est.Step();
-  const LnrAggDiagnostics& d = est.diagnostics();
+  engine::LnrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 120; ++i) eng.Step();
+  const LnrAggDiagnostics& d = resolver.diagnostics();
   EXPECT_EQ(d.rounds, 120u);
   EXPECT_GT(d.cache_hits, 0u);
   EXPECT_LE(d.cells_inferred, 60u);
@@ -154,10 +158,12 @@ TEST(LnrAgg, TraceTracksQueries) {
   LbsServer server(china.dataset.get(), {.max_k = 1});
   LnrClient client(&server, {.k = 1});
   UniformSampler sampler(china.dataset->box());
-  LnrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  for (int i = 0; i < 20; ++i) est.Step();
-  ASSERT_EQ(est.trace().size(), 20u);
-  EXPECT_EQ(est.trace().back().queries, client.queries_used());
+  engine::LnrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 20; ++i) eng.Step();
+  ASSERT_EQ(count->trace().size(), 20u);
+  EXPECT_EQ(count->trace().back().queries, client.queries_used());
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/lr_agg.h"
-#include "core/runner.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -21,6 +21,18 @@ UsaScenario SmallUsa(int n = 1200, uint64_t seed = 2015) {
   return BuildUsaScenario(opts);
 }
 
+// Algorithm LR-LBS-AGG on one aggregate: `rounds` engine rounds over
+// `client`, then the estimate.
+double LrEstimate(LrClient* client, const QuerySampler* sampler,
+                  const AggregateSpec& spec, const LrAggOptions& opts,
+                  int rounds) {
+  engine::LrCellResolver resolver(client, sampler, opts);
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* query = eng.AddAggregate(spec);
+  for (int i = 0; i < rounds; ++i) eng.Step();
+  return query->Estimate();
+}
+
 TEST(LrAgg, CountConvergesToGroundTruth) {
   // Uniform sampling over clustered data is heavy-tailed (rural cells are
   // enormous — Figure 11), so a single-run check needs a generous band; the
@@ -31,9 +43,9 @@ TEST(LrAgg, CountConvergesToGroundTruth) {
   UniformSampler sampler(usa.dataset->box());
   LrAggOptions opts;
   opts.seed = 99;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 600; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), 1200.0, 0.5 * 1200.0);
+  EXPECT_NEAR(
+      LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 600),
+      1200.0, 0.5 * 1200.0);
 }
 
 TEST(LrAgg, UnbiasedAcrossRuns) {
@@ -47,9 +59,7 @@ TEST(LrAgg, UnbiasedAcrossRuns) {
     LrClient client(&server, {.k = 3});
     LrAggOptions opts;
     opts.seed = seed;
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 60; ++i) est.Step();
-    means.Add(est.Estimate());
+    means.Add(LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 60));
   }
   EXPECT_NEAR(means.mean(), 600.0, 3.0 * means.StandardError() + 15.0);
 }
@@ -64,9 +74,9 @@ TEST(LrAgg, CountWithPassThroughCondition) {
   UniformSampler sampler(usa.dataset->box());
   LrAggOptions opts;
   opts.seed = 101;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 300; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), truth, 0.2 * truth);
+  EXPECT_NEAR(
+      LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 300),
+      truth, 0.2 * truth);
 }
 
 TEST(LrAgg, CountWithPostProcessedCondition) {
@@ -77,13 +87,12 @@ TEST(LrAgg, CountWithPostProcessedCondition) {
   UniformSampler sampler(usa.dataset->box());
   LrAggOptions opts;
   opts.seed = 103;
-  LrAggEstimator est(
+  const double estimate = LrEstimate(
       &client, &sampler,
       AggregateSpec::CountWhere(ColumnIsTrue(usa.columns.open_sunday),
                                 "COUNT(open_sunday)"),
-      opts);
-  for (int i = 0; i < 400; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), truth, 0.2 * truth);
+      opts, 400);
+  EXPECT_NEAR(estimate, truth, 0.2 * truth);
 }
 
 TEST(LrAgg, SumAggregate) {
@@ -101,10 +110,8 @@ TEST(LrAgg, SumAggregate) {
     LrClient client(&server, {.k = 5});
     LrAggOptions opts;
     opts.seed = seed;
-    LrAggEstimator est(&client, &sampler,
-                       AggregateSpec::Sum(enr, "SUM(enrollment)"), opts);
-    for (int i = 0; i < 300; ++i) est.Step();
-    total += est.Estimate();
+    total += LrEstimate(&client, &sampler,
+                        AggregateSpec::Sum(enr, "SUM(enrollment)"), opts, 300);
   }
   EXPECT_NEAR(total / 3.0, truth, 0.3 * truth);
 }
@@ -125,11 +132,10 @@ TEST(LrAgg, AvgAggregateAsRatio) {
   UniformSampler sampler(usa.dataset->box());
   LrAggOptions opts;
   opts.seed = 109;
-  LrAggEstimator est(&client, &sampler,
-                     AggregateSpec::Avg(rating, "AVG(rating)"), opts);
-  for (int i = 0; i < 150; ++i) est.Step();
+  const double estimate = LrEstimate(
+      &client, &sampler, AggregateSpec::Avg(rating, "AVG(rating)"), opts, 150);
   // Ratio estimators converge fast: ratings are in [1,5].
-  EXPECT_NEAR(est.Estimate(), truth, 0.08 * truth);
+  EXPECT_NEAR(estimate, truth, 0.08 * truth);
 }
 
 TEST(LrAgg, WeightedSamplingStaysUnbiased) {
@@ -141,9 +147,9 @@ TEST(LrAgg, WeightedSamplingStaysUnbiased) {
   CensusSampler sampler(&usa.census);
   LrAggOptions opts;
   opts.seed = 113;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 300; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), 1200.0, 0.15 * 1200.0);
+  EXPECT_NEAR(
+      LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 300),
+      1200.0, 0.15 * 1200.0);
 }
 
 TEST(LrAgg, MaxRadiusEmptyResultsHandled) {
@@ -163,9 +169,9 @@ TEST(LrAgg, MaxRadiusEmptyResultsHandled) {
   // Monte Carlo's cover-circle argument assumes untruncated results near
   // the cell; keep exact mode under dmax.
   opts.cell.monte_carlo = false;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 500; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), 400.0, 0.25 * 400.0);
+  EXPECT_NEAR(
+      LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 500), 400.0,
+      0.25 * 400.0);
 }
 
 TEST(LrAgg, AdaptiveHUsesMoreOfTheResult) {
@@ -178,23 +184,19 @@ TEST(LrAgg, AdaptiveHUsesMoreOfTheResult) {
   fixed.adaptive_h = false;
   fixed.fixed_h = 1;
   fixed.seed = 131;
-  LrAggEstimator fixed_est(&fixed_client, &sampler, AggregateSpec::Count(),
-                           fixed);
 
   LrClient adaptive_client(&server, {.k = 5});
   LrAggOptions adaptive;
   adaptive.adaptive_h = true;
   adaptive.seed = 131;
-  LrAggEstimator adaptive_est(&adaptive_client, &sampler,
-                              AggregateSpec::Count(), adaptive);
 
-  for (int i = 0; i < 120; ++i) {
-    fixed_est.Step();
-    adaptive_est.Step();
-  }
   // Both must be in the right ballpark; adaptive must actually run.
-  EXPECT_NEAR(fixed_est.Estimate(), 1200.0, 0.35 * 1200.0);
-  EXPECT_NEAR(adaptive_est.Estimate(), 1200.0, 0.35 * 1200.0);
+  EXPECT_NEAR(LrEstimate(&fixed_client, &sampler, AggregateSpec::Count(),
+                         fixed, 120),
+              1200.0, 0.35 * 1200.0);
+  EXPECT_NEAR(LrEstimate(&adaptive_client, &sampler, AggregateSpec::Count(),
+                         adaptive, 120),
+              1200.0, 0.35 * 1200.0);
 }
 
 TEST(LrAgg, UnbiasedUnderProminenceRanking) {
@@ -218,9 +220,7 @@ TEST(LrAgg, UnbiasedUnderProminenceRanking) {
     opts.adaptive_h = false;
     opts.fixed_h = 1;
     opts.cell.monte_carlo = false;  // exact cells under the coverage radius
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 200; ++i) est.Step();
-    total += est.Estimate();
+    total += LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 200);
   }
   EXPECT_NEAR(total / 3.0, 800.0, 0.25 * 800.0);
 }
@@ -234,9 +234,9 @@ TEST(LrAgg, WorksOverTrilaterationClient) {
   TrilaterationClient client(&server, {.k = 5});
   LrAggOptions opts;
   opts.seed = 17;
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 200; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), 600.0, 0.25 * 600.0);
+  EXPECT_NEAR(
+      LrEstimate(&client, &sampler, AggregateSpec::Count(), opts, 200), 600.0,
+      0.25 * 600.0);
 }
 
 TEST(LrAgg, TraceIsMonotoneInQueries) {
@@ -244,9 +244,11 @@ TEST(LrAgg, TraceIsMonotoneInQueries) {
   LbsServer server(usa.dataset.get(), {.max_k = 3});
   LrClient client(&server, {.k = 3});
   UniformSampler sampler(usa.dataset->box());
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  for (int i = 0; i < 50; ++i) est.Step();
-  const auto& trace = est.trace();
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 50; ++i) eng.Step();
+  const auto& trace = count->trace();
   ASSERT_EQ(trace.size(), 50u);
   for (size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GT(trace[i].queries, trace[i - 1].queries);
@@ -258,9 +260,11 @@ TEST(LrAgg, DiagnosticsAccount) {
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   LrClient client(&server, {.k = 5});
   CensusSampler sampler(&usa.census);
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  for (int i = 0; i < 50; ++i) est.Step();
-  const LrAggDiagnostics& d = est.diagnostics();
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 50; ++i) eng.Step();
+  const LrAggDiagnostics& d = resolver.diagnostics();
   EXPECT_EQ(d.rounds, 50u);
   EXPECT_GT(d.cells_exact + d.cells_monte_carlo, 0u);
   EXPECT_LE(d.cell_queries, client.queries_used());
@@ -285,9 +289,8 @@ TEST(LrAgg, PositionConditionRestrictsRegion) {
   };
   LrAggOptions opts;
   opts.seed = 137;
-  LrAggEstimator est(&client, &sampler, spec, opts);
-  for (int i = 0; i < 400; ++i) est.Step();
-  EXPECT_NEAR(est.Estimate(), truth, 0.2 * truth);
+  EXPECT_NEAR(LrEstimate(&client, &sampler, spec, opts, 400), truth,
+              0.2 * truth);
 }
 
 }  // namespace

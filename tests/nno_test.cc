@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/nno_baseline.h"
+#include "engine/engine.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "workload/scenarios.h"
 
@@ -16,13 +17,15 @@ TEST(Nno, RoughlyConvergesOnCount) {
   LrClient client(&server, {.k = 5});
   NnoOptions opts;
   opts.seed = 21;
-  NnoEstimator est(&client, AggregateSpec::Count(), opts);
-  for (int i = 0; i < 600; ++i) est.Step();
+  engine::NnoProbeResolver resolver(&client, opts);
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 600; ++i) eng.Step();
   // The baseline carries the inherent E[1/p̂] ≥ 1/p bias the paper
   // criticizes — on a small clustered dataset it lands within a factor of
   // ~2, typically above the truth.
-  EXPECT_GT(est.Estimate(), 0.5 * 800.0);
-  EXPECT_LT(est.Estimate(), 2.5 * 800.0);
+  EXPECT_GT(count->Estimate(), 0.5 * 800.0);
+  EXPECT_LT(count->Estimate(), 2.5 * 800.0);
 }
 
 TEST(Nno, CostsManyMoreQueriesPerSampleThanLrAgg) {
@@ -31,8 +34,10 @@ TEST(Nno, CostsManyMoreQueriesPerSampleThanLrAgg) {
   const UsaScenario usa = BuildUsaScenario(uopts);
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   LrClient client(&server, {.k = 5});
-  NnoEstimator est(&client, AggregateSpec::Count(), {});
-  for (int i = 0; i < 20; ++i) est.Step();
+  engine::NnoProbeResolver resolver(&client, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 20; ++i) eng.Step();
   // Each sample needs ring growth + area probes.
   EXPECT_GT(client.queries_used(), 20u * 10u);
 }
@@ -46,9 +51,11 @@ TEST(Nno, EmptyResultsUnderMaxRadius) {
   sopts.max_radius = 50.0;
   LbsServer server(usa.dataset.get(), sopts);
   LrClient client(&server, {.k = 3});
-  NnoEstimator est(&client, AggregateSpec::Count(), {});
-  for (int i = 0; i < 50; ++i) est.Step();  // must not crash or loop
-  EXPECT_GE(est.Estimate(), 0.0);
+  engine::NnoProbeResolver resolver(&client, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 50; ++i) eng.Step();  // must not crash or loop
+  EXPECT_GE(count->Estimate(), 0.0);
 }
 
 TEST(Nno, TraceGrows) {
@@ -57,10 +64,12 @@ TEST(Nno, TraceGrows) {
   const UsaScenario usa = BuildUsaScenario(uopts);
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   LrClient client(&server, {.k = 5});
-  NnoEstimator est(&client, AggregateSpec::Count(), {});
-  for (int i = 0; i < 10; ++i) est.Step();
-  EXPECT_EQ(est.trace().size(), 10u);
-  EXPECT_EQ(est.rounds(), 10u);
+  engine::NnoProbeResolver resolver(&client, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  for (int i = 0; i < 10; ++i) eng.Step();
+  EXPECT_EQ(count->trace().size(), 10u);
+  EXPECT_EQ(count->rounds(), 10u);
 }
 
 }  // namespace

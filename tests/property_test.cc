@@ -14,10 +14,11 @@
 #include "core/history.h"
 #include "core/lnr_cell.h"
 #include "core/localize.h"
-#include "core/lr_agg.h"
 #include "core/lr_cell.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/rng.h"
@@ -77,12 +78,15 @@ TEST(Property, EstimatorsAreDeterministicPerSeed) {
     LrClient client(&server, {.k = 3});
     LrAggOptions opts;
     opts.seed = 777;
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 40; ++i) est.Step();
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    const engine::AggregateQuery* count =
+        eng.AddAggregate(AggregateSpec::Count());
+    for (int i = 0; i < 40; ++i) eng.Step();
     if (rep == 0) {
-      first = est.Estimate();
+      first = count->Estimate();
     } else {
-      EXPECT_DOUBLE_EQ(est.Estimate(), first);
+      EXPECT_DOUBLE_EQ(count->Estimate(), first);
     }
   }
 }
@@ -100,10 +104,13 @@ TEST(Property, ConfidenceIntervalsCoverTruth) {
     LrClient client(&server, {.k = 3});
     LrAggOptions opts;
     opts.seed = 1000 + r;
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 120; ++i) est.Step();
-    const double half = est.ConfidenceHalfWidth();
-    if (std::abs(est.Estimate() - 400.0) <= half) ++covered;
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    const engine::AggregateQuery* count =
+        eng.AddAggregate(AggregateSpec::Count());
+    for (int i = 0; i < 120; ++i) eng.Step();
+    const double half = count->ConfidenceHalfWidth();
+    if (std::abs(count->Estimate() - 400.0) <= half) ++covered;
   }
   // Nominal 95%; allow CLT slack on 120-sample runs.
   EXPECT_GE(covered, 14);
@@ -124,9 +131,12 @@ TEST(Property, LrAggUnbiasedOnObfuscatedService) {
     LrClient client(&server, {.k = 3});
     LrAggOptions opts;
     opts.seed = seed;
-    LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), opts);
-    for (int i = 0; i < 150; ++i) est.Step();
-    total += est.Estimate();
+    engine::LrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    const engine::AggregateQuery* count =
+        eng.AddAggregate(AggregateSpec::Count());
+    for (int i = 0; i < 150; ++i) eng.Step();
+    total += count->Estimate();
   }
   EXPECT_NEAR(total / 3.0, 600.0, 0.25 * 600.0);
 }
@@ -181,13 +191,16 @@ TEST(Property, RunnerStopsPromptlyOnBudget) {
   LbsServer server(usa.dataset.get(), {.max_k = 3});
   UniformSampler sampler(usa.dataset->box());
   LrClient client(&server, {.k = 3, .budget = 500});
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  const RunResult run = RunWithBudget(MakeHandle(&est), 500);
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = 500});
+  const RunResult run = EngineResults(eng)[0];
   EXPECT_GE(run.queries, 500u);
   EXPECT_LT(run.queries, 1500u);  // at most one sample of overshoot
-  // The estimator object stays usable after the budget trips.
-  est.Step();
-  EXPECT_GT(est.queries_used(), run.queries);
+  // The engine stays usable after the budget trips.
+  eng.Step();
+  EXPECT_GT(eng.queries_used(), run.queries);
 }
 
 TEST(Property, LocalizeWithPrecomputedCellSavesQueries) {

@@ -7,6 +7,7 @@
 #include "service/service.h"
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,8 @@ std::vector<RunResult> RunSolo(const LbsServer& server, const SessionSpec& spec,
   } else {
     for (const AggregateSpec& agg : spec.aggregates) eng.AddAggregate(agg);
   }
-  return RunEngineWithBudget(&eng, spec.budget, max_rounds);
+  RunEngine(&eng, {.budget = spec.budget, .max_rounds = max_rounds});
+  return EngineResults(eng);
 }
 
 void ExpectBitIdentical(const std::vector<RunResult>& a,
@@ -638,6 +640,51 @@ TEST(TriggerRegistry, RemoveAndReentrantMutation) {
 }
 
 // --- Diagnostics ------------------------------------------------------------
+
+// --- Resume at the round cap --------------------------------------------------
+
+// A session resumed with max_rounds at or below its recovered round count is
+// already done: each slice's round cap is what remains of max_rounds, and it
+// must not wrap around below zero into a fresh run.
+TEST(ServiceResume, RoundCapAtRecoveredRoundsRunsNoFurtherRound) {
+  LbsServer server(SmallUsa().dataset.get(), {.max_k = 5});
+  const std::string dir = ::testing::TempDir() + "service_test_round_cap";
+  std::filesystem::remove_all(dir);
+
+  SessionSpec spec;
+  spec.family = EstimatorFamily::kLr;
+  spec.budget = 400;
+  spec.seed = 5;
+  spec.max_rounds = 10;
+  spec.wal_dir = dir;
+  spec.checkpoint_every_rounds = 4;
+  SessionStatus first;
+  {
+    EstimationService svc({{.meta = &server}});
+    const SessionId id = svc.Submit(spec);
+    svc.RunUntilIdle();
+    first = svc.Poll(id);
+  }
+  ASSERT_EQ(first.state, SessionState::kCompleted);
+  ASSERT_EQ(first.rounds, 10u);
+  ASSERT_LT(first.queries_used, spec.budget);
+
+  for (const size_t cap : {size_t{10}, size_t{6}}) {
+    EstimationService svc({{.meta = &server}});
+    SessionSpec resumed = spec;
+    resumed.wal_dir.clear();
+    resumed.resume_from = dir;
+    resumed.max_rounds = cap;
+    const SessionId id = svc.Submit(resumed);
+    svc.RunUntilIdle();
+    const SessionStatus status = svc.Poll(id);
+    ASSERT_EQ(status.state, SessionState::kCompleted) << status.detail;
+    EXPECT_EQ(status.rounds, 10u) << "max_rounds=" << cap;
+    EXPECT_EQ(status.queries_used, first.queries_used) << "max_rounds=" << cap;
+    ASSERT_EQ(status.results.size(), 1u);
+    EXPECT_EQ(status.results[0].trace.size(), 10u) << "max_rounds=" << cap;
+  }
+}
 
 TEST(ServiceDiagnostics, JsonCarriesTalliesAndDedup) {
   const UsaScenario& usa = SmallUsa();

@@ -13,8 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
+#include "engine/engine.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
@@ -197,8 +198,11 @@ TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
     topts.retry.max_attempts = 16;  // retries always recover eventually
     ShardedTransport transport(&server, topts);
     LrClient client(&meta, {.k = 5, .budget = 400}, &transport);
-    NnoEstimator est(&client, spec, {.seed = 99});
-    return RunWithBudget(MakeHandle(&est), 400);
+    engine::NnoProbeResolver resolver(&client, {.seed = 99});
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(spec);
+    RunEngine(&eng, {.budget = 400});
+    return EngineResults(eng)[0];
   };
   const RunResult clean = estimate(0.0);
   const RunResult hot = estimate(0.45);

@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "common/bench_common.h"
-#include "core/lr_agg.h"
 #include "engine/engine.h"
 #include "engine/nno_resolver.h"
 #include "lbs/sharded_server.h"
@@ -98,9 +97,10 @@ obs::MetricsSnapshot RunFlakyWithRegistry(unsigned dispatcher_workers,
   }
   LrClient client(&server, {.k = 3, .budget = 300, .registry = &registry},
                   &transport, dispatcher.get());
-  NnoEstimator est(&client, AggregateSpec::Count(),
-                   {.seed = seed, .registry = &registry});
-  (void)RunWithBudget(MakeHandle(&est), /*budget=*/300);
+  engine::NnoProbeResolver resolver(&client,
+                                    {.seed = seed, .registry = &registry});
+  RunToBudget(&resolver, AggregateSpec::Count(), /*budget=*/300,
+              {.registry = &registry});
   PublishTransportMetrics(transport.Metrics(), &registry);
   return registry.Snapshot();
 }
@@ -193,7 +193,7 @@ EngineRun RunEngineFlaky(unsigned dispatcher_workers, uint64_t seed) {
                                engine::EngineOptions{.registry = &registry});
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
-  (void)RunEngineWithBudget(&eng, /*budget=*/300);
+  RunEngine(&eng, {.budget = 300});
   PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
@@ -281,7 +281,7 @@ EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
                                engine::EngineOptions{.registry = &registry});
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
-  (void)RunEngineWithBudget(&eng, /*budget=*/300);
+  RunEngine(&eng, {.budget = 300});
   PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
@@ -341,7 +341,7 @@ TEST(SweepDeterminism, ShardedEvidenceMatchesMonolithicStack) {
   engine::EstimationEngine eng(&resolver, engine::EngineOptions{});
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
-  (void)RunEngineWithBudget(&eng, /*budget=*/300);
+  RunEngine(&eng, {.budget = 300});
 
   EngineRun mono;
   mono.evidence_hash = HashEvidence(eng.evidence());
@@ -380,8 +380,8 @@ TEST(SweepDeterminism, LegacyTraceFingerprintThroughShardedStack) {
       LrClient client(&meta, {.k = 5, .budget = 4000}, &transport);
       LrAggOptions opts;
       opts.seed = seed;
-      LrAggEstimator est(&client, &sampler, spec, opts);
-      const RunResult r = RunWithBudget(MakeHandle(&est), 4000);
+      engine::LrCellResolver resolver(&client, &sampler, opts);
+      const RunResult r = RunToBudget(&resolver, spec, 4000);
       for (const TracePoint& tp : r.trace) {
         uint64_t bits;
         std::memcpy(&bits, &tp.estimate, sizeof bits);

@@ -1,6 +1,6 @@
 // Parameterized correctness sweeps: the LR and LNR cell machinery against
 // the ground-truth oracle across dataset sizes and h values, and the
-// confidence-based stopping rule of the runner.
+// confidence-based stopping rule of the run loop.
 
 #include <memory>
 #include <tuple>
@@ -11,10 +11,11 @@
 #include "core/ground_truth.h"
 #include "core/history.h"
 #include "core/lnr_cell.h"
-#include "core/lr_agg.h"
 #include "core/lr_cell.h"
 #include "core/runner.h"
 #include "core/sampler.h"
+#include "engine/engine.h"
+#include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/rng.h"
@@ -98,41 +99,49 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LnrCellSweep,
 
 // --- Confidence-based stopping ------------------------------------------------
 
-TEST(RunUntilConfidence, StopsOnceTargetReached) {
+TEST(ConfidenceStop, StopsOnceTargetReached) {
   const UsaScenario usa = BuildUsaScenario({.num_pois = 1000});
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   CensusSampler sampler(&usa.census);
   LrClient client(&server, {.k = 5});
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
-  const RunResult run =
-      RunUntilConfidence(MakeHandle(&est), /*target_fraction=*/0.2,
-                         /*budget=*/50000);
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count = eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = 50000, .target_ci = 0.2});
+  const RunResult run = EngineResults(eng)[0];
   // Stopped by confidence, well before the budget.
   EXPECT_LT(run.queries, 50000u);
-  EXPECT_LE(est.ConfidenceHalfWidth(), 0.2 * run.final_estimate + 1e-9);
-  EXPECT_GE(est.rounds(), 30u);
+  EXPECT_LE(count->ConfidenceHalfWidth(), 0.2 * run.final_estimate + 1e-9);
+  EXPECT_GE(count->rounds(), 30u);
 }
 
-TEST(RunUntilConfidence, BudgetStillBounds) {
+TEST(ConfidenceStop, BudgetStillBounds) {
   const UsaScenario usa = BuildUsaScenario({.num_pois = 1000});
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   UniformSampler sampler(usa.dataset->box());
   LrClient client(&server, {.k = 5});
-  LrAggEstimator est(&client, &sampler, AggregateSpec::Count(), {});
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
   // An unreachable 0.1% CI: the budget must end the run instead.
-  const RunResult run =
-      RunUntilConfidence(MakeHandle(&est), 0.001, /*budget=*/2000);
+  RunEngine(&eng, {.budget = 2000, .target_ci = 0.001});
+  const RunResult run = EngineResults(eng)[0];
   EXPECT_GE(run.queries, 2000u);
   EXPECT_LT(run.queries, 3000u);
 }
 
-TEST(RunUntilConfidence, RequiresConfidenceCapableHandle) {
-  EstimatorHandle handle;
-  handle.step = [] {};
-  handle.estimate = [] { return 1.0; };
-  handle.queries_used = [] { return uint64_t{0}; };
-  EXPECT_DEATH(RunUntilConfidence(handle, 0.1, 100),
-               "confidence intervals");
+TEST(ConfidenceStop, RefusesAnAvgFirstAggregate) {
+  const UsaScenario usa = BuildUsaScenario({.num_pois = 200});
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  UniformSampler sampler(usa.dataset->box());
+  LrClient client(&server, {.k = 5});
+  engine::LrCellResolver resolver(&client, &sampler, {});
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Avg(usa.columns.rating, "AVG(rating)"));
+  // An AVG's half-width is its numerator's (SUM scale): the rule would
+  // compare it with a ratio estimate and never stop.
+  EXPECT_DEATH(RunEngine(&eng, {.budget = 100, .target_ci = 0.25}),
+               "COUNT or SUM");
 }
 
 }  // namespace

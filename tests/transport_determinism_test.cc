@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
+#include "engine/engine.h"
+#include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
@@ -127,8 +128,11 @@ TEST(TransportDeterminism, EstimatorTraceIdenticalAcrossWorkerCounts) {
     }
     LrClient client(&server, {.k = 5, .budget = 1500}, &transport,
                     dispatcher.get());
-    NnoEstimator estimator(&client, AggregateSpec::Count(), {.seed = 42});
-    const RunResult result = RunWithBudget(MakeHandle(&estimator), 1500);
+    engine::NnoProbeResolver resolver(&client, {.seed = 42});
+    engine::EstimationEngine eng(&resolver);
+    eng.AddAggregate(AggregateSpec::Count());
+    RunEngine(&eng, {.budget = 1500});
+    const RunResult result = EngineResults(eng)[0];
     return std::make_pair(result, transport.Metrics());
   };
 

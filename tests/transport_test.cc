@@ -4,11 +4,14 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/aggregate.h"
 #include "core/runner.h"
+#include "engine/engine.h"
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
@@ -265,6 +268,32 @@ TEST(TransportAccounting, ClientChargesOncePerAttempt) {
   EXPECT_EQ(client.queries_used(), m.attempts);
 }
 
+// A fixed probe schedule standing in for an estimator: one query per
+// round, so the budget must trip on attempts, not logical queries.
+class ProbeScheduleResolver : public engine::CellResolver {
+ public:
+  ProbeScheduleResolver(LrClient* client, std::vector<Vec2> points)
+      : client_(client), points_(std::move(points)) {}
+
+  void ResolveRound(const engine::EvidenceDemand&,
+                    engine::EvidenceStore* store) override {
+    store->BeginRound(points_[next_]);
+    client_->Query(points_[next_++]);
+    store->EndRound(client_->queries_used());
+  }
+  const LbsClient& client() const override { return *client_; }
+  uint64_t queries_used() const override { return client_->queries_used(); }
+  const char* name() const override { return "probe_schedule"; }
+  std::string diagnostics_json() const override { return "{}"; }
+  void SaveState(std::string*) const override {}
+  bool RestoreState(std::string_view) override { return false; }
+
+ private:
+  LrClient* client_;
+  std::vector<Vec2> points_;
+  size_t next_ = 0;
+};
+
 TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
   const Dataset dataset = MakeDataset(200, 14);
   const LbsServer server(&dataset, {.max_k = 10});
@@ -275,17 +304,11 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
 
   constexpr uint64_t kBudget = 60;
   LrClient client(&server, {.k = 5, .budget = kBudget}, &transport);
-  const std::vector<Vec2> points = RandomPoints(1000, 15);
-  size_t next = 0;
-  // A fixed probe schedule standing in for an estimator: one query per
-  // round, so the budget must trip on attempts, not logical queries.
-  EstimatorHandle handle{
-      [&] { client.Query(points[next++]); },
-      [] { return 0.0; },
-      [&] { return client.queries_used(); },
-      nullptr,
-  };
-  const RunResult result = RunWithBudget(handle, kBudget);
+  ProbeScheduleResolver resolver(&client, RandomPoints(1000, 15));
+  engine::EstimationEngine eng(&resolver);
+  eng.AddAggregate(AggregateSpec::Count());
+  RunEngine(&eng, {.budget = kBudget});
+  const RunResult result = EngineResults(eng)[0];
 
   const TransportMetrics m = transport.Metrics();
   EXPECT_EQ(result.queries, m.attempts);

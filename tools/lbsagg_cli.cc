@@ -21,10 +21,7 @@
 #include "engine/log/durable_log.h"
 #include "engine/lr_resolver.h"
 #include "engine/nno_resolver.h"
-#include "core/lnr_agg.h"
-#include "core/lr_agg.h"
 #include "core/localize.h"
-#include "core/nno_baseline.h"
 #include "core/runner.h"
 #include "core/sampler.h"
 #include "lbs/client.h"
@@ -190,138 +187,181 @@ int RunLocalize(const FlagParser& flags, Dataset& dataset) {
   return 0;
 }
 
-// --wal-dir: one engine-native run with the durable evidence log attached
-// (DESIGN.md §4.14). --resume recovers the directory first and continues
-// bit-identically; --kill-after-rounds SIGKILLs the process mid-run (the
-// two-process crash harness), and the --fail-* flags drive the WAL's
-// deterministic failure injection. The printed trace fingerprint is the
-// bit-identity witness: a killed-and-resumed run must print the same
-// fingerprint as an uninterrupted one.
-int RunDurable(const FlagParser& flags, const AggregateSpec& spec,
-               double truth, LbsServer& server, ShardedTransport* transport,
-               const QuerySampler* sampler) {
-  const std::string wal_dir = flags.GetString("wal-dir");
-  const std::string algorithm = flags.GetString("algorithm");
-  const int k = static_cast<int>(flags.GetInt("k"));
-  const uint64_t budget = static_cast<uint64_t>(flags.GetInt("budget"));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
+// The --algorithm family, parsed once; nullopt (after an error) when
+// unknown.
+std::optional<service::EstimatorFamily> ParseFamily(
+    const std::string& algorithm) {
+  for (const service::EstimatorFamily family :
+       {service::EstimatorFamily::kLr, service::EstimatorFamily::kLnr,
+        service::EstimatorFamily::kNno}) {
+    if (algorithm == service::EstimatorFamilyName(family)) return family;
+  }
+  std::fprintf(stderr, "error: unknown --algorithm=%s\n", algorithm.c_str());
+  return std::nullopt;
+}
 
+// The client and resolver of one run — the CLI's one switch on the family.
+struct EstimatorStack {
   std::unique_ptr<LbsClient> client;
   std::unique_ptr<engine::CellResolver> resolver;
-  if (algorithm == "lr") {
-    auto c = std::make_unique<LrClient>(&server, ClientOptions{.k = k,
-                                                               .budget = budget},
-                                        transport);
-    LrAggOptions opts;
-    opts.seed = seed;
-    resolver = std::make_unique<engine::LrCellResolver>(c.get(), sampler, opts);
-    client = std::move(c);
-  } else if (algorithm == "lnr") {
-    auto c = std::make_unique<LnrClient>(&server,
-                                         ClientOptions{.k = k, .budget = budget});
-    LnrAggOptions opts;
-    opts.seed = seed;
-    opts.cell.search.delta_fraction = 1e-6;
-    opts.cell.search.delta_prime_fraction = 1e-4;
-    resolver =
-        std::make_unique<engine::LnrCellResolver>(c.get(), sampler, opts);
-    client = std::move(c);
-  } else if (algorithm == "nno") {
-    auto c = std::make_unique<LrClient>(&server, ClientOptions{.k = k,
-                                                               .budget = budget},
-                                        transport);
-    NnoOptions opts;
-    opts.seed = seed;
-    resolver = std::make_unique<engine::NnoProbeResolver>(c.get(), opts);
-    client = std::move(c);
-  } else {
-    std::fprintf(stderr, "error: unknown --algorithm=%s\n", algorithm.c_str());
-    return 1;
-  }
+  const LrAggDiagnostics* lr_diagnostics = nullptr;    // lr only
+  const LnrAggDiagnostics* lnr_diagnostics = nullptr;  // lnr only
+};
 
-  engine::EstimationEngine eng(resolver.get());
-  engine::AggregateQuery* query = eng.AddAggregate(spec);
-
-  uint64_t resumed_rounds = 0;
-  if (flags.GetBool("resume")) {
-    engine::RecoveredRun rec = engine::RecoverDurableRun(wal_dir);
-    std::string error = rec.error;
-    if (error.empty()) {
-      eng.RestoreEvidence(rec.evidence);
-      error = engine::ApplyCheckpoint(rec, &eng, client.get());
+EstimatorStack BuildStack(service::EstimatorFamily family, LbsServer& server,
+                          ShardedTransport* transport,
+                          const QuerySampler* sampler, int k, uint64_t budget,
+                          uint64_t seed) {
+  EstimatorStack stack;
+  switch (family) {
+    case service::EstimatorFamily::kLr: {
+      auto client = std::make_unique<LrClient>(
+          &server, ClientOptions{.k = k, .budget = budget}, transport);
+      LrAggOptions opts;
+      opts.seed = seed;
+      auto resolver =
+          std::make_unique<engine::LrCellResolver>(client.get(), sampler, opts);
+      stack.lr_diagnostics = &resolver->diagnostics();
+      stack.resolver = std::move(resolver);
+      stack.client = std::move(client);
+      break;
     }
-    if (!error.empty()) {
-      std::fprintf(stderr, "error: resume failed: %s\n", error.c_str());
-      return 1;
+    case service::EstimatorFamily::kLnr: {
+      auto client = std::make_unique<LnrClient>(
+          &server, ClientOptions{.k = k, .budget = budget});
+      LnrAggOptions opts;
+      opts.seed = seed;
+      opts.cell.search.delta_fraction = 1e-6;
+      opts.cell.search.delta_prime_fraction = 1e-4;
+      auto resolver = std::make_unique<engine::LnrCellResolver>(
+          client.get(), sampler, opts);
+      stack.lnr_diagnostics = &resolver->diagnostics();
+      stack.resolver = std::move(resolver);
+      stack.client = std::move(client);
+      break;
     }
-    resumed_rounds = eng.evidence().num_rounds();
-    std::printf("resumed %s at round %llu (truncated %llu torn bytes, "
-                "re-executing %llu rounds)\n",
-                wal_dir.c_str(),
-                static_cast<unsigned long long>(resumed_rounds),
-                static_cast<unsigned long long>(rec.torn_bytes),
-                static_cast<unsigned long long>(rec.discarded_rounds));
+    case service::EstimatorFamily::kNno: {
+      auto client = std::make_unique<LrClient>(
+          &server, ClientOptions{.k = k, .budget = budget}, transport);
+      NnoOptions opts;
+      opts.seed = seed;
+      stack.resolver =
+          std::make_unique<engine::NnoProbeResolver>(client.get(), opts);
+      stack.client = std::move(client);
+      break;
+    }
   }
+  return stack;
+}
 
-  engine::DurableLogOptions log_options;
-  log_options.dir = wal_dir;
-  log_options.checkpoint_every_rounds =
-      static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
-  log_options.failpoint.drop_after_bytes =
-      static_cast<uint64_t>(flags.GetInt("fail-after-bytes"));
-  log_options.failpoint.fail_fsync_at =
-      static_cast<uint64_t>(flags.GetInt("fail-fsync-at"));
-  engine::DurableEvidenceLog wal(log_options, &eng, client.get());
-  if (!wal.ok()) {
-    std::fprintf(stderr, "error: durable log failed: %s\n",
-                 wal.error().c_str());
-    return 1;
-  }
+// What one run leaves for the report.
+struct RunOutcome {
+  double estimate = 0.0;
+  uint64_t queries = 0;
+  size_t rounds = 0;          // committed rounds, restored ones included
+  size_t resumed_rounds = 0;  // rounds recovered by --resume
+  uint64_t fingerprint = 0;   // engine::TraceFingerprint of the trace
+  engine::WalWriterStats wal;
+  uint64_t checkpoints = 0;
+};
 
-  const long long kill_after = flags.GetInt("kill-after-rounds");
-  if (kill_after > 0) {
-    // Crash harness: run N rounds, then die the hard way — no Close, no
-    // final checkpoint, no destructors. Whatever the fsync policy persisted
-    // is what recovery gets.
-    size_t executed = 0;
-    while (eng.queries_used() < budget) {
-      eng.Step();
-      wal.MaybeCheckpoint();
-      if (++executed >= static_cast<size_t>(kill_after)) {
-        std::printf("killing process after %zu rounds\n", executed);
-        std::fflush(stdout);
-        std::raise(SIGKILL);
+// The CLI's one run function: the family's stack, an engine folding `spec`,
+// and the run loop to the budget (or --target-ci). --wal-dir only attaches
+// the durable log (DESIGN.md §4.14): --resume recovers the directory first
+// and continues bit-identically, --kill-after-rounds caps the loop and then
+// SIGKILLs the process (the two-process crash harness), and the --fail-*
+// flags drive the WAL's deterministic failure injection. Returns nullopt
+// after printing an error.
+std::optional<RunOutcome> RunEstimator(const FlagParser& flags,
+                                       service::EstimatorFamily family,
+                                       const AggregateSpec& spec,
+                                       LbsServer& server,
+                                       ShardedTransport* transport,
+                                       const QuerySampler* sampler,
+                                       uint64_t seed, int run) {
+  const uint64_t budget = static_cast<uint64_t>(flags.GetInt("budget"));
+  EstimatorStack stack =
+      BuildStack(family, server, transport, sampler,
+                 static_cast<int>(flags.GetInt("k")), budget, seed);
+  engine::EstimationEngine eng(stack.resolver.get());
+  const engine::AggregateQuery* query = eng.AddAggregate(spec);
+  StopRule rule{.budget = budget, .target_ci = flags.GetDouble("target-ci")};
+
+  RunOutcome outcome;
+  const std::string wal_dir = flags.GetString("wal-dir");
+  std::unique_ptr<engine::DurableEvidenceLog> wal;
+  if (!wal_dir.empty()) {
+    if (flags.GetBool("resume")) {
+      engine::RecoveredRun rec = engine::RecoverDurableRun(wal_dir);
+      std::string error = rec.error;
+      if (error.empty()) {
+        eng.RestoreEvidence(rec.evidence);
+        error = engine::ApplyCheckpoint(rec, &eng, stack.client.get());
       }
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: resume failed: %s\n", error.c_str());
+        return std::nullopt;
+      }
+      outcome.resumed_rounds = eng.evidence().num_rounds();
+      std::printf("resumed %s at round %zu (truncated %llu torn bytes, "
+                  "re-executing %llu rounds)\n",
+                  wal_dir.c_str(), outcome.resumed_rounds,
+                  static_cast<unsigned long long>(rec.torn_bytes),
+                  static_cast<unsigned long long>(rec.discarded_rounds));
     }
-    wal.Close();
-  } else {
-    RunEngineWithBudget(&eng, &wal, budget);
+    engine::DurableLogOptions log_options;
+    log_options.dir = wal_dir;
+    log_options.checkpoint_every_rounds =
+        static_cast<uint64_t>(flags.GetInt("checkpoint-every"));
+    log_options.failpoint.drop_after_bytes =
+        static_cast<uint64_t>(flags.GetInt("fail-after-bytes"));
+    log_options.failpoint.fail_fsync_at =
+        static_cast<uint64_t>(flags.GetInt("fail-fsync-at"));
+    wal = std::make_unique<engine::DurableEvidenceLog>(log_options, &eng,
+                                                       stack.client.get());
+    if (!wal->ok()) {
+      std::fprintf(stderr, "error: durable log failed: %s\n",
+                   wal->error().c_str());
+      return std::nullopt;
+    }
   }
 
-  std::printf("%s over %s, durable %s run, k=%d, budget %llu, wal %s\n",
-              spec.name.c_str(), flags.GetString("dataset").c_str(),
-              algorithm.c_str(), k, static_cast<unsigned long long>(budget),
-              wal_dir.c_str());
-  std::printf("final estimate   : %.17g\n", query->Estimate());
-  std::printf("ground truth     : %.2f (simulator-only knowledge)\n", truth);
-  std::printf("queries          : %llu\n",
-              static_cast<unsigned long long>(eng.queries_used()));
-  std::printf("rounds           : %zu (%llu new this process)\n",
-              eng.evidence().num_rounds(),
-              static_cast<unsigned long long>(eng.evidence().num_rounds() -
-                                              resumed_rounds));
-  std::printf("trace fingerprint: %016llx\n",
-              static_cast<unsigned long long>(
-                  engine::TraceFingerprint(query->trace())));
-  const engine::WalWriterStats& stats = wal.wal_stats();
-  std::printf("wal              : %llu records, %llu bytes, %llu fsyncs, "
-              "%llu rotations, %llu checkpoints\n",
-              static_cast<unsigned long long>(stats.records),
-              static_cast<unsigned long long>(stats.bytes),
-              static_cast<unsigned long long>(stats.fsyncs),
-              static_cast<unsigned long long>(stats.rotations),
-              static_cast<unsigned long long>(wal.checkpoints_written()));
-  return 0;
+  const long long kill_after = wal != nullptr
+                                   ? flags.GetInt("kill-after-rounds")
+                                   : 0;
+  if (kill_after > 0) rule.max_rounds = static_cast<size_t>(kill_after);
+  const size_t ran = RunEngine(&eng, rule, wal.get());
+  if (kill_after > 0 && ran == rule.max_rounds) {
+    // Crash harness: die the hard way — no Close, no final checkpoint, no
+    // destructors. Whatever the fsync policy persisted is what recovery
+    // gets.
+    std::printf("killing process after %zu rounds\n", ran);
+    std::fflush(stdout);
+    std::raise(SIGKILL);
+  }
+  if (wal != nullptr) {
+    wal->Close();
+    outcome.wal = wal->wal_stats();
+    outcome.checkpoints = wal->checkpoints_written();
+  }
+
+  if (flags.GetBool("verbose") && stack.lr_diagnostics != nullptr) {
+    const LrAggDiagnostics& d = *stack.lr_diagnostics;
+    std::printf("  run %d: %zu rounds, %zu exact cells, %zu MC cells, "
+                "%llu cell queries\n",
+                run + 1, d.rounds, d.cells_exact, d.cells_monte_carlo,
+                static_cast<unsigned long long>(d.cell_queries));
+  }
+  if (flags.GetBool("verbose") && stack.lnr_diagnostics != nullptr) {
+    const LnrAggDiagnostics& d = *stack.lnr_diagnostics;
+    std::printf("  run %d: %zu rounds, %zu cells inferred, %zu cache hits\n",
+                run + 1, d.rounds, d.cells_inferred, d.cache_hits);
+  }
+  outcome.estimate = query->Estimate();
+  outcome.queries = eng.queries_used();
+  outcome.rounds = eng.evidence().num_rounds();
+  outcome.fingerprint = engine::TraceFingerprint(query->trace());
+  return outcome;
 }
 
 int Run(const FlagParser& flags) {
@@ -387,9 +427,22 @@ int Run(const FlagParser& flags) {
     return 1;
   }
 
+  // §2.3's rule compares the first aggregate's half-width with its
+  // estimate; an AVG's half-width is its numerator's, on the SUM scale.
+  const double target_ci = flags.GetDouble("target-ci");
+  if (target_ci > 0 && spec.kind == AggregateSpec::Kind::kAvg) {
+    std::fprintf(stderr,
+                 "error: --target-ci needs --aggregate=count or sum (an AVG's "
+                 "confidence half-width is its numerator's)\n");
+    return 1;
+  }
+
   const int k = static_cast<int>(flags.GetInt("k"));
   const int shards = static_cast<int>(flags.GetInt("shards"));
   const std::string algorithm = flags.GetString("algorithm");
+  const std::optional<service::EstimatorFamily> family =
+      ParseFamily(algorithm);
+  if (!family.has_value()) return 1;
   if (shards > 1 && algorithm == "lnr") {
     std::fprintf(stderr,
                  "error: --shards needs a transport-capable client "
@@ -423,13 +476,36 @@ int Run(const FlagParser& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
 
   // --wal-dir: durable single-run path (WAL + checkpoints + resume).
-  if (flags.GetBool("resume") && flags.GetString("wal-dir").empty()) {
+  const std::string wal_dir = flags.GetString("wal-dir");
+  if (flags.GetBool("resume") && wal_dir.empty()) {
     std::fprintf(stderr, "error: --resume needs --wal-dir\n");
     return 1;
   }
-  if (!flags.GetString("wal-dir").empty()) {
-    return RunDurable(flags, spec, truth, server, transport.get(),
-                      sampler.get());
+  if (!wal_dir.empty()) {
+    const std::optional<RunOutcome> run =
+        RunEstimator(flags, *family, spec, server, transport.get(),
+                     sampler.get(), seed, 0);
+    if (!run.has_value()) return 1;
+    std::printf("%s over %s, durable %s run, k=%d, budget %llu, wal %s\n",
+                spec.name.c_str(), flags.GetString("dataset").c_str(),
+                algorithm.c_str(), k, static_cast<unsigned long long>(budget),
+                wal_dir.c_str());
+    std::printf("final estimate   : %.17g\n", run->estimate);
+    std::printf("ground truth     : %.2f (simulator-only knowledge)\n", truth);
+    std::printf("queries          : %llu\n",
+                static_cast<unsigned long long>(run->queries));
+    std::printf("rounds           : %zu (%zu new this process)\n", run->rounds,
+                run->rounds - run->resumed_rounds);
+    std::printf("trace fingerprint: %016llx\n",
+                static_cast<unsigned long long>(run->fingerprint));
+    std::printf("wal              : %llu records, %llu bytes, %llu fsyncs, "
+                "%llu rotations, %llu checkpoints\n",
+                static_cast<unsigned long long>(run->wal.records),
+                static_cast<unsigned long long>(run->wal.bytes),
+                static_cast<unsigned long long>(run->wal.fsyncs),
+                static_cast<unsigned long long>(run->wal.rotations),
+                static_cast<unsigned long long>(run->checkpoints));
+    return 0;
   }
 
   // --sessions: the same estimator fleet, but hosted — every run becomes a
@@ -439,16 +515,10 @@ int Run(const FlagParser& flags) {
   // the interface queries dedup kept off the backend.
   const int sessions = static_cast<int>(flags.GetInt("sessions"));
   if (sessions > 0) {
-    service::EstimatorFamily family;
-    if (algorithm == "lr") {
-      family = service::EstimatorFamily::kLr;
-    } else if (algorithm == "lnr") {
-      family = service::EstimatorFamily::kLnr;
-    } else if (algorithm == "nno") {
-      family = service::EstimatorFamily::kNno;
-    } else {
-      std::fprintf(stderr, "error: unknown --algorithm=%s\n",
-                   algorithm.c_str());
+    if (target_ci > 0) {
+      std::fprintf(stderr,
+                   "error: --target-ci does not apply to --sessions (the "
+                   "service stops a session at its budget)\n");
       return 1;
     }
 
@@ -485,7 +555,7 @@ int Run(const FlagParser& flags) {
     std::vector<service::SessionId> ids;
     for (int r = 0; r < sessions; ++r) {
       service::SessionSpec session;
-      session.family = family;
+      session.family = *family;
       session.aggregates = {spec};
       session.k = k;
       session.budget = budget;
@@ -563,58 +633,14 @@ int Run(const FlagParser& flags) {
   Table table({"run", "estimate", "queries", "samples"});
   RunningStats estimates;
   for (int r = 0; r < runs; ++r) {
-    const double target_ci = flags.GetDouble("target-ci");
-    RunResult run;
-    size_t samples = 0;
-    if (algorithm == "lr") {
-      LrClient client(&server, {.k = k, .budget = budget}, transport.get());
-      LrAggOptions opts;
-      opts.seed = seed + r;
-      LrAggEstimator est(&client, sampler.get(), spec, opts);
-      run = target_ci > 0
-                ? RunUntilConfidence(MakeHandle(&est), target_ci, budget)
-                : RunWithBudget(MakeHandle(&est), budget);
-      samples = est.rounds();
-      if (flags.GetBool("verbose")) {
-        const LrAggDiagnostics& d = est.diagnostics();
-        std::printf("  run %d: %zu rounds, %zu exact cells, %zu MC cells, "
-                    "%llu cell queries\n",
-                    r + 1, d.rounds, d.cells_exact, d.cells_monte_carlo,
-                    static_cast<unsigned long long>(d.cell_queries));
-      }
-    } else if (algorithm == "lnr") {
-      LnrClient client(&server, {.k = k, .budget = budget});
-      LnrAggOptions opts;
-      opts.seed = seed + r;
-      opts.cell.search.delta_fraction = 1e-6;
-      opts.cell.search.delta_prime_fraction = 1e-4;
-      LnrAggEstimator est(&client, sampler.get(), spec, opts);
-      run = target_ci > 0
-                ? RunUntilConfidence(MakeHandle(&est), target_ci, budget)
-                : RunWithBudget(MakeHandle(&est), budget);
-      samples = est.rounds();
-      if (flags.GetBool("verbose")) {
-        const LnrAggDiagnostics& d = est.diagnostics();
-        std::printf("  run %d: %zu rounds, %zu cells inferred, %zu cache "
-                    "hits\n",
-                    r + 1, d.rounds, d.cells_inferred, d.cache_hits);
-      }
-    } else if (algorithm == "nno") {
-      LrClient client(&server, {.k = k, .budget = budget}, transport.get());
-      NnoOptions opts;
-      opts.seed = seed + r;
-      NnoEstimator est(&client, spec, opts);
-      run = RunWithBudget(MakeHandle(&est), budget);
-      samples = est.rounds();
-    } else {
-      std::fprintf(stderr, "error: unknown --algorithm=%s\n",
-                   algorithm.c_str());
-      return 1;
-    }
-    estimates.Add(run.final_estimate);
-    table.AddRow({Table::Int(r + 1), Table::Num(run.final_estimate, 2),
-                  Table::Int(static_cast<long long>(run.queries)),
-                  Table::Int(static_cast<long long>(samples))});
+    const std::optional<RunOutcome> run =
+        RunEstimator(flags, *family, spec, server, transport.get(),
+                     sampler.get(), seed + r, r);
+    if (!run.has_value()) return 1;
+    estimates.Add(run->estimate);
+    table.AddRow({Table::Int(r + 1), Table::Num(run->estimate, 2),
+                  Table::Int(static_cast<long long>(run->queries)),
+                  Table::Int(static_cast<long long>(run->rounds))});
   }
 
   std::printf("%s over %s (%zu tuples), algorithm %s, k=%d, budget %llu\n\n",
@@ -688,7 +714,8 @@ int main(int argc, char** argv) {
                "rank-only view (§4.3)");
   flags.AddDouble("target-ci", 0.0,
                   "stop each run once the 95% CI half-width falls below this "
-                  "fraction of the estimate (0 = run to the budget)");
+                  "fraction of the estimate (0 = run to the budget; count/sum "
+                  "only, not with --sessions)");
   flags.AddBool("verbose", false, "print per-run estimator diagnostics");
   flags.AddBool("help", false, "show this help");
 
