@@ -56,28 +56,6 @@ int main() {
   std::printf("\nDecomposition sanity: cell areas sum to %.4f of the plane "
               "(must be 1).\n",
               diagram.TotalArea() / usa.dataset->box().Area());
-  // Cross-check the decomposition with the independent Fortune's-sweep
-  // backend on a 1000-store subsample (the double-precision sweep is exact
-  // at this scale; the extended-precision Bowyer–Watson handles the full
-  // set).
-  std::vector<Vec2> sample(starbucks.begin(),
-                           starbucks.begin() + std::min<size_t>(
-                                                   1000, starbucks.size()));
-  const VoronoiDiagram by_delaunay =
-      VoronoiDiagram::Build(sample, usa.dataset->box());
-  const VoronoiDiagram by_fortune = VoronoiDiagram::Build(
-      sample, usa.dataset->box(), VoronoiBackend::kFortune);
-  int agreeing = 0;
-  for (size_t i = 0; i < sample.size(); ++i) {
-    const double a = by_delaunay.Cell(static_cast<int>(i)).Area();
-    const double b = by_fortune.Cell(static_cast<int>(i)).Area();
-    if (std::abs(a - b) <= 1e-6 * std::max(a, 1.0)) ++agreeing;
-  }
-  std::printf("Cross-check vs Fortune's sweep line (1000-store subsample): "
-              "%d/%zu cells identical (the remainder sit in city blocks "
-              "with ~1e-7 km separations, beyond the double-precision "
-              "sweep's envelope — see geometry/fortune.h).\n",
-              agreeing, sample.size());
   std::printf("The 4-5 orders of magnitude between urban and rural cells "
               "reproduce the paper's skew, justifying weighted sampling.\n");
 

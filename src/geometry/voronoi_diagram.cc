@@ -1,41 +1,27 @@
 #include "geometry/voronoi_diagram.h"
 
 #include "geometry/delaunay.h"
-#include "geometry/fortune.h"
 #include "geometry/line.h"
 #include "util/check.h"
 
 namespace lbsagg {
 
 VoronoiDiagram VoronoiDiagram::Build(const std::vector<Vec2>& points,
-                                     const Box& box, VoronoiBackend backend) {
+                                     const Box& box) {
   LBSAGG_CHECK_GE(points.size(), 3u);
-  std::vector<std::vector<int>> neighbors(points.size());
-  if (backend == VoronoiBackend::kDelaunay) {
-    const Delaunay delaunay(points);
-    for (size_t i = 0; i < points.size(); ++i) {
-      neighbors[i] = delaunay.Neighbors(static_cast<int>(i));
-    }
-  } else {
-    const FortuneSweep sweep(points);
-    for (size_t i = 0; i < points.size(); ++i) {
-      neighbors[i] = sweep.Neighbors(static_cast<int>(i));
-    }
-  }
+  const Delaunay delaunay(points);
 
   VoronoiDiagram diagram;
-  diagram.box_ = box;
   diagram.cells_.reserve(points.size());
 
   for (size_t i = 0; i < points.size(); ++i) {
     ConvexPolygon cell = ConvexPolygon::FromBox(box);
-    for (int j : neighbors[i]) {
+    for (int j : delaunay.Neighbors(static_cast<int>(i))) {
       cell = cell.Clip(HalfPlane::Closer(points[i], points[j]));
       if (cell.IsEmpty()) break;
     }
     diagram.cells_.push_back(std::move(cell));
   }
-  diagram.neighbors_ = std::move(neighbors);
   return diagram;
 }
 

@@ -9,12 +9,6 @@
 
 namespace lbsagg {
 
-// Which Delaunay construction derives the neighbor sets.
-enum class VoronoiBackend {
-  kDelaunay,  // incremental Bowyer–Watson (robust; the default)
-  kFortune,   // Fortune's sweep line (§3.2.2's named alternative)
-};
-
 // Complete (top-1) Voronoi decomposition of a point set, clipped to a box —
 // Definition 1 of the paper with the B-bound making every cell finite.
 //
@@ -25,14 +19,11 @@ enum class VoronoiBackend {
 class VoronoiDiagram {
  public:
   // Computes all cells. Points must be distinct and at least 3.
-  static VoronoiDiagram Build(const std::vector<Vec2>& points, const Box& box,
-                              VoronoiBackend backend = VoronoiBackend::kDelaunay);
+  static VoronoiDiagram Build(const std::vector<Vec2>& points, const Box& box);
 
   size_t size() const { return cells_.size(); }
   const ConvexPolygon& Cell(int i) const { return cells_[i]; }
   const std::vector<ConvexPolygon>& cells() const { return cells_; }
-  const std::vector<int>& Neighbors(int i) const { return neighbors_[i]; }
-  const Box& box() const { return box_; }
 
   // Sum of all cell areas; equals box.Area() up to clipping error (the cells
   // partition the box — a property test asserts this).
@@ -41,9 +32,7 @@ class VoronoiDiagram {
  private:
   VoronoiDiagram() = default;
 
-  Box box_;
   std::vector<ConvexPolygon> cells_;
-  std::vector<std::vector<int>> neighbors_;
 };
 
 }  // namespace lbsagg

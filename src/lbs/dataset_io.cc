@@ -1,5 +1,6 @@
 #include "lbs/dataset_io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -37,6 +38,14 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   while (std::getline(stream, cell, ',')) cells.push_back(cell);
   if (!line.empty() && line.back() == ',') cells.push_back("");
   return cells;
+}
+
+// The whole cell must be one finite number: strtod alone accepts "" (as 0),
+// "nan" and "inf".
+bool ParseFinite(const std::string& cell, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(cell.c_str(), &end);
+  return !cell.empty() && *end == '\0' && std::isfinite(*out);
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -88,8 +97,9 @@ std::optional<Dataset> ReadDatasetCsv(std::istream& in, std::string* error) {
   }
   std::istringstream box_stream(line.substr(6));
   Vec2 lo, hi;
-  if (!(box_stream >> lo.x >> lo.y >> hi.x >> hi.y) || lo.x > hi.x ||
-      lo.y > hi.y) {
+  // Query sampling weighs the box by area, so it must have some.
+  if (!(box_stream >> lo.x >> lo.y >> hi.x >> hi.y) || !(lo.x < hi.x) ||
+      !(lo.y < hi.y)) {
     Fail(error, "malformed box line: " + line);
     return std::nullopt;
   }
@@ -133,15 +143,17 @@ std::optional<Dataset> ReadDatasetCsv(std::istream& in, std::string* error) {
       return std::nullopt;
     }
     Vec2 pos;
-    char* end = nullptr;
-    pos.x = std::strtod(cells[0].c_str(), &end);
-    if (*end != '\0') {
+    if (!ParseFinite(cells[0], &pos.x)) {
       Fail(error, "row " + std::to_string(row) + ": bad x '" + cells[0] + "'");
       return std::nullopt;
     }
-    pos.y = std::strtod(cells[1].c_str(), &end);
-    if (*end != '\0') {
+    if (!ParseFinite(cells[1], &pos.y)) {
       Fail(error, "row " + std::to_string(row) + ": bad y '" + cells[1] + "'");
+      return std::nullopt;
+    }
+    if (!dataset.box().Contains(pos)) {
+      Fail(error, "row " + std::to_string(row) + ": (" + cells[0] + ", " +
+                      cells[1] + ") lies outside the box");
       return std::nullopt;
     }
     std::vector<AttrValue> values;
@@ -150,8 +162,8 @@ std::optional<Dataset> ReadDatasetCsv(std::istream& in, std::string* error) {
       const AttrType type = schema.type(static_cast<int>(c) - 2);
       switch (type) {
         case AttrType::kDouble: {
-          const double v = std::strtod(cells[c].c_str(), &end);
-          if (cells[c].empty() || *end != '\0') {
+          double v = 0.0;
+          if (!ParseFinite(cells[c], &v)) {
             Fail(error, "row " + std::to_string(row) + ": bad double '" +
                             cells[c] + "'");
             return std::nullopt;

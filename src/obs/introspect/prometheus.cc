@@ -13,12 +13,6 @@ bool ValidChar(char c) {
          (c >= '0' && c <= '9') || c == '_' || c == ':';
 }
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
 std::string PrometheusName(const std::string& name, const std::string& prefix) {
@@ -42,7 +36,7 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot,
   for (const GaugeSample& g : snapshot.gauges) {
     const std::string name = PrometheusName(g.name, prefix);
     os << "# TYPE " << name << " gauge\n";
-    os << name << " " << FormatDouble(g.value) << "\n";
+    os << name << " " << g.value << "\n";
   }
   for (const HistogramSample& h : snapshot.histograms) {
     const std::string name = PrometheusName(h.name, prefix);
@@ -50,11 +44,11 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot,
     uint64_t cumulative = 0;
     for (size_t i = 0; i < h.bounds.size() && i < h.buckets.size(); ++i) {
       cumulative += h.buckets[i];
-      os << name << "_bucket{le=\"" << FormatDouble(h.bounds[i]) << "\"} "
+      os << name << "_bucket{le=\"" << h.bounds[i] << "\"} "
          << cumulative << "\n";
     }
     os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << name << "_sum " << FormatDouble(h.sum) << "\n";
+    os << name << "_sum " << h.sum << "\n";
     os << name << "_count " << h.count << "\n";
   }
   return os.str();

@@ -16,12 +16,6 @@ double SteadyNowMs() {
       .count();
 }
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
 double QuantileFromBuckets(const std::vector<double>& bounds,
@@ -150,14 +144,14 @@ void TimeSeriesSampler::CutWindow(double now_ms) {
 
 std::string TimeSeriesSampler::ToJson() const {
   std::ostringstream os;
-  os << "{\"period_ms\":" << FormatDouble(options_.period_ms)
+  os << "{\"period_ms\":" << options_.period_ms
      << ",\"windows_cut\":" << windows_cut_ << ",\"windows\":[";
   bool first_window = true;
   for (const SampleWindow& w : windows_) {
     if (!first_window) os << ",";
     first_window = false;
-    os << "{\"t0_ms\":" << FormatDouble(w.t0_ms)
-       << ",\"t1_ms\":" << FormatDouble(w.t1_ms) << ",\"counters\":{";
+    os << "{\"t0_ms\":" << w.t0_ms
+       << ",\"t1_ms\":" << w.t1_ms << ",\"counters\":{";
     bool first = true;
     for (const auto& [name, delta] : w.counters) {
       if (!first) os << ",";
@@ -169,7 +163,7 @@ std::string TimeSeriesSampler::ToJson() const {
     for (const auto& [name, value] : w.gauges) {
       if (!first) os << ",";
       first = false;
-      os << "\"" << name << "\":" << FormatDouble(value);
+      os << "\"" << name << "\":" << value;
     }
     os << "},\"histograms\":{";
     first = true;
@@ -177,9 +171,9 @@ std::string TimeSeriesSampler::ToJson() const {
       if (!first) os << ",";
       first = false;
       os << "\"" << name << "\":{\"count\":" << h.count
-         << ",\"sum\":" << FormatDouble(h.sum)
-         << ",\"p50\":" << FormatDouble(h.p50)
-         << ",\"p99\":" << FormatDouble(h.p99) << "}";
+         << ",\"sum\":" << h.sum
+         << ",\"p50\":" << h.p50
+         << ",\"p99\":" << h.p99 << "}";
     }
     os << "}}";
   }

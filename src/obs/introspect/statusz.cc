@@ -11,12 +11,6 @@ namespace introspect {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 // Same continuation-line trick RunReport uses for nested blobs.
 std::string IndentBlob(const std::string& blob, const std::string& pad) {
   std::string out;
@@ -64,7 +58,7 @@ std::string Statusz::ToJson(int indent) const {
   }
   for (const auto& [key, value] : meta_num_) {
     os << (first ? "\n" : ",\n") << in2 << '"' << key
-       << "\": " << FormatDouble(value);
+       << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n" + in) << "},\n";
@@ -90,7 +84,7 @@ std::string Statusz::ToText() const {
     os << key << ": " << value << "\n";
   }
   for (const auto& [key, value] : meta_num_) {
-    os << key << ": " << FormatDouble(value) << "\n";
+    os << key << ": " << value << "\n";
   }
   os << "\n--- metrics ---\n" << snapshot_.ToTable().ToString();
   for (const auto& [name, blob] : sections_) {

@@ -9,16 +9,6 @@
 namespace lbsagg {
 namespace obs {
 
-namespace {
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   LBSAGG_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
   buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
@@ -152,18 +142,18 @@ std::string MetricsSnapshot::ToJson(int indent) const {
   os << in << "\"gauges\": {";
   for (size_t i = 0; i < gauges.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << in2 << '"' << gauges[i].name
-       << "\": " << FormatDouble(gauges[i].value);
+       << "\": " << gauges[i].value;
   }
   os << (gauges.empty() ? "" : "\n" + in) << "},\n";
   os << in << "\"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& h = histograms[i];
     os << (i == 0 ? "\n" : ",\n") << in2 << '"' << h.name
-       << "\": {\"count\":" << h.count << ",\"sum\":" << FormatDouble(h.sum)
+       << "\": {\"count\":" << h.count << ",\"sum\":" << h.sum
        << ",\"bounds\":[";
     for (size_t j = 0; j < h.bounds.size(); ++j) {
       if (j > 0) os << ',';
-      os << FormatDouble(h.bounds[j]);
+      os << h.bounds[j];
     }
     os << "],\"buckets\":[";
     for (size_t j = 0; j < h.buckets.size(); ++j) {

@@ -9,12 +9,6 @@ namespace obs {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 // Quoted JSON string with real escaping (JsonWriter::AppendEscaped), so a
 // meta value carrying a quote, backslash, or newline cannot corrupt the
 // report. The pretty-printed layout itself stays hand-assembled.
@@ -79,7 +73,7 @@ std::string RunReport::ToJson(int indent) const {
   }
   for (const auto& [key, value] : meta_num_) {
     os << (first ? "\n" : ",\n") << in2 << Quoted(key)
-       << ": " << FormatDouble(value);
+       << ": " << value;
     first = false;
   }
   os << (first ? "" : "\n" + in) << "},\n";

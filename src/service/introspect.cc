@@ -9,16 +9,6 @@
 namespace lbsagg {
 namespace service {
 
-namespace {
-
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 std::string SessionIntrospectionJson(const SessionIntrospection& row) {
   std::ostringstream os;
   os << "{\"id\":" << row.id << ",\"state\":\"" << SessionStateName(row.state)
@@ -26,27 +16,27 @@ std::string SessionIntrospectionJson(const SessionIntrospection& row) {
      << EstimatorFamilyName(row.family) << "\",\"budget\":" << row.budget
      << ",\"queries_used\":" << row.queries_used << ",\"rounds\":" << row.rounds
      << ",\"dedup_hits\":" << row.dedup_hits
-     << ",\"submit_ms\":" << FormatDouble(row.submit_ms)
-     << ",\"start_ms\":" << FormatDouble(row.start_ms)
-     << ",\"end_ms\":" << FormatDouble(row.end_ms);
+     << ",\"submit_ms\":" << row.submit_ms
+     << ",\"start_ms\":" << row.start_ms
+     << ",\"end_ms\":" << row.end_ms;
   if (row.has_deadline) {
-    os << ",\"deadline_ms\":" << FormatDouble(row.deadline_ms)
-       << ",\"deadline_slack_ms\":" << FormatDouble(row.deadline_slack_ms);
+    os << ",\"deadline_ms\":" << row.deadline_ms
+       << ",\"deadline_slack_ms\":" << row.deadline_slack_ms;
   }
   os << ",\"aggregates\":[";
   for (size_t i = 0; i < row.aggregates.size(); ++i) {
     const AggregateIntrospection& agg = row.aggregates[i];
     if (i > 0) os << ",";
     os << "{\"name\":\"" << agg.name
-       << "\",\"estimate\":" << FormatDouble(agg.estimate)
-       << ",\"half_width\":" << FormatDouble(agg.half_width)
+       << "\",\"estimate\":" << agg.estimate
+       << ",\"half_width\":" << agg.half_width
        << ",\"trajectory\":[";
     for (size_t j = 0; j < agg.trajectory.size(); ++j) {
       const engine::ConvergencePoint& p = agg.trajectory[j];
       if (j > 0) os << ",";
       os << "{\"queries\":" << p.queries
-         << ",\"estimate\":" << FormatDouble(p.estimate)
-         << ",\"half_width\":" << FormatDouble(p.half_width) << "}";
+         << ",\"estimate\":" << p.estimate
+         << ",\"half_width\":" << p.half_width << "}";
     }
     os << "]}";
   }
@@ -95,8 +85,7 @@ obs::introspect::Statusz ServiceIntrospector::BuildStatusz() const {
   if (options_.sharded != nullptr) {
     std::ostringstream os;
     os << "{\"num_shards\":" << options_.sharded->num_shards()
-       << ",\"virtual_now_ms\":"
-       << FormatDouble(options_.sharded->VirtualNowMs())
+       << ",\"virtual_now_ms\":" << options_.sharded->VirtualNowMs()
        << ",\"aggregate\":" << options_.sharded->Metrics().ToJson()
        << ",\"lanes\":[";
     for (int shard = 0; shard < options_.sharded->num_shards(); ++shard) {

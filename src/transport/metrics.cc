@@ -20,12 +20,6 @@ double BucketUpperMs(int idx) {
   return std::ldexp(1.0, idx);  // bucket i covers [2^(i-1), 2^i)
 }
 
-std::string FormatDouble(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 }  // namespace
 
 void LatencyHistogram::Add(double ms) {
@@ -48,9 +42,9 @@ double LatencyHistogram::QuantileUpperBound(double q) const {
 std::string LatencyHistogram::ToJson() const {
   std::ostringstream os;
   os << "{\"count\":" << count_
-     << ",\"mean_ms\":" << FormatDouble(mean_ms())
-     << ",\"p50_le_ms\":" << FormatDouble(QuantileUpperBound(0.5))
-     << ",\"p99_le_ms\":" << FormatDouble(QuantileUpperBound(0.99))
+     << ",\"mean_ms\":" << mean_ms()
+     << ",\"p50_le_ms\":" << QuantileUpperBound(0.5)
+     << ",\"p99_le_ms\":" << QuantileUpperBound(0.99)
      << ",\"buckets\":[";
   for (int i = 0; i < kBuckets; ++i) {
     if (i > 0) os << ',';
@@ -91,8 +85,7 @@ std::string TransportMetrics::ToJson(int indent) const {
      << ",\n";
   os << in << "\"attempt_timeouts\": " << attempt_timeouts << ",\n";
   os << in << "\"throttle_events\": " << throttle_events << ",\n";
-  os << in << "\"throttle_wait_ms\": " << FormatDouble(throttle_wait_ms)
-     << ",\n";
+  os << in << "\"throttle_wait_ms\": " << throttle_wait_ms << ",\n";
   os << in << "\"latency_ms\": " << latency.ToJson() << ",\n";
   os << in << "\"attempts_per_request\": [";
   for (size_t i = 0; i < attempts_histogram.size(); ++i) {

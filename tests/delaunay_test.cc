@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,41 @@ std::vector<Vec2> RandomPoints(int n, uint64_t seed) {
   return pts;
 }
 
+struct NamedPoints {
+  std::string name;
+  std::vector<Vec2> pts;
+};
+
+// Inputs for the oracle tests below: uniform sets of several sizes, an
+// almost perfect grid (near-cocircular quadruples), and a dense cluster
+// beside uniform sites (cell areas spanning many orders of magnitude).
+std::vector<NamedPoints> OracleInputs() {
+  std::vector<NamedPoints> inputs = {{"random30", RandomPoints(30, 223)},
+                                     {"random60", RandomPoints(60, 201)}};
+  for (int n : {5, 20, 100, 500}) {
+    inputs.push_back(
+        {"random" + std::to_string(n), RandomPoints(n, 5000 + n)});
+  }
+  Rng grid_rng(5557);
+  std::vector<Vec2> grid;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      grid.push_back({i * 12.0 + grid_rng.Uniform(-1e-3, 1e-3),
+                      j * 12.0 + grid_rng.Uniform(-1e-3, 1e-3)});
+    }
+  }
+  inputs.push_back({"jittered_grid", std::move(grid)});
+  Rng cluster_rng(5559);
+  std::vector<Vec2> cluster;
+  for (int i = 0; i < 60; ++i) {
+    cluster.push_back({40.0 + cluster_rng.Uniform(-1e-5, 1e-5),
+                       60.0 + cluster_rng.Uniform(-1e-5, 1e-5)});
+  }
+  for (int i = 0; i < 60; ++i) cluster.push_back(kBox.SamplePoint(cluster_rng));
+  inputs.push_back({"cluster", std::move(cluster)});
+  return inputs;
+}
+
 TEST(Delaunay, TriangleOfThreePoints) {
   const Delaunay d({{0, 0}, {10, 0}, {0, 10}});
   const auto tris = d.Triangles();
@@ -34,18 +70,20 @@ TEST(Delaunay, TriangleOfThreePoints) {
 }
 
 TEST(Delaunay, EmptyCircumcirclePropertyHolds) {
-  const std::vector<Vec2> pts = RandomPoints(60, 201);
-  const Delaunay d(pts);
-  for (const std::array<int, 3>& t : d.Triangles()) {
-    Vec2 a = pts[t[0]], b = pts[t[1]], c = pts[t[2]];
-    if (Orient2d(a, b, c) < 0) std::swap(b, c);
-    for (size_t j = 0; j < pts.size(); ++j) {
-      if (static_cast<int>(j) == t[0] || static_cast<int>(j) == t[1] ||
-          static_cast<int>(j) == t[2]) {
-        continue;
+  for (const auto& [name, pts] : OracleInputs()) {
+    SCOPED_TRACE(name);
+    const Delaunay d(pts);
+    for (const std::array<int, 3>& t : d.Triangles()) {
+      Vec2 a = pts[t[0]], b = pts[t[1]], c = pts[t[2]];
+      if (Orient2d(a, b, c) < 0) std::swap(b, c);
+      for (size_t j = 0; j < pts.size(); ++j) {
+        if (static_cast<int>(j) == t[0] || static_cast<int>(j) == t[1] ||
+            static_cast<int>(j) == t[2]) {
+          continue;
+        }
+        EXPECT_LE(InCircle(a, b, c, pts[j]), 0)
+            << "point " << j << " inside circumcircle of triangle";
       }
-      EXPECT_LE(InCircle(a, b, c, pts[j]), 0)
-          << "point " << j << " inside circumcircle of triangle";
     }
   }
 }
@@ -117,15 +155,17 @@ TEST(VoronoiDiagram, EveryCellContainsItsSite) {
 
 TEST(VoronoiDiagram, MatchesDirectTopkRegionComputation) {
   // Delaunay-derived cells must equal the brute-force O(n) bisector cells.
-  const std::vector<Vec2> pts = RandomPoints(30, 223);
-  const VoronoiDiagram vd = VoronoiDiagram::Build(pts, kBox);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    std::vector<Vec2> others;
-    for (size_t j = 0; j < pts.size(); ++j) {
-      if (j != i) others.push_back(pts[j]);
+  for (const auto& [name, pts] : OracleInputs()) {
+    SCOPED_TRACE(name);
+    const VoronoiDiagram vd = VoronoiDiagram::Build(pts, kBox);
+    for (size_t i = 0; i < pts.size(); ++i) {
+      std::vector<Vec2> others;
+      for (size_t j = 0; j < pts.size(); ++j) {
+        if (j != i) others.push_back(pts[j]);
+      }
+      const TopkRegion direct = ComputeTopkRegion(pts[i], others, kBox, 1);
+      EXPECT_NEAR(vd.Cell(i).Area(), direct.area, 1e-7 * kBox.Area()) << i;
     }
-    const TopkRegion direct = ComputeTopkRegion(pts[i], others, kBox, 1);
-    EXPECT_NEAR(vd.Cell(i).Area(), direct.area, 1e-7 * kBox.Area()) << i;
   }
 }
 
@@ -143,16 +183,6 @@ TEST(VoronoiDiagram, NearestNeighborConsistency) {
       }
     }
     EXPECT_TRUE(vd.Cell(nearest).Contains(q, 1e-7));
-  }
-}
-
-TEST(VoronoiDiagram, FortuneBackendMatchesDelaunayBackend) {
-  const std::vector<Vec2> pts = RandomPoints(120, 231);
-  const VoronoiDiagram a = VoronoiDiagram::Build(pts, kBox);
-  const VoronoiDiagram b =
-      VoronoiDiagram::Build(pts, kBox, VoronoiBackend::kFortune);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_NEAR(a.Cell(i).Area(), b.Cell(i).Area(), 1e-9 * kBox.Area()) << i;
   }
 }
 

@@ -108,6 +108,7 @@ Dataset SmallDataset() {
   Dataset d(Box({0, 0}, {10, 10}), schema);
   d.Add({1.5, 2.25}, {std::string("alpha"), 3.125, true});
   d.Add({7.0, 8.5}, {std::string("beta"), -0.5, false});
+  d.Add({10.0, 0.0}, {std::string("corner"), 0.0, true});  // box is inclusive
   return d;
 }
 
@@ -177,6 +178,16 @@ TEST(DatasetCsv, RejectsMalformedInputs) {
   expect_fail("# box 0 0 10 10\nx,y,s:double\n1,2,abc\n", "bad double cell");
   expect_fail("# box 0 0 10 10\nx,y,b:bool\n1,2,yes\n", "bad bool cell");
   expect_fail("# box 0 0 10 10\nx,y\noops,2\n", "bad coordinate");
+  expect_fail("# box 0 0 10 10\nx,y\n,2\n", "empty x");
+  expect_fail("# box 0 0 10 10\nx,y\n1,\n", "empty y");
+  expect_fail("# box 0 0 10 10\nx,y\nnan,2\n", "nan x");
+  expect_fail("# box 0 0 10 10\nx,y\n1,inf\n", "inf y");
+  expect_fail("# box 0 0 10 10\nx,y,s:double\n1,2,nan\n", "nan double cell");
+  expect_fail("# box 0 0 10 10\nx,y,s:double\n1,2,-inf\n", "inf double cell");
+  expect_fail("# box 0 0 10 10\nx,y\n1e9,1e9\n", "tuple outside the box");
+  expect_fail("# box 0 0 10 10\nx,y\n5,-0.5\n", "tuple below the box");
+  expect_fail("# box 0 0 0 10\nx,y\n0,2\n", "zero-width box");
+  expect_fail("# box 0 5 10 5\nx,y\n1,5\n", "zero-height box");
 }
 
 TEST(DatasetCsv, LoadMissingFileFails) {
