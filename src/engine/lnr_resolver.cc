@@ -182,7 +182,8 @@ bool RestoreProbabilityCache(BinaryReader* r,
                              std::unordered_map<int, double>* cache) {
   uint64_t n = 0;
   if (!r->GetU64(&n)) return false;
-  cache->reserve(n);
+  // The count is untrusted: each entry is read before it is stored, so a
+  // forged count fails at the end of the blob instead of sizing the table.
   for (uint64_t i = 0; i < n; ++i) {
     int32_t id;
     double p;

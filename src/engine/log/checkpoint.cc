@@ -60,7 +60,6 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
   w.PutU64(data.round);
   w.PutU64(data.observations);
   w.PutU64(data.queries_used);
-  w.PutU64(data.memo_hash);
   w.PutString(data.resolver_name);
   w.PutString(data.resolver_state);
   w.PutU32(static_cast<uint32_t>(data.aggregates.size()));
@@ -99,17 +98,19 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* data) {
   CheckpointData parsed;
   uint32_t num_aggregates = 0;
   if (!r.GetU64(&parsed.round) || !r.GetU64(&parsed.observations) ||
-      !r.GetU64(&parsed.queries_used) || !r.GetU64(&parsed.memo_hash) ||
-      !r.GetString(&parsed.resolver_name) ||
+      !r.GetU64(&parsed.queries_used) || !r.GetString(&parsed.resolver_name) ||
       !r.GetString(&parsed.resolver_state) || !r.GetU32(&num_aggregates)) {
     return false;
   }
-  parsed.aggregates.resize(num_aggregates);
-  for (AggregateCheckpoint& agg : parsed.aggregates) {
+  // The count is untrusted: each record is read before it is stored, so a
+  // forged count runs out of payload instead of sizing a huge vector.
+  for (uint32_t i = 0; i < num_aggregates; ++i) {
+    AggregateCheckpoint agg;
     if (!r.GetString(&agg.name) || !r.GetU64(&agg.trace_hash) ||
         !r.GetF64(&agg.estimate)) {
       return false;
     }
+    parsed.aggregates.push_back(std::move(agg));
   }
   if (r.remaining() != 0) return false;
   *data = std::move(parsed);

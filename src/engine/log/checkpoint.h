@@ -32,7 +32,7 @@ namespace engine {
 
 inline constexpr char kCheckpointMagic[8] = {'L', 'B', 'S', 'C',
                                              'K', 'P', 'T', '1'};
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 // Order-sensitive fingerprint of a value sequence (the same mixing step the
 // regression harness uses for trace fingerprints).
@@ -56,10 +56,6 @@ struct CheckpointData {
   uint64_t round = 0;         // committed rounds at the boundary
   uint64_t observations = 0;  // cumulative observations in those rounds
   uint64_t queries_used = 0;  // client's interface-query counter
-  // Commutative hash of the client's memo table (0 = empty). Memo contents
-  // are not checkpointed, so a non-zero hash makes the run non-resumable:
-  // re-executed rounds would hit a cold memo and charge different queries.
-  uint64_t memo_hash = 0;
   std::string resolver_name;   // CellResolver::name() — family match check
   std::string resolver_state;  // CellResolver::SaveState blob
   std::vector<AggregateCheckpoint> aggregates;

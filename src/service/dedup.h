@@ -66,8 +66,8 @@ class QueryDedupRegistry {
   // interface queries share a page. No quantization — two nearby-but-
   // distinct probe points can have different kNN pages, and handing one the
   // other's page would silently corrupt the borrowing session's estimate
-  // (the client memo quantizes because it re-asks for its *own* points; a
-  // cross-session cache never may). `registry` feeds the
+  // (the refinement loops' LocKey grid only merges a cell computation's own
+  // vertices; a cross-session cache never may). `registry` feeds the
   // service.dedup.{hits,saved_queries} counters; null = Default().
   explicit QueryDedupRegistry(obs::MetricsRegistry* registry = nullptr);
 

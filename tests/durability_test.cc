@@ -33,6 +33,7 @@
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "service/service.h"
+#include "util/binary_io.h"
 #include "workload/scenarios.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -342,21 +343,29 @@ TEST(Durability, ConfidenceStoppedRunResumesToTheSameStop) {
 
 // --- Refusals ---------------------------------------------------------------
 
-TEST(Durability, ResumeRefusesAWarmQueryMemo) {
+TEST(Durability, ResumeRefusesAnImpossibleStateCount) {
   const AggregateSpec spec = AggregateSpec::Count();
   const UsaScenario& usa = SmallUsa();
   LbsServer server(usa.dataset.get(), {.max_k = 5});
   UniformSampler sampler(usa.dataset->box());
-  Stack stack = BuildStack(Family::kLr, server, &sampler, 1, 100, spec);
+  Stack stack = BuildStack(Family::kLnr, server, &sampler, 1, 100, spec);
 
-  RecoveredRun rec;  // fabricated: a checkpoint taken with a warm memo
+  // A fresh LNR blob ends with two empty probability-cache counts and three
+  // diagnostic counters. Cut it after the RNG state and claim 2^62 cached
+  // probabilities: the restore must run out of blob, not allocate.
+  std::string blob;
+  stack.resolver->SaveState(&blob);
+  blob.resize(blob.size() - 5 * sizeof(uint64_t));
+  BinaryWriter(&blob).PutU64(uint64_t{1} << 62);
+
+  RecoveredRun rec;  // fabricated: what a CRC-valid checkpoint decodes to
   rec.found_checkpoint = true;
   rec.checkpoint.round = 0;
-  rec.checkpoint.memo_hash = 7;
   rec.checkpoint.resolver_name = stack.resolver->name();
+  rec.checkpoint.resolver_state = blob;
   const std::string error =
       ApplyCheckpoint(rec, stack.engine.get(), stack.client.get());
-  EXPECT_NE(error.find("memo"), std::string::npos) << error;
+  EXPECT_NE(error.find("rejected"), std::string::npos) << error;
 }
 
 TEST(Durability, ResumeRefusesAggregateAndFamilyMismatches) {

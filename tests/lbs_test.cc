@@ -195,11 +195,15 @@ TEST(Client, QueryCountingAndBudget) {
   const Dataset d = MakeDataset(100, 37);
   const LbsServer server(&d, {.max_k = 5});
   LrClient client(&server, {.k = 3, .budget = 10});
+  client.EnableQueryLog();
   EXPECT_TRUE(client.HasBudget(10));
   for (int i = 0; i < 10; ++i) client.Query({50, 50});
-  EXPECT_EQ(client.queries_used(), 10u);
+  EXPECT_EQ(client.queries_used(), 10u);  // repeats are charged too
+  EXPECT_EQ(client.query_log().size(), 10u);
   EXPECT_FALSE(client.HasBudget());
   client.ResetQueryCount();
+  EXPECT_EQ(client.queries_used(), 0u);
+  EXPECT_TRUE(client.query_log().empty());
   EXPECT_TRUE(client.HasBudget());
 }
 
@@ -354,97 +358,6 @@ TEST(Trilateration, LocateThroughDistanceClient) {
     EXPECT_NEAR(Distance(*pos, d.tuple(id).pos), 0.0, 1e-6);
   }
   EXPECT_GE(located, 20);  // §2.1: 3 queries suffice nearly always
-}
-
-TEST(ClientMemo, RepeatQueryCostsNothingAndMatches) {
-  const Dataset d = MakeDataset(200, 9);
-  const LbsServer server(&d, {.max_k = 5});
-  LrClient client(&server, {.k = 5, .memoize_queries = true});
-
-  const Vec2 q{31.5, 62.5};
-  const auto first = client.Query(q);
-  EXPECT_EQ(client.queries_used(), 1u);
-  EXPECT_EQ(client.memo_hits(), 0u);
-
-  const auto second = client.Query(q);
-  EXPECT_EQ(client.queries_used(), 1u);  // memo hit: zero interface cost
-  EXPECT_EQ(client.memo_hits(), 1u);
-  ASSERT_EQ(second.size(), first.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(second[i].id, first[i].id);
-    EXPECT_EQ(second[i].distance, first[i].distance);
-  }
-
-  // A genuinely different location is a miss.
-  client.Query({80.0, 12.0});
-  EXPECT_EQ(client.queries_used(), 2u);
-  EXPECT_EQ(client.memo_hits(), 1u);
-}
-
-TEST(ClientMemo, HitLeavesNoQueryLogEntry) {
-  const Dataset d = MakeDataset(200, 9);
-  const LbsServer server(&d, {.max_k = 5});
-  LrClient client(&server, {.k = 5, .memoize_queries = true});
-  client.EnableQueryLog();
-  client.Query({10, 10});
-  client.Query({10, 10});
-  EXPECT_EQ(client.query_log().size(), 1u);
-}
-
-TEST(ClientMemo, FilterChangeInvalidates) {
-  const Dataset d = MakeDataset(200, 9);
-  const LbsServer server(&d, {.max_k = 5});
-  LrClient client(&server, {.k = 5, .memoize_queries = true});
-
-  const Vec2 q{31.5, 62.5};
-  client.Query(q);
-  client.SetPassThroughFilter([](const Tuple& t) {
-    return std::get<std::string>(t.values[0]) == "starbucks";
-  });
-  const auto filtered = client.Query(q);  // must NOT be the memoized answer
-  EXPECT_EQ(client.queries_used(), 2u);
-  EXPECT_EQ(client.memo_hits(), 0u);
-  for (const auto& item : filtered) {
-    EXPECT_EQ(std::get<std::string>(d.tuple(item.id).values[0]), "starbucks");
-  }
-}
-
-TEST(ClientMemo, ResetQueryCountClearsAllCounters) {
-  const Dataset d = MakeDataset(200, 9);
-  const LbsServer server(&d, {.max_k = 5});
-  LrClient client(&server, {.k = 5, .memoize_queries = true});
-  client.EnableQueryLog();
-
-  client.Query({10, 10});
-  client.Query({10, 10});
-  ASSERT_EQ(client.queries_used(), 1u);
-  ASSERT_EQ(client.memo_hits(), 1u);
-  ASSERT_EQ(client.query_log().size(), 1u);
-
-  // A reset client must report internally consistent statistics: all three
-  // counters back to zero together (memo_hits once trailed behind — a reset
-  // client could report more hits than queries issued).
-  client.ResetQueryCount();
-  EXPECT_EQ(client.queries_used(), 0u);
-  EXPECT_EQ(client.memo_hits(), 0u);
-  EXPECT_EQ(client.query_log().size(), 0u);
-
-  // The memo *contents* survive the reset (the service is static, so the
-  // cached answers stay valid): a repeat is still free, and the post-reset
-  // counters account for it from zero.
-  client.Query({10, 10});
-  EXPECT_EQ(client.queries_used(), 0u);
-  EXPECT_EQ(client.memo_hits(), 1u);
-}
-
-TEST(ClientMemo, OffByDefault) {
-  const Dataset d = MakeDataset(200, 9);
-  const LbsServer server(&d, {.max_k = 5});
-  LrClient client(&server, {.k = 5});
-  client.Query({10, 10});
-  client.Query({10, 10});
-  EXPECT_EQ(client.queries_used(), 2u);
-  EXPECT_EQ(client.memo_hits(), 0u);
 }
 
 TEST(Client, DistanceRankedReflectsRankingMode) {

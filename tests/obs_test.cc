@@ -129,7 +129,7 @@ TEST(MetricsRegistry, SnapshotAndResetPreservesTotalsUnderConcurrency) {
 }
 
 // ---------------------------------------------------------------------------
-// Client stats drain under a dispatcher
+// Client query-count drain under a dispatcher
 
 Dataset MakeDataset(int n, uint64_t seed) {
   const Box box({0, 0}, {100, 100});
@@ -143,10 +143,10 @@ Dataset MakeDataset(int n, uint64_t seed) {
   return d;
 }
 
-// SnapshotAndResetStats races QueryBatch() calls running on dispatcher
-// workers; the drained periods plus the live remainder must add up to the
-// exact total charged. Run under TSAN by tools/check.sh.
-TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
+// DrainQueryCount races QueryBatch() calls running on dispatcher workers;
+// the drained periods plus the live remainder must add up to the exact
+// total charged. Run under TSAN by tools/check.sh.
+TEST(DrainQueryCount, AtomicUnderDispatcher) {
   const Dataset dataset = MakeDataset(300, 1);
   const LbsServer server(&dataset, {.max_k = 5});
   SimulatedTransport transport(&server, {.seed = 99});
@@ -156,12 +156,10 @@ TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
   constexpr int kBatches = 40;
   constexpr int kBatchSize = 16;
   std::atomic<bool> done{false};
-  ClientStats drained;
+  uint64_t drained = 0;
   std::thread reaper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const ClientStats period = client.SnapshotAndResetStats();
-      drained.queries += period.queries;
-      drained.memo_hits += period.memo_hits;
+      drained += client.DrainQueryCount();
     }
   });
 
@@ -175,8 +173,7 @@ TEST(ClientStats, SnapshotAndResetAtomicUnderDispatcher) {
   done.store(true, std::memory_order_release);
   reaper.join();
 
-  const ClientStats rest = client.SnapshotAndResetStats();
-  const uint64_t total = drained.queries + rest.queries;
+  const uint64_t total = drained + client.DrainQueryCount();
   // Every batch slot charges at least one attempt; retries may add more.
   EXPECT_GE(total, static_cast<uint64_t>(kBatches * kBatchSize));
   EXPECT_EQ(total, transport.Metrics().attempts);

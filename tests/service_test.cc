@@ -47,7 +47,6 @@ std::vector<RunResult> RunSolo(const LbsServer& server, const SessionSpec& spec,
   ClientOptions copts;
   copts.k = spec.k;
   copts.budget = spec.budget;
-  copts.memoize_queries = spec.memoize_queries;
 
   UniformSampler uniform(server.dataset().box());
   const QuerySampler* sampler =

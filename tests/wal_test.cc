@@ -19,6 +19,7 @@
 #include "engine/evidence_store.h"
 #include "engine/log/checkpoint.h"
 #include "engine/log/wal_format.h"
+#include "util/binary_io.h"
 
 namespace lbsagg {
 namespace engine {
@@ -388,12 +389,22 @@ CheckpointData MakeCheckpoint(uint64_t round) {
   data.round = round;
   data.observations = 3 * round;
   data.queries_used = 17 * round + 1;
-  data.memo_hash = 0;
   data.resolver_name = "lr";
   data.resolver_state = std::string("rng\x00state", 9);
   data.aggregates.push_back({"COUNT(*)", 0xabcdef1234567890ull, 41.5});
   data.aggregates.push_back({"SUM(rating)", 0x1111222233334444ull, -0.125});
   return data;
+}
+
+// Frames `payload` the way EncodeCheckpoint does (magic, length, valid CRC),
+// so a test can hand DecodeCheckpoint a payload that passes every integrity
+// check and must be rejected on its content alone.
+std::string FrameCheckpointPayload(const std::string& payload) {
+  std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
+  BinaryWriter header(&out);
+  header.PutU32(static_cast<uint32_t>(payload.size()));
+  header.PutU32(Crc32(payload));
+  return out + payload;
 }
 
 TEST(Checkpoint, EncodeDecodeRoundTripsAndRejectsDamage) {
@@ -417,6 +428,33 @@ TEST(Checkpoint, EncodeDecodeRoundTripsAndRejectsDamage) {
   std::string bad = bytes;
   bad[bytes.size() / 2] ^= 0x01;
   EXPECT_FALSE(DecodeCheckpoint(bad, &out));
+
+  // An aggregate count the payload cannot hold: rejected, not allocated.
+  std::string huge;
+  BinaryWriter w(&huge);
+  w.PutU32(kCheckpointVersion);
+  w.PutU64(12);  // round
+  w.PutU64(36);  // observations
+  w.PutU64(205);  // queries_used
+  w.PutString("lr");
+  w.PutString("");
+  w.PutU32(0xFFFFFFFFu);
+  EXPECT_FALSE(DecodeCheckpoint(FrameCheckpointPayload(huge), &out));
+
+  // A version-1 payload, with the 8-byte client-cache hash slot that
+  // version 2 dropped: rejected by version, so recovery treats the file as
+  // unusable and re-executes from the last usable checkpoint or round 0.
+  std::string v1;
+  BinaryWriter w1(&v1);
+  w1.PutU32(1);
+  w1.PutU64(12);  // round
+  w1.PutU64(36);  // observations
+  w1.PutU64(205);  // queries_used
+  w1.PutU64(0);  // the dropped cache hash
+  w1.PutString("lr");
+  w1.PutString("");
+  w1.PutU32(0);
+  EXPECT_FALSE(DecodeCheckpoint(FrameCheckpointPayload(v1), &out));
 }
 
 TEST(Checkpoint, ScanOrdersByRoundAndFlagsCorruptFiles) {

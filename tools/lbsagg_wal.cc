@@ -52,10 +52,9 @@ void PrintCheckpoints(const std::string& dir) {
       continue;
     }
     std::printf("checkpoint %s: round=%" PRIu64 " observations=%" PRIu64
-                " queries=%" PRIu64 " resolver=%s%s aggregates=%zu\n",
+                " queries=%" PRIu64 " resolver=%s aggregates=%zu\n",
                 entry.path.c_str(), entry.data.round, entry.data.observations,
                 entry.data.queries_used, entry.data.resolver_name.c_str(),
-                entry.data.memo_hash != 0 ? " [warm memo: non-resumable]" : "",
                 entry.data.aggregates.size());
     for (const AggregateCheckpoint& agg : entry.data.aggregates) {
       std::printf("  aggregate %s: estimate=%.17g trace=%016" PRIx64 "\n",
