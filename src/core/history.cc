@@ -37,15 +37,6 @@ std::vector<std::pair<int, Vec2>> History::Entries() const {
   return out;
 }
 
-std::vector<Vec2> History::OtherPositions(int excluded_id) const {
-  std::vector<Vec2> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    if (e.id != excluded_id) out.push_back(e.pos);
-  }
-  return out;
-}
-
 std::vector<Vec2> History::NearestOtherPositions(const Vec2& p,
                                                  int excluded_id,
                                                  size_t limit) const {

@@ -28,9 +28,6 @@ class History {
   const Vec2& Position(int id) const;
   size_t size() const { return entries_.size(); }
 
-  // Positions of all known tuples except `excluded_id` (-1 = none).
-  std::vector<Vec2> OtherPositions(int excluded_id) const;
-
   // Every recorded (id, position) in insertion order — the checkpoint
   // serialization of the history. Replaying these through Record() on a
   // fresh History reproduces the full state bit-identically, kd-index

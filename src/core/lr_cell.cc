@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "geometry/circle.h"
 #include "geometry/loc_key.h"
 #include "geometry/polygon.h"
 #include "util/check.h"
@@ -155,12 +154,10 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
       const std::vector<LrClient::Item> items = QueryByDistance(client_, v);
       ++out.queries;
       bool t_in_top_h = false;
-      bool t_in_result = false;
       for (size_t i = 0; i < items.size(); ++i) {
         const LrClient::Item& item = items[i];
         history_->Record(item.id, item.location);
         if (item.id == id) {
-          t_in_result = true;
           if (static_cast<int>(i) < h) t_in_top_h = true;
           continue;
         }
@@ -168,7 +165,6 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
       }
       queried.emplace(key, t_in_top_h);
       if (t_in_top_h) out.confirmed_in_cell.push_back(v);
-      if (t_in_result) out.confirmed_cover.push_back(v);
     }
 
     if (!new_tuple) {
@@ -207,22 +203,12 @@ LrCellComputer::Result LrCellComputer::ComputeInverseProbability(int id,
   // region V' until one lands in the true cell. E[#trials] = P(V')/P(V), so
   // trials / P(V') is an unbiased estimate of 1/P(V).
   //
-  // Lower-bound shortcuts (query-free hits):
-  //  * h == 1: the convex hull of vertices confirmed inside the (convex)
-  //    cell is contained in the cell.
-  //  * any h: if the disc C(x, d(x,t)) fits inside a confirmed cover circle
-  //    C(v, d(v,t)), every tuple that can affect t's rank at x has been
-  //    observed, so the rank test against history is exact.
+  // Lower-bound shortcut (query-free hits) for h == 1: the convex hull of
+  // vertices confirmed inside the (convex) cell is contained in the cell.
   ConvexPolygon hull;
   if (h == 1 && outcome.confirmed_in_cell.size() >= 3) {
     hull = ConvexPolygon::ConvexHull(outcome.confirmed_in_cell);
   }
-  std::vector<Circle> cover;
-  cover.reserve(outcome.confirmed_cover.size());
-  for (const Vec2& v : outcome.confirmed_cover) {
-    cover.emplace_back(v, Distance(v, pos));
-  }
-  const std::vector<Vec2> history_others = history_->OtherPositions(id);
 
   int trials = 0;
   while (true) {
@@ -231,12 +217,6 @@ LrCellComputer::Result LrCellComputer::ComputeInverseProbability(int id,
     const Vec2 x = sampler_->SampleFromRegion(outcome.region, rng);
 
     if (!hull.IsEmpty() && hull.Contains(x)) break;  // inside the cell
-
-    if (DiscCoveredBySingle(Circle(x, Distance(x, pos)), cover)) {
-      // Rank of t at x is fully determined by history.
-      if (RankAt(x, pos, history_others) < h) break;
-      continue;
-    }
 
     const std::vector<LrClient::Item> items = QueryByDistance(client_, x);
     ++result.queries;

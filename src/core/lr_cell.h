@@ -89,10 +89,8 @@ class LrCellComputer {
     bool exact = false;
     uint64_t queries = 0;
     int rounds = 0;
-    // Vertices where the tuple was confirmed within top-h (inside the cell)
-    // and within top-k (usable for the circle lower bound).
+    // Vertices where the tuple was confirmed within top-h (inside the cell).
     std::vector<Vec2> confirmed_in_cell;
-    std::vector<Vec2> confirmed_cover;
   };
 
   // The shared Theorem-1 refinement loop. If `allow_early_stop`, returns a

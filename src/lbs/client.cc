@@ -163,12 +163,4 @@ std::vector<std::vector<LrClient::Item>> TrilaterationClient::QueryBatch(
   return results;
 }
 
-std::vector<DistanceClient::Item> DistanceClient::Query(const Vec2& q) {
-  const std::vector<ServerHit> hits = RawQuery(q);
-  std::vector<Item> items;
-  items.reserve(hits.size());
-  for (const ServerHit& h : hits) items.push_back({h.tuple_id, h.distance});
-  return items;
-}
-
 }  // namespace lbsagg

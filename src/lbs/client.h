@@ -242,21 +242,6 @@ class LnrClient : public LbsClient {
   int Top1(const Vec2& q);
 };
 
-// Distance-returning variant (Skout, Momo): ranked ids + precise distances
-// but no coordinates. §2.1 classifies these as LR-LBS because trilateration
-// recovers locations with 3 queries — see lbs/trilateration.h.
-class DistanceClient : public LbsClient {
- public:
-  struct Item {
-    int id = -1;
-    double distance = 0.0;
-  };
-
-  using LbsClient::LbsClient;
-
-  std::vector<Item> Query(const Vec2& q);
-};
-
 }  // namespace lbsagg
 
 #endif  // LBSAGG_LBS_CLIENT_H_

@@ -36,6 +36,21 @@ uint32_t MortonKey(const Vec2& p, const Box& box) {
          (SpreadBits16(Quantize16(p.y, box.lo.y, box.height())) << 1);
 }
 
+// One merge-fold candidate. `d2` is the exact squared distance
+// dx*dx + dy*dy — the builds use no FP-contraction flags, so the value is
+// the same IEEE double in every translation unit, and ordering by it
+// reproduces the SpatialIndex (squared distance, index) contract exactly.
+// Sorting by `distance` instead would be wrong: two distinct d2 can round
+// to the same sqrt, and the id tie-break would then disagree with the
+// index's d2 order.
+struct ShardCandidate {
+  double d2 = 0.0;
+  double distance = 0.0;  // sqrt(d2), what the ServerHit carries
+  int id = -1;            // global tuple id
+};
+
+// Top-k under the total order (d2, id): input order is irrelevant, so any
+// permutation (shard arrival order, worker interleaving) folds the same.
 void SortTruncate(std::vector<ShardCandidate>* candidates, int k) {
   std::sort(candidates->begin(), candidates->end(),
             [](const ShardCandidate& a, const ShardCandidate& b) {
@@ -59,13 +74,6 @@ double SquaredDistanceTo(const Vec2& q, const Vec2& p) {
 }
 
 }  // namespace
-
-std::vector<ServerHit> FoldTopK(std::vector<ShardCandidate> candidates,
-                                int k) {
-  LBSAGG_CHECK_GE(k, 1);
-  SortTruncate(&candidates, k);
-  return ToHits(candidates);
-}
 
 ShardedLbsServer::ShardedLbsServer(const Dataset* dataset,
                                    ShardedServerOptions options)
@@ -189,81 +197,6 @@ std::vector<int> ShardedLbsServer::ReachableShards(const Vec2& q) const {
   return reachable;
 }
 
-void ShardedLbsServer::AppendShardCandidates(
-    int shard, const Vec2& q, int k, const TupleFilter& filter,
-    std::vector<ShardCandidate>* out) const {
-  const Shard& sh = shards_[shard];
-  IndexFilter index_filter;
-  if (filter) {
-    index_filter = [this, &sh, &filter](int local) {
-      return filter(dataset_->tuple(sh.ids[local]));
-    };
-  }
-  for (const Neighbor& n : sh.index->NearestFiltered(q, k, index_filter)) {
-    if (n.distance > options_.server.max_radius) break;  // sorted ascending
-    const int id = sh.ids[n.index];
-    out->push_back({SquaredDistanceTo(q, effective_pos_[id]), n.distance, id});
-  }
-}
-
-std::vector<ServerHit> ShardedLbsServer::Query(const Vec2& q, int k,
-                                               const TupleFilter& filter) const {
-  LBSAGG_CHECK_GE(k, 1);
-  k = std::min(k, options_.server.max_k);
-
-  if (options_.server.ranking == RankingMode::kProminence) {
-    std::vector<std::vector<ServerHit>> pages;
-    for (int s : ReachableShards(q)) {
-      pages.push_back(QueryShard(s, q, k, filter));
-    }
-    return MergeShardPages(q, pages, k);
-  }
-
-  // Probe shards in ascending bbox distance; once k candidates are held, a
-  // shard whose bbox lies strictly beyond the k-th candidate's d2 — and
-  // every later shard, since the order is by bbox distance — can only
-  // produce strictly worse (d2, id) keys, so pruning never changes the
-  // fold's output, only the work.
-  std::vector<std::pair<double, int>> order;  // (mind2, shard)
-  order.reserve(shards_.size());
-  for (int s : ReachableShards(q)) {
-    order.push_back({ShardMinDist2(shards_[s], q), s});
-  }
-  std::sort(order.begin(), order.end());
-
-  std::vector<ShardCandidate> candidates;
-  for (const auto& [mind2, s] : order) {
-    if (candidates.size() == static_cast<size_t>(k) &&
-        mind2 > candidates.back().d2) {
-      break;
-    }
-    AppendShardCandidates(s, q, k, filter, &candidates);
-    SortTruncate(&candidates, k);
-  }
-  return ToHits(candidates);
-}
-
-std::vector<ServerHit> ShardedLbsServer::WithinRadius(const Vec2& q,
-                                                      double radius) const {
-  LBSAGG_CHECK_GE(radius, 0.0);
-  std::vector<ShardCandidate> candidates;
-  for (int s = 0; s < num_shards(); ++s) {
-    const Shard& sh = shards_[s];
-    if (sh.ids.empty()) continue;
-    if (std::sqrt(ShardMinDist2(sh, q)) > radius) continue;
-    for (const Neighbor& n : sh.index->WithinRadius(q, radius)) {
-      const int id = sh.ids[n.index];
-      candidates.push_back(
-          {SquaredDistanceTo(q, effective_pos_[id]), n.distance, id});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const ShardCandidate& a, const ShardCandidate& b) {
-              return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id);
-            });
-  return ToHits(candidates);
-}
-
 std::vector<ServerHit> ShardedLbsServer::QueryShard(
     int shard, const Vec2& q, int k, const TupleFilter& filter) const {
   LBSAGG_CHECK_GE(shard, 0);
@@ -303,9 +236,17 @@ std::vector<ServerHit> ShardedLbsServer::QueryShard(
     return hits;
   }
 
-  std::vector<ShardCandidate> candidates;
-  AppendShardCandidates(shard, q, k, filter, &candidates);
-  return ToHits(candidates);
+  IndexFilter index_filter;
+  if (filter) {
+    index_filter = [this, &sh, &filter](int local) {
+      return filter(dataset_->tuple(sh.ids[local]));
+    };
+  }
+  for (const Neighbor& n : sh.index->NearestFiltered(q, k, index_filter)) {
+    if (n.distance > options_.server.max_radius) break;  // sorted ascending
+    hits.push_back({sh.ids[n.index], n.distance});
+  }
+  return hits;
 }
 
 std::vector<ServerHit> ShardedLbsServer::MergeShardPages(

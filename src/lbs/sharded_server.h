@@ -55,31 +55,14 @@ struct ShardBuildStats {
   }
 };
 
-// One merge-fold candidate. `d2` is the exact squared distance
-// dx*dx + dy*dy — the builds use no FP-contraction flags, so the value is
-// the same IEEE double in every translation unit, and ordering by it
-// reproduces the SpatialIndex (squared distance, index) contract exactly.
-// Sorting by `distance` instead would be wrong: two distinct d2 can round
-// to the same sqrt, and the id tie-break would then disagree with the
-// index's d2 order.
-struct ShardCandidate {
-  double d2 = 0.0;
-  double distance = 0.0;  // sqrt(d2), what the ServerHit carries
-  int id = -1;            // global tuple id
-};
-
-// The pure deterministic merge fold: top-k of `candidates` under the total
-// order (d2, id). Input order is irrelevant — any permutation (shard
-// arrival order, worker interleaving) folds to the same output.
-std::vector<ServerHit> FoldTopK(std::vector<ShardCandidate> candidates, int k);
-
 // A horizontally partitioned LbsServer: N shards, each owning a disjoint
 // slice of the dataset behind its own SpatialIndex (built in parallel at
-// construction). Queries scatter to the reachable shards and gather through
-// the (d2, id) fold, so every answer is bit-identical to the monolithic
-// LbsServer over the same dataset and options — the shard count is
-// invisible through the interface, exactly like the index backend
-// (sharded_server_test.cc asserts this for every mode).
+// construction). A query scatters to the ReachableShards, each answers its
+// QueryShard page, and MergeShardPages gathers them through the (d2, id)
+// fold — ShardedTransport::Fulfill runs exactly this — so every answer is
+// bit-identical to the monolithic LbsServer over the same dataset and
+// options: the shard count is invisible through the interface, exactly like
+// the index backend (sharded_server_test.cc asserts this for every mode).
 //
 // Thread-safety: construction is internally parallel; afterwards the object
 // is immutable and every method is const and safe to call concurrently.
@@ -88,21 +71,11 @@ class ShardedLbsServer {
   // `dataset` must outlive the server.
   ShardedLbsServer(const Dataset* dataset, ShardedServerOptions options = {});
 
-  // Scatter-gather kNN, bit-identical to LbsServer::Query. Shards whose
-  // bounding box is provably outside max_radius — or farther than the
-  // current k-th candidate once k are held — are pruned; pruning never
-  // changes the answer, only the work.
-  std::vector<ServerHit> Query(const Vec2& q, int k,
-                               const TupleFilter& filter = nullptr) const;
-
-  // Scatter-gather range query: all tuples within `radius` (inclusive),
-  // sorted by the canonical (d2, id) order.
-  std::vector<ServerHit> WithinRadius(const Vec2& q, double radius) const;
-
   // The per-shard endpoint the sharded transport fans out to: this shard's
   // top-k page (global tuple ids, clamped to max_k, radius-trimmed; under
   // kProminence, scored and re-ranked shard-locally). Merging every
-  // reachable shard's page with MergeShardPages reproduces Query exactly.
+  // reachable shard's page with MergeShardPages reproduces
+  // LbsServer::Query exactly.
   std::vector<ServerHit> QueryShard(int shard, const Vec2& q, int k,
                                     const TupleFilter& filter = nullptr) const;
 
@@ -142,9 +115,6 @@ class ShardedLbsServer {
 
   // Squared distance from q to shard's bbox (0 inside); +inf when empty.
   double ShardMinDist2(const Shard& shard, const Vec2& q) const;
-  void AppendShardCandidates(int shard, const Vec2& q, int k,
-                             const TupleFilter& filter,
-                             std::vector<ShardCandidate>* out) const;
 
   const Dataset* dataset_;
   ShardedServerOptions options_;

@@ -1,5 +1,6 @@
 #include "lbs/trilateration.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lbsagg {
@@ -22,42 +23,6 @@ std::optional<Vec2> Trilaterate(const Vec2 centers[3], const double dists[3]) {
   const double x = (b1 * (2.0 * r2.y) - b2 * (2.0 * r1.y)) / (2.0 * det);
   const double y = ((2.0 * r1.x) * b2 - (2.0 * r2.x) * b1) / (2.0 * det);
   return Vec2{x, y};
-}
-
-namespace {
-
-// Distance to `id` in a query result, or nullopt when not returned.
-std::optional<double> DistanceToId(const std::vector<DistanceClient::Item>& r,
-                                   int id) {
-  for (const auto& item : r) {
-    if (item.id == id) return item.distance;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<Vec2> LocateByTrilateration(DistanceClient& client, int id,
-                                          const Vec2& q0) {
-  const std::optional<double> d0 = DistanceToId(client.Query(q0), id);
-  if (!d0.has_value()) return std::nullopt;
-  if (*d0 == 0.0) return q0;
-
-  // Probe two perpendicular offsets. If the tuple drops out of the top-k at
-  // a probe (other tuples crowd it out), shrink the offset and retry.
-  double h = 0.5 * *d0;
-  for (int attempt = 0; attempt < 6; ++attempt, h *= 0.5) {
-    const Vec2 q1 = q0 + Vec2{h, 0.0};
-    const std::optional<double> d1 = DistanceToId(client.Query(q1), id);
-    if (!d1.has_value()) continue;
-    const Vec2 q2 = q0 + Vec2{0.0, h};
-    const std::optional<double> d2 = DistanceToId(client.Query(q2), id);
-    if (!d2.has_value()) continue;
-    const Vec2 centers[3] = {q0, q1, q2};
-    const double dists[3] = {*d0, *d1, *d2};
-    if (std::optional<Vec2> p = Trilaterate(centers, dists)) return p;
-  }
-  return std::nullopt;
 }
 
 }  // namespace lbsagg

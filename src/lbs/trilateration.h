@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "geometry/vec2.h"
-#include "lbs/client.h"
 
 namespace lbsagg {
 
@@ -13,15 +12,6 @@ namespace lbsagg {
 // collinear. The distances may be slightly inconsistent (noise); the
 // least-constraint linear solution is returned.
 std::optional<Vec2> Trilaterate(const Vec2 centers[3], const double dists[3]);
-
-// Recovers the location of tuple `id` through a distance-returning LBS
-// (§2.1: "one can infer the precise location of a tuple with just 3
-// queries"). `q0` must be a location where the service returns `id`.
-// Issues up to a handful of queries (3 in the common case: q0 plus two
-// probes placed so the tuple stays within range). Returns nullopt when the
-// tuple could not be kept inside the top-k of the probe queries.
-std::optional<Vec2> LocateByTrilateration(DistanceClient& client, int id,
-                                          const Vec2& q0);
 
 }  // namespace lbsagg
 

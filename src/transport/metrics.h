@@ -6,42 +6,13 @@
 #include <vector>
 
 #include "transport/transport.h"
-#include "util/table.h"
 
 namespace lbsagg {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
-// Power-of-two-bucketed latency histogram: bucket i counts samples in
-// [2^(i-1), 2^i) ms, bucket 0 counts < 1 ms, the last bucket is unbounded.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 18;  // last bound: 2^16 ms ≈ 65 s
-
-  void Add(double ms);
-  uint64_t count() const { return count_; }
-  double total_ms() const { return total_ms_; }
-  double mean_ms() const { return count_ == 0 ? 0.0 : total_ms_ / count_; }
-  // Upper bound of the first bucket whose cumulative share reaches q.
-  double QuantileUpperBound(double q) const;
-  const uint64_t* buckets() const { return buckets_; }
-
-  // `{"count":..,"mean_ms":..,"p50_le_ms":..,"p99_le_ms":..,"buckets":[..]}`
-  std::string ToJson() const;
-
-  void Merge(const LatencyHistogram& other);
-  bool operator==(const LatencyHistogram&) const = default;
-
- private:
-  uint64_t buckets_[kBuckets] = {};
-  uint64_t count_ = 0;
-  double total_ms_ = 0.0;
-};
-
 // Everything a transport observed, in deterministic order of recording.
-// Comparable with == so determinism tests can assert bit-equality.
+// Comparable with == so determinism tests can assert bit-equality. The
+// latency distribution lives on the metric plane (the transport's
+// *.latency_ms histograms); this struct keeps its total.
 struct TransportMetrics {
   uint64_t requests = 0;  // logical queries
   uint64_t attempts = 0;  // interface attempts (== the §2.1 query cost)
@@ -58,32 +29,22 @@ struct TransportMetrics {
   uint64_t throttle_events = 0;
   double throttle_wait_ms = 0.0;
 
-  // End-to-end simulated latency per logical query (incl. backoff+throttle).
-  LatencyHistogram latency;
+  // Summed end-to-end simulated latency of the logical queries (incl.
+  // backoff + throttle).
+  double latency_ms = 0.0;
 
   // attempts_histogram[i] = logical queries that took exactly i+1 attempts.
   std::vector<uint64_t> attempts_histogram;
 
   void RecordAttemptsForRequest(int attempts_used);
 
-  // Multi-line pretty-printed JSON document.
+  // Multi-line pretty-printed JSON document; the two millisecond totals
+  // print at shortest round-trip precision.
   std::string ToJson(int indent = 0) const;
-  // Fixed-width text rendering via util/table for human consumption.
-  Table ToTable() const;
 
   void Merge(const TransportMetrics& other);
   bool operator==(const TransportMetrics&) const = default;
 };
-
-// Bridges one transport-metrics snapshot into the shared metric plane as
-// transport.* counters and gauges (transport.requests, transport.attempts,
-// transport.outcome.<name>, transport.latency_mean_ms, …), so run reports
-// cover the transport layer without the obs library depending on transport.
-// Call once per accounting period with the delta (or the final snapshot);
-// counters *add*, gauges overwrite. `registry == nullptr` lands on
-// obs::MetricsRegistry::Default().
-void PublishTransportMetrics(const TransportMetrics& metrics,
-                             obs::MetricsRegistry* registry);
 
 }  // namespace lbsagg
 

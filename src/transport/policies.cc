@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace lbsagg {
@@ -88,6 +89,106 @@ double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
   const double u = TicketUniform01(seed, ticket, attempt, kSaltJitter);
   const double factor = 1.0 + options.jitter * (2.0 * u - 1.0);
   return capped * factor;
+}
+
+void TruncatePage(TransportOutcome outcome, double truncate_u,
+                  std::vector<ServerHit>* page) {
+  if (outcome != TransportOutcome::kTruncated || page->empty()) return;
+  const size_t size = page->size();
+  page->resize(std::min(
+      size - 1, static_cast<size_t>(truncate_u * static_cast<double>(size))));
+}
+
+obs::HistogramRef LatencyMsHistogram(obs::MetricsRegistry* registry,
+                                     const std::string& name) {
+  return obs::GetHistogram(registry, name, obs::SmallCountBounds(1 << 16));
+}
+
+PolicyLane::PolicyLane(const TokenBucketOptions& rate_limit,
+                       const FaultOptions& faults, uint64_t seed,
+                       obs::CounterRef attempts_counter,
+                       obs::HistogramRef latency_histogram)
+    : bucket_(rate_limit),
+      faults_(faults, seed),
+      seed_(seed),
+      attempts_counter_(attempts_counter),
+      latency_histogram_(latency_histogram) {}
+
+double PolicyLane::Run(uint64_t ticket, double depart_ms,
+                       const LatencyModel& latency_model,
+                       const RetryOptions& retry, obs::Tracer* tracer,
+                       const char* span_name, LaneDecision* decision) {
+  ++metrics_.requests;
+  decision->attempts = 0;
+  decision->dispatch_ms = depart_ms;
+  double t = depart_ms;
+  for (int attempt = 1;; ++attempt) {
+    // One rate-limit token per interface attempt.
+    const double service = bucket_.AcquireAt(t);
+    if (service > t) {
+      ++metrics_.throttle_events;
+      metrics_.throttle_wait_ms += service - t;
+      t = service;
+    }
+    decision->dispatch_ms = t;
+    ++decision->attempts;
+    ++metrics_.attempts;
+    attempts_counter_.Add(1);
+
+    const AttemptFault fault = faults_.Draw(ticket, attempt);
+    double attempt_ms = latency_model.Sample(seed_, ticket, attempt);
+    if (fault.kind == AttemptFault::Kind::kTimeout) {
+      attempt_ms = faults_.options().timeout_ms;
+    }
+    if (tracer != nullptr) {
+      // The attempt span starts when the rate limiter releases the attempt.
+      tracer->AddComplete("transport.attempt", "transport", t * 1000.0,
+                          attempt_ms * 1000.0);
+    }
+    t += attempt_ms;
+
+    if (fault.kind == AttemptFault::Kind::kNone) {
+      decision->outcome = TransportOutcome::kOk;
+      break;
+    }
+    if (fault.kind == AttemptFault::Kind::kTruncated) {
+      // Degraded success: the page arrived minus a suffix. Not retried —
+      // the client cannot tell a truncated page from a sparse area.
+      decision->outcome = TransportOutcome::kTruncated;
+      decision->truncate_u = fault.truncate_u;
+      break;
+    }
+
+    // Retryable failure.
+    if (fault.kind == AttemptFault::Kind::kTimeout) {
+      ++metrics_.attempt_timeouts;
+    } else {
+      ++metrics_.attempt_transient_errors;
+    }
+    if (retries_spent_ >= retry.retry_budget) {
+      decision->outcome = TransportOutcome::kFatal;  // fail fast: budget spent
+      break;
+    }
+    if (attempt >= retry.max_attempts) {
+      decision->outcome = fault.kind == AttemptFault::Kind::kTimeout
+                              ? TransportOutcome::kTimeout
+                              : TransportOutcome::kTransientError;
+      break;
+    }
+    ++retries_spent_;
+    ++metrics_.retries;
+    t += BackoffMs(retry, seed_, ticket, attempt);
+  }
+
+  if (tracer != nullptr) {
+    tracer->AddComplete(span_name, "transport", depart_ms * 1000.0,
+                        (t - depart_ms) * 1000.0);
+  }
+  ++metrics_.outcomes[static_cast<int>(decision->outcome)];
+  metrics_.latency_ms += t - depart_ms;
+  latency_histogram_.Observe(t - depart_ms);
+  metrics_.RecordAttemptsForRequest(decision->attempts);
+  return t;
 }
 
 }  // namespace lbsagg

@@ -1,8 +1,9 @@
 #ifndef LBSAGG_TRANSPORT_POLICIES_H_
 #define LBSAGG_TRANSPORT_POLICIES_H_
 
-// Pluggable policies composed by SimulatedTransport: latency model,
-// token-bucket rate limiter, seeded fault injector, and retry policy.
+// Pluggable policies — latency model, token-bucket rate limiter, seeded
+// fault injector, and retry policy — and the PolicyLane that composes them
+// into the per-attempt pipeline both simulated wires run.
 //
 // Determinism contract: every random draw is a *pure function* of
 // (seed, ticket, attempt, salt) — a hash, not a shared generator stream —
@@ -13,11 +14,19 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "geometry/loc_key.h"  // SplitMix64
+#include "obs/obs.h"
+#include "transport/metrics.h"
 #include "transport/transport.h"
 
 namespace lbsagg {
+
+namespace obs {
+class Tracer;
+}  // namespace obs
 
 // Uniform in [0, 1), pure function of its arguments.
 inline double TicketUniform01(uint64_t seed, uint64_t ticket, int attempt,
@@ -69,7 +78,7 @@ struct TokenBucketOptions {
 };
 
 // Deterministic virtual-time token bucket: one token per interface attempt.
-// Not thread-safe — SimulatedTransport drives it under its own lock.
+// Not thread-safe — its PolicyLane's transport drives it under a lock.
 class TokenBucket {
  public:
   explicit TokenBucket(TokenBucketOptions options);
@@ -140,16 +149,73 @@ struct RetryOptions {
   uint64_t retry_budget = std::numeric_limits<uint64_t>::max();
 };
 
-// Retryable faults are re-attempted; anything else is final.
-inline bool Retryable(AttemptFault::Kind kind) {
-  return kind == AttemptFault::Kind::kTransientError ||
-         kind == AttemptFault::Kind::kTimeout;
-}
-
 // Backoff before retry number `attempt` (the attempt just failed was
 // 1-based `attempt`), with deterministic jitter.
 double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
                  int attempt);
+
+// ---------------------------------------------------------------------------
+// Policy lane
+
+// Cuts a kTruncated page to a strict prefix: at least 0, at most size-1
+// hits survive, the kept share set by the attempt's uniform `truncate_u`.
+// Any other outcome leaves the page whole.
+void TruncatePage(TransportOutcome outcome, double truncate_u,
+                  std::vector<ServerHit>* page);
+
+// The request-latency histogram `name` on `registry` (null = the default
+// plane): power-of-two bounds from 1 ms to 2^16 ms, the last bucket open.
+obs::HistogramRef LatencyMsHistogram(obs::MetricsRegistry* registry,
+                                     const std::string& name);
+
+// What one lane decided for one logical query.
+struct LaneDecision {
+  TransportOutcome outcome = TransportOutcome::kOk;
+  int attempts = 0;
+  double truncate_u = 0.0;   // kTruncated: uniform deciding the kept prefix
+  double dispatch_ms = 0.0;  // when the final attempt entered service
+};
+
+// One metered lane of a simulated wire: a token bucket, a fault injector
+// and a retry budget under one seed, plus the lane's own accounting.
+// SimulatedTransport owns one lane; ShardedTransport owns one per shard.
+// Run() is the per-attempt policy pipeline:
+//
+//   for attempt = 1..retry.max_attempts:
+//     wait for a rate-limit token        (virtual clock advances)
+//     draw the attempt's latency         (fixed or lognormal)
+//     draw the attempt's fault           (none / transient / timeout / trunc)
+//     retryable fault and retry budget left? back off (capped exp + jitter)
+//     else: final outcome
+//
+// Not thread-safe: the owning transport drives it under its own lock.
+class PolicyLane {
+ public:
+  PolicyLane(const TokenBucketOptions& rate_limit, const FaultOptions& faults,
+             uint64_t seed, obs::CounterRef attempts_counter,
+             obs::HistogramRef latency_histogram);
+
+  // Runs the pipeline for `ticket`, departing at virtual `depart_ms`, and
+  // returns its completion time. With a `tracer`, emits one `span_name`
+  // span wrapping a "transport.attempt" span per attempt, stamped with the
+  // virtual-time endpoints (1 ms = 1000 ts units).
+  double Run(uint64_t ticket, double depart_ms,
+             const LatencyModel& latency_model, const RetryOptions& retry,
+             obs::Tracer* tracer, const char* span_name,
+             LaneDecision* decision);
+
+  const TransportMetrics& metrics() const { return metrics_; }
+  void ResetMetrics() { metrics_ = TransportMetrics{}; }
+
+ private:
+  TokenBucket bucket_;
+  FaultInjector faults_;
+  uint64_t seed_;
+  uint64_t retries_spent_ = 0;
+  TransportMetrics metrics_;
+  obs::CounterRef attempts_counter_;
+  obs::HistogramRef latency_histogram_;
+};
 
 }  // namespace lbsagg
 

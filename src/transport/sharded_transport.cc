@@ -8,17 +8,6 @@
 
 namespace lbsagg {
 
-namespace {
-
-// Severity used to pick the combined outcome when lanes disagree; the
-// lowest-shard-id *undelivered* lane wins outright, so this only orders
-// delivered outcomes (kTruncated over kOk).
-bool WorseThan(TransportOutcome a, TransportOutcome b) {
-  return static_cast<int>(a) > static_cast<int>(b);
-}
-
-}  // namespace
-
 ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
                                    ShardedTransportOptions options)
     : server_(server),
@@ -31,7 +20,9 @@ ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
       partial_failure_counter_(obs::GetCounter(
           options_.registry, "transport.sharded.partial_failures")),
       fulfills_counter_(
-          obs::GetCounter(options_.registry, "transport.sharded.fulfills")) {
+          obs::GetCounter(options_.registry, "transport.sharded.fulfills")),
+      latency_histogram_(LatencyMsHistogram(options_.registry,
+                                            "transport.sharded.latency_ms")) {
   LBSAGG_CHECK(server_ != nullptr);
   LBSAGG_CHECK_GE(options_.retry.max_attempts, 1);
   const int shards = server_->num_shards();
@@ -44,81 +35,13 @@ ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
     const uint64_t lane_seed =
         SplitMix64(options_.seed ^
                    (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(s) + 1)));
-    lanes_.emplace_back(options_.rate_limit, faults, lane_seed);
-    lanes_.back().attempts_counter = obs::GetCounter(
-        options_.registry, obs::ShardMetricName("transport", s, "attempts"));
+    lanes_.emplace_back(
+        options_.rate_limit, faults, lane_seed,
+        obs::GetCounter(options_.registry,
+                        obs::ShardMetricName("transport", s, "attempts")),
+        LatencyMsHistogram(options_.registry,
+                           obs::ShardMetricName("transport", s, "latency_ms")));
   }
-}
-
-double ShardedTransport::PrepareLane(Lane& lane, uint64_t ticket,
-                                     double depart_ms, LanePlan* plan,
-                                     int* attempts, double* dispatch_ms) {
-  ++lane.metrics.requests;
-  *attempts = 0;
-  *dispatch_ms = depart_ms;
-  double t = depart_ms;
-  for (int attempt = 1;; ++attempt) {
-    const double service = lane.bucket.AcquireAt(t);
-    if (service > t) {
-      ++lane.metrics.throttle_events;
-      lane.metrics.throttle_wait_ms += service - t;
-      t = service;
-    }
-    *dispatch_ms = t;
-    ++*attempts;
-    ++lane.metrics.attempts;
-    lane.attempts_counter.Add(1);
-
-    const AttemptFault fault = lane.faults.Draw(ticket, attempt);
-    double attempt_ms = latency_model_.Sample(lane.seed, ticket, attempt);
-    if (fault.kind == AttemptFault::Kind::kTimeout) {
-      attempt_ms = lane.faults.options().timeout_ms;
-    }
-    if (options_.tracer != nullptr) {
-      options_.tracer->AddComplete("transport.attempt", "transport",
-                                   t * 1000.0, attempt_ms * 1000.0);
-    }
-    t += attempt_ms;
-
-    if (fault.kind == AttemptFault::Kind::kNone) {
-      plan->outcome = TransportOutcome::kOk;
-      break;
-    }
-    if (fault.kind == AttemptFault::Kind::kTruncated) {
-      plan->outcome = TransportOutcome::kTruncated;
-      plan->truncate_u = fault.truncate_u;
-      break;
-    }
-
-    if (fault.kind == AttemptFault::Kind::kTimeout) {
-      ++lane.metrics.attempt_timeouts;
-    } else {
-      ++lane.metrics.attempt_transient_errors;
-    }
-    if (lane.retries_spent >= options_.retry.retry_budget) {
-      plan->outcome = TransportOutcome::kFatal;
-      break;
-    }
-    if (attempt >= options_.retry.max_attempts) {
-      plan->outcome = fault.kind == AttemptFault::Kind::kTimeout
-                          ? TransportOutcome::kTimeout
-                          : TransportOutcome::kTransientError;
-      break;
-    }
-    ++lane.retries_spent;
-    ++lane.metrics.retries;
-    t += BackoffMs(options_.retry, lane.seed, ticket, attempt);
-  }
-
-  if (options_.tracer != nullptr) {
-    options_.tracer->AddComplete("transport.shard.request", "transport",
-                                 depart_ms * 1000.0,
-                                 (t - depart_ms) * 1000.0);
-  }
-  ++lane.metrics.outcomes[static_cast<int>(plan->outcome)];
-  lane.metrics.latency.Add(t - depart_ms);
-  lane.metrics.RecordAttemptsForRequest(*attempts);
-  return t;
 }
 
 TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
@@ -135,29 +58,26 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   double done = depart;
   double dispatch = depart;
   int max_attempts = 0;
-  std::vector<LanePlan> fanout;
+  Fanout fanout;
   fanout.reserve(targets.size());
+  // When lanes disagree, the lowest-shard-id undelivered lane wins
+  // outright; among delivered lanes, kTruncated wins over kOk.
   TransportOutcome first_failure = TransportOutcome::kOk;
   TransportOutcome worst_delivered = TransportOutcome::kOk;
   for (int s : targets) {
-    LanePlan lane_plan;
-    lane_plan.shard = s;
-    int attempts = 0;
-    double lane_dispatch = depart;
-    done = std::max(
-        done, PrepareLane(lanes_[s], plan.ticket, depart, &lane_plan,
-                          &attempts, &lane_dispatch));
-    dispatch = std::max(dispatch, lane_dispatch);
-    max_attempts = std::max(max_attempts, attempts);
-    if (!Delivered(lane_plan.outcome) &&
-        first_failure == TransportOutcome::kOk) {
-      first_failure = lane_plan.outcome;
+    LaneDecision lane;
+    done = std::max(done, lanes_[s].Run(plan.ticket, depart, latency_model_,
+                                        options_.retry, options_.tracer,
+                                        "transport.shard.request", &lane));
+    dispatch = std::max(dispatch, lane.dispatch_ms);
+    max_attempts = std::max(max_attempts, lane.attempts);
+    if (!Delivered(lane.outcome) && first_failure == TransportOutcome::kOk) {
+      first_failure = lane.outcome;
     }
-    if (Delivered(lane_plan.outcome) &&
-        WorseThan(lane_plan.outcome, worst_delivered)) {
-      worst_delivered = lane_plan.outcome;
+    if (lane.outcome == TransportOutcome::kTruncated) {
+      worst_delivered = TransportOutcome::kTruncated;
     }
-    fanout.push_back(lane_plan);
+    fanout.emplace_back(s, lane);
   }
 
   // A query beyond every shard's coverage never leaves the client's NIC in
@@ -180,7 +100,8 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   ++metrics_.outcomes[static_cast<int>(plan.outcome)];
   metrics_.attempts += static_cast<uint64_t>(plan.attempts);
   metrics_.retries += static_cast<uint64_t>(plan.attempts - 1);
-  metrics_.latency.Add(plan.latency_ms);
+  metrics_.latency_ms += plan.latency_ms;
+  latency_histogram_.Observe(plan.latency_ms);
   metrics_.RecordAttemptsForRequest(plan.attempts);
 
   pending_.emplace(plan.ticket, std::move(fanout));
@@ -191,7 +112,7 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
                                          const Vec2& q, int k,
                                          const TupleFilter& filter) const {
   fulfills_counter_.Add(1);
-  std::vector<LanePlan> fanout;
+  Fanout fanout;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(plan.ticket);
@@ -209,18 +130,9 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
 
   std::vector<std::vector<ServerHit>> pages;
   pages.reserve(fanout.size());
-  for (const LanePlan& lane_plan : fanout) {
-    std::vector<ServerHit> page =
-        server_->QueryShard(lane_plan.shard, q, k, filter);
-    if (lane_plan.outcome == TransportOutcome::kTruncated && !page.empty()) {
-      // Strict prefix of this shard's page, same rule as the monolithic
-      // SimulatedTransport: at least 0, at most size-1 hits survive.
-      const size_t size = page.size();
-      const size_t keep = std::min(
-          size - 1, static_cast<size_t>(lane_plan.truncate_u *
-                                        static_cast<double>(size)));
-      page.resize(keep);
-    }
+  for (const auto& [shard, lane] : fanout) {
+    std::vector<ServerHit> page = server_->QueryShard(shard, q, k, filter);
+    TruncatePage(lane.outcome, lane.truncate_u, &page);
     pages.push_back(std::move(page));
   }
   reply.hits = server_->MergeShardPages(q, pages, k);
@@ -236,13 +148,13 @@ TransportMetrics ShardedTransport::ShardMetrics(int shard) const {
   LBSAGG_CHECK_GE(shard, 0);
   LBSAGG_CHECK_LT(static_cast<size_t>(shard), lanes_.size());
   std::lock_guard<std::mutex> lock(mu_);
-  return lanes_[shard].metrics;
+  return lanes_[shard].metrics();
 }
 
 void ShardedTransport::ResetMetrics() {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_ = TransportMetrics{};
-  for (Lane& lane : lanes_) lane.metrics = TransportMetrics{};
+  for (PolicyLane& lane : lanes_) lane.ResetMetrics();
 }
 
 double ShardedTransport::VirtualNowMs() const {

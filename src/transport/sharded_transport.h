@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lbs/sharded_server.h"
@@ -44,9 +45,10 @@ struct ShardedTransportOptions {
 
   uint64_t seed = 0x5eed;
 
-  // Metric plane for the live counters: transport.sharded.* for the
-  // scatter layer plus per-lane transport.shardNN.attempts. Null lands on
-  // obs::MetricsRegistry::Default().
+  // Metric plane for the live cells: transport.sharded.* counters and the
+  // transport.sharded.latency_ms histogram for the scatter layer, plus
+  // per-lane transport.shardNN.attempts and transport.shardNN.latency_ms.
+  // Null lands on obs::MetricsRegistry::Default().
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, each logical query emits one "transport.request" span
@@ -56,14 +58,14 @@ struct ShardedTransportOptions {
 };
 
 // The scatter-gather wire over a ShardedLbsServer: one public kNN endpoint
-// backed by N per-shard lanes, each lane owning its own token bucket,
+// backed by N per-shard PolicyLanes, each owning its own token bucket,
 // seeded fault injector, and retry budget (seeds are mixed per shard, so a
 // lane's fault stream is independent of its neighbors').
 //
 // Prepare() is the stateful scatter: it picks the reachable shards for the
 // query (pure geometry — ShardedLbsServer::ReachableShards), then runs the
-// SimulatedTransport policy pipeline on every targeted lane, all departing
-// at the shared virtual now. Sub-requests travel in parallel, so the
+// policy pipeline on every targeted lane, all departing at the shared
+// virtual now. Sub-requests travel in parallel, so the
 // combined plan charges the *critical path*: attempts = max over lanes
 // (the §2.1 cost of one logical interface round, identical across shard
 // counts when no lane faults), latency = the slowest lane's completion.
@@ -113,46 +115,24 @@ class ShardedTransport final : public LbsTransport {
   double VirtualNowMs() const;
 
  private:
-  struct LanePlan {
-    int shard = -1;
-    TransportOutcome outcome = TransportOutcome::kOk;
-    double truncate_u = 0.0;
-  };
-  struct Lane {
-    explicit Lane(const TokenBucketOptions& bucket_options,
-                  const FaultOptions& fault_options, uint64_t lane_seed)
-        : bucket(bucket_options),
-          faults(fault_options, lane_seed),
-          seed(lane_seed) {}
-    TokenBucket bucket;
-    FaultInjector faults;
-    uint64_t seed = 0;
-    uint64_t retries_spent = 0;
-    TransportMetrics metrics;
-    obs::CounterRef attempts_counter;
-  };
-
-  // Runs one lane's policy pipeline for `ticket`, departing at `depart_ms`.
-  // Returns the lane completion time; fills `plan`, `attempts`, and
-  // `dispatch_ms` (when the lane's final attempt entered service — the
-  // pipelined clock's frontier).
-  double PrepareLane(Lane& lane, uint64_t ticket, double depart_ms,
-                     LanePlan* plan, int* attempts, double* dispatch_ms);
+  // Each shard one prepared ticket targets, with its lane's decision.
+  using Fanout = std::vector<std::pair<int, LaneDecision>>;
 
   const ShardedLbsServer* server_;
   ShardedTransportOptions options_;
   LatencyModel latency_model_;
 
   mutable std::mutex mu_;
-  std::vector<Lane> lanes_;
+  std::vector<PolicyLane> lanes_;
   uint64_t next_ticket_ = 0;
   double virtual_now_ms_ = 0.0;
   TransportMetrics metrics_;  // client-facing aggregate
-  mutable std::unordered_map<uint64_t, std::vector<LanePlan>> pending_;
+  mutable std::unordered_map<uint64_t, Fanout> pending_;
   obs::CounterRef requests_counter_;
   obs::CounterRef fanout_counter_;
   obs::CounterRef partial_failure_counter_;
   obs::CounterRef fulfills_counter_;
+  obs::HistogramRef latency_histogram_;
 };
 
 }  // namespace lbsagg

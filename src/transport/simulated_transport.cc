@@ -1,8 +1,5 @@
 #include "transport/simulated_transport.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.h"
 
 namespace lbsagg {
@@ -12,8 +9,9 @@ SimulatedTransport::SimulatedTransport(const LbsServer* server,
     : server_(server),
       options_(options),
       latency_model_(options.latency),
-      fault_injector_(options.faults, options.seed),
-      bucket_(options.rate_limit),
+      lane_(options.rate_limit, options.faults, options.seed,
+            obs::CounterRef(),
+            LatencyMsHistogram(options.registry, "transport.latency_ms")),
       fulfills_counter_(
           obs::GetCounter(options.registry, "transport.fulfills")) {
   LBSAGG_CHECK(server_ != nullptr);
@@ -24,79 +22,15 @@ TransportPlan SimulatedTransport::Prepare(const Vec2&, int) {
   std::lock_guard<std::mutex> lock(mu_);
   TransportPlan plan;
   plan.ticket = next_ticket_++;
-  plan.attempts = 0;
-  ++metrics_.requests;
-
-  double t = virtual_now_ms_;
-  for (int attempt = 1;; ++attempt) {
-    // One rate-limit token per interface attempt.
-    const double service = bucket_.AcquireAt(t);
-    if (service > t) {
-      ++metrics_.throttle_events;
-      metrics_.throttle_wait_ms += service - t;
-      t = service;
-    }
-    ++plan.attempts;
-    ++metrics_.attempts;
-
-    const AttemptFault fault = fault_injector_.Draw(plan.ticket, attempt);
-    double attempt_ms = latency_model_.Sample(options_.seed, plan.ticket,
-                                              attempt);
-    if (fault.kind == AttemptFault::Kind::kTimeout) {
-      attempt_ms = options_.faults.timeout_ms;
-    }
-    if (options_.tracer != nullptr) {
-      // Attempt endpoints are known exactly in virtual time (1 ms = 1000 ts
-      // units): the span starts when the rate limiter releases the attempt.
-      options_.tracer->AddComplete("transport.attempt", "transport",
-                                   t * 1000.0, attempt_ms * 1000.0);
-    }
-    t += attempt_ms;
-
-    if (fault.kind == AttemptFault::Kind::kNone) {
-      plan.outcome = TransportOutcome::kOk;
-      break;
-    }
-    if (fault.kind == AttemptFault::Kind::kTruncated) {
-      // Degraded success: the page arrived minus a suffix. Not retried —
-      // the client cannot tell a truncated page from a sparse area.
-      plan.outcome = TransportOutcome::kTruncated;
-      plan.truncate_u = fault.truncate_u;
-      break;
-    }
-
-    // Retryable failure.
-    if (fault.kind == AttemptFault::Kind::kTimeout) {
-      ++metrics_.attempt_timeouts;
-    } else {
-      ++metrics_.attempt_transient_errors;
-    }
-    if (retries_spent_ >= options_.retry.retry_budget) {
-      plan.outcome = TransportOutcome::kFatal;  // fail fast: budget spent
-      break;
-    }
-    if (attempt >= options_.retry.max_attempts) {
-      plan.outcome = fault.kind == AttemptFault::Kind::kTimeout
-                         ? TransportOutcome::kTimeout
-                         : TransportOutcome::kTransientError;
-      break;
-    }
-    ++retries_spent_;
-    ++metrics_.retries;
-    t += BackoffMs(options_.retry, options_.seed, plan.ticket, attempt);
-  }
-
-  if (options_.tracer != nullptr) {
-    options_.tracer->AddComplete("transport.request", "transport",
-                                 virtual_now_ms_ * 1000.0,
-                                 (t - virtual_now_ms_) * 1000.0);
-  }
-  plan.latency_ms = t - virtual_now_ms_;
-  virtual_now_ms_ = t;  // sequential-client clock: next query departs now
-
-  ++metrics_.outcomes[static_cast<int>(plan.outcome)];
-  metrics_.latency.Add(plan.latency_ms);
-  metrics_.RecordAttemptsForRequest(plan.attempts);
+  LaneDecision decision;
+  const double done =
+      lane_.Run(plan.ticket, virtual_now_ms_, latency_model_, options_.retry,
+                options_.tracer, "transport.request", &decision);
+  plan.attempts = decision.attempts;
+  plan.outcome = decision.outcome;
+  plan.truncate_u = decision.truncate_u;
+  plan.latency_ms = done - virtual_now_ms_;
+  virtual_now_ms_ = done;  // sequential-client clock: next query departs now
   return plan;
 }
 
@@ -110,26 +44,19 @@ TransportReply SimulatedTransport::Fulfill(const TransportPlan& plan,
   reply.latency_ms = plan.latency_ms;
   if (Delivered(plan.outcome)) {
     reply.hits = server_->Query(q, k, filter);
-    if (plan.outcome == TransportOutcome::kTruncated && !reply.hits.empty()) {
-      // Keep a strict prefix: at least 0, at most size-1 hits survive.
-      const size_t size = reply.hits.size();
-      const size_t keep = std::min(
-          size - 1,
-          static_cast<size_t>(plan.truncate_u * static_cast<double>(size)));
-      reply.hits.resize(keep);
-    }
+    TruncatePage(plan.outcome, plan.truncate_u, &reply.hits);
   }
   return reply;
 }
 
 TransportMetrics SimulatedTransport::Metrics() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return metrics_;
+  return lane_.metrics();
 }
 
 void SimulatedTransport::ResetMetrics() {
   std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = TransportMetrics{};
+  lane_.ResetMetrics();
 }
 
 double SimulatedTransport::VirtualNowMs() const {

@@ -20,9 +20,8 @@ struct SimulatedTransportOptions {
   uint64_t seed = 0x5eed;
 
   // Metric plane for the live transport.fulfills counter (incremented on the
-  // dispatcher's worker threads); null lands on
-  // obs::MetricsRegistry::Default(). The aggregate TransportMetrics snapshot
-  // is bridged separately via PublishTransportMetrics.
+  // dispatcher's worker threads) and the transport.latency_ms histogram;
+  // null lands on obs::MetricsRegistry::Default().
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, every logical query emits one "transport.request" span with
@@ -34,14 +33,9 @@ struct SimulatedTransportOptions {
 };
 
 // A simulated network + service quota between the client interfaces and the
-// LBS backend. Each logical query runs the policy pipeline:
-//
-//   for attempt = 1..retry.max_attempts:
-//     wait for a rate-limit token        (virtual clock advances)
-//     draw the attempt's latency         (fixed or lognormal)
-//     draw the attempt's fault           (none / transient / timeout / trunc)
-//     retryable fault and retry budget left? back off (capped exp + jitter)
-//     else: final outcome
+// LBS backend. Each logical query runs the policy pipeline of the
+// transport's one PolicyLane (transport/policies.h), seeded with
+// options.seed.
 //
 // Time is *virtual*: nothing sleeps, the clock models a sequential client
 // whose next query departs when the previous one completes. Faults,
@@ -82,14 +76,11 @@ class SimulatedTransport final : public LbsTransport {
   const LbsServer* server_;
   SimulatedTransportOptions options_;
   LatencyModel latency_model_;
-  FaultInjector fault_injector_;
 
   mutable std::mutex mu_;
-  TokenBucket bucket_;
+  PolicyLane lane_;
   uint64_t next_ticket_ = 0;
-  uint64_t retries_spent_ = 0;
   double virtual_now_ms_ = 0.0;
-  TransportMetrics metrics_;
   obs::CounterRef fulfills_counter_;
 };
 

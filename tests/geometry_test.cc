@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
-#include "geometry/circle.h"
 #include "geometry/line.h"
 #include "geometry/polygon.h"
 #include "geometry/predicates.h"
@@ -111,14 +110,6 @@ TEST(Ray, ExitParamHitsBoxBoundary) {
   const Ray diag({1, 1}, {1, 2});
   const Vec2 exit = diag.At(diag.ExitParam(b));
   EXPECT_NEAR(exit.y, 10.0, 1e-12);
-}
-
-TEST(Circle, ContainsDisc) {
-  const Circle outer({0, 0}, 5.0);
-  EXPECT_TRUE(outer.ContainsDisc(Circle({1, 1}, 2.0)));
-  EXPECT_FALSE(outer.ContainsDisc(Circle({4, 0}, 2.0)));
-  EXPECT_TRUE(DiscCoveredBySingle(Circle({0, 1}, 1.0),
-                                  {Circle({10, 10}, 1.0), outer}));
 }
 
 TEST(ConvexPolygon, BoxAreaAndCentroid) {

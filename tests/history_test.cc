@@ -23,17 +23,6 @@ TEST(History, RecordIsIdempotent) {
   EXPECT_EQ(h.Position(7), Vec2(1, 2));
 }
 
-TEST(History, OtherPositionsExcludesRequestedId) {
-  History h;
-  h.Record(1, {10, 10});
-  h.Record(2, {20, 20});
-  h.Record(3, {30, 30});
-  const auto others = h.OtherPositions(2);
-  EXPECT_EQ(others.size(), 2u);
-  for (const Vec2& p : others) EXPECT_NE(p, Vec2(20, 20));
-  EXPECT_EQ(h.OtherPositions(-1).size(), 3u);
-}
-
 TEST(History, NearestOtherPositionsOrdersByDistance) {
   History h;
   Rng rng(1);
@@ -49,8 +38,8 @@ TEST(History, NearestOtherPositionsOrdersByDistance) {
   // No position in the full set beats the worst of the returned ones.
   const double worst = Distance(probe, nearest.back());
   int closer = 0;
-  for (const Vec2& p : h.OtherPositions(-1)) {
-    if (Distance(probe, p) < worst) ++closer;
+  for (const auto& entry : h.Entries()) {
+    if (Distance(probe, entry.second) < worst) ++closer;
   }
   EXPECT_LE(closer, 10);
 }

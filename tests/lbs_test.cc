@@ -301,6 +301,33 @@ TEST(TrilaterationClient, RecoversAllReturnedLocations) {
   EXPECT_GT(client.inferred_positions(), 20u);
 }
 
+// §2.1: three queries pin a tuple down nearly always. Each trilaterated
+// page keeps the service's ranking and distances, drops only tuples it
+// could not locate, and locates the top tuple of at least 20 of 25 pages.
+TEST(TrilaterationClient, LocatesNearlyEveryTopTuple) {
+  const Dataset d = MakeDataset(200, 61);
+  const LbsServer server(&d, {.max_k = 10});
+  TrilaterationClient tri(&server, {.k = 10});
+  LrClient plain(&server, {.k = 10});
+  Rng rng(67);
+  int located = 0;
+  for (int trial = 0; trial < 25; ++trial) {
+    const Vec2 q = kBox.SamplePoint(rng);
+    const std::vector<LrClient::Item> expected = plain.Query(q);
+    ASSERT_FALSE(expected.empty());
+    const std::vector<LrClient::Item> items = tri.Query(q);
+    size_t j = 0;  // items must be an order-preserving subset of expected
+    for (const LrClient::Item& item : items) {
+      while (j < expected.size() && expected[j].id != item.id) ++j;
+      ASSERT_LT(j, expected.size()) << "tuple " << item.id << " out of order";
+      EXPECT_EQ(item.distance, expected[j].distance);
+      EXPECT_NEAR(Distance(item.location, expected[j].location), 0.0, 1e-6);
+    }
+    if (!items.empty() && items.front().id == expected.front().id) ++located;
+  }
+  EXPECT_GE(located, 20);
+}
+
 TEST(TrilaterationClient, CachesPositionsAcrossQueries) {
   const Dataset d = MakeDataset(50, 79);
   const LbsServer server(&d, {.max_k = 5});
@@ -339,25 +366,6 @@ TEST(Client, MaxRadiusAccessorReflectsServer) {
   const LbsServer unlimited(&d, {});
   LrClient client2(&unlimited, {.k = 1});
   EXPECT_TRUE(std::isinf(client2.max_radius()));
-}
-
-TEST(Trilateration, LocateThroughDistanceClient) {
-  const Dataset d = MakeDataset(200, 61);
-  const LbsServer server(&d, {.max_k = 10});
-  DistanceClient client(&server, {.k = 10});
-  Rng rng(67);
-  int located = 0;
-  for (int trial = 0; trial < 25; ++trial) {
-    const Vec2 q = kBox.SamplePoint(rng);
-    const auto items = client.Query(q);
-    ASSERT_FALSE(items.empty());
-    const int id = items.front().id;
-    const auto pos = LocateByTrilateration(client, id, q);
-    if (!pos.has_value()) continue;
-    ++located;
-    EXPECT_NEAR(Distance(*pos, d.tuple(id).pos), 0.0, 1e-6);
-  }
-  EXPECT_GE(located, 20);  // §2.1: 3 queries suffice nearly always
 }
 
 TEST(Client, DistanceRankedReflectsRankingMode) {

@@ -21,7 +21,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "transport/async_dispatcher.h"
-#include "transport/metrics.h"
 #include "transport/simulated_transport.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -292,22 +291,6 @@ TEST(RunReport, EscapesMetaStringsAndKeys) {
   // The raw forms must not appear: embedded newlines or bare quotes would
   // break any consumer that actually parses the report.
   EXPECT_EQ(json.find("\"6k\"\n"), std::string::npos);
-}
-
-// PublishTransportMetrics bridges the transport's own struct onto the
-// metric plane: counts as counters, levels as gauges.
-TEST(RunReport, TransportMetricsBridgeOntoRegistry) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
-  TransportMetrics metrics;
-  metrics.requests = 10;
-  metrics.attempts = 13;
-  metrics.retries = 3;
-
-  MetricsRegistry registry;
-  PublishTransportMetrics(metrics, &registry);
-  EXPECT_EQ(registry.GetCounter("transport.requests")->Value(), 10u);
-  EXPECT_EQ(registry.GetCounter("transport.attempts")->Value(), 13u);
-  EXPECT_EQ(registry.GetCounter("transport.retries")->Value(), 3u);
 }
 
 }  // namespace

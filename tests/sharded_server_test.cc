@@ -5,7 +5,6 @@
 // test.cc). This is acceptance criterion (b) of the sharded backend.
 
 #include <algorithm>
-#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -58,6 +57,17 @@ void ExpectHitsEqual(const std::vector<ServerHit>& a,
   }
 }
 
+// The production gather, as ShardedTransport::Fulfill runs it with every
+// lane delivered: scatter to the reachable shards, merge their pages.
+std::vector<ServerHit> Gather(const ShardedLbsServer& sharded, const Vec2& q,
+                              int k, const TupleFilter& filter = nullptr) {
+  std::vector<std::vector<ServerHit>> pages;
+  for (int s : sharded.ReachableShards(q)) {
+    pages.push_back(sharded.QueryShard(s, q, k, filter));
+  }
+  return sharded.MergeShardPages(q, pages, k);
+}
+
 void ExpectBitIdentical(const Dataset& d, const ServerOptions& server_opts,
                         const ShardedServerOptions& sharded_opts,
                         const std::vector<Vec2>& queries, int k,
@@ -65,7 +75,7 @@ void ExpectBitIdentical(const Dataset& d, const ServerOptions& server_opts,
   const LbsServer mono(&d, server_opts);
   const ShardedLbsServer sharded(&d, sharded_opts);
   for (const Vec2& q : queries) {
-    ExpectHitsEqual(sharded.Query(q, k, filter), mono.Query(q, k, filter),
+    ExpectHitsEqual(Gather(sharded, q, k, filter), mono.Query(q, k, filter),
                     what);
   }
 }
@@ -132,7 +142,7 @@ TEST(ShardedServer, ObfuscationSharedWithMonolith) {
               mono.EffectivePosition(id).y);
   }
   for (const Vec2& q : MakeQueries(80, 29)) {
-    ExpectHitsEqual(sharded.Query(q, 5), mono.Query(q, 5), "obfuscated");
+    ExpectHitsEqual(Gather(sharded, q, 5), mono.Query(q, 5), "obfuscated");
   }
 }
 
@@ -159,79 +169,36 @@ TEST(ShardedServer, AlternateIndexBackendsBitIdentical) {
                      MakeQueries(80, 37), 5, nullptr, "brute-force shards");
 }
 
-TEST(ShardedServer, WithinRadiusMatchesBruteForceScan) {
-  const Dataset d = MakeDataset(900, 29);
-  const ShardedLbsServer sharded(&d, {.num_shards = 8});
-  Rng rng(41);
-  for (int i = 0; i < 40; ++i) {
-    const Vec2 q = kBox.Expanded(50.0).SamplePoint(rng);
-    const double radius = rng.Uniform(5.0, 120.0);
-    // The oracle: exactly the index-inclusion rule d2 <= radius*radius,
-    // sorted by the canonical (d2, id) order.
-    struct Expect {
-      double d2;
-      int id;
-    };
-    std::vector<Expect> expected;
-    const double r2 = radius * radius;
-    for (const Tuple& t : d.tuples()) {
-      const Vec2& p = sharded.EffectivePosition(t.id);
-      const double dx = p.x - q.x;
-      const double dy = p.y - q.y;
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= r2) expected.push_back({d2, t.id});
-    }
-    std::sort(expected.begin(), expected.end(),
-              [](const Expect& a, const Expect& b) {
-                return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id);
-              });
-    const std::vector<ServerHit> got = sharded.WithinRadius(q, radius);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t j = 0; j < got.size(); ++j) {
-      EXPECT_EQ(got[j].tuple_id, expected[j].id);
-    }
-  }
-}
-
 TEST(ShardedServer, ShardPagesMergeToGlobalAnswerInAnyOrder) {
-  const Dataset d = MakeDataset(1000, 31);
-  const ShardedLbsServer sharded(&d, {.num_shards = 8});
-  Rng rng(43);
+  // Tuples and queries on a 50-unit lattice, several tuples per node: exact
+  // d2 ties, within a shard and across shards, reach the id tie-break.
+  Dataset d(kBox, MakeSchema());
+  Rng rng(31);
+  for (int i = 0; i < 1000; ++i) {
+    d.Add({50.0 * rng.UniformInt(21), 50.0 * rng.UniformInt(13)},
+          {std::string("other"), 0.0});
+  }
+  const LbsServer mono(&d, {.max_k = 10});
+  const ShardedLbsServer sharded(&d, {.num_shards = 8,
+                                      .server = {.max_k = 10}});
+  std::mt19937 shuffler(7);
   for (int i = 0; i < 50; ++i) {
-    const Vec2 q = kBox.SamplePoint(rng);
-    const std::vector<ServerHit> direct = sharded.Query(q, 5);
+    const Vec2 q{50.0 * rng.UniformInt(21), 50.0 * rng.UniformInt(13)};
+    const std::vector<ServerHit> expected = mono.Query(q, 10);
     std::vector<std::vector<ServerHit>> pages;
     for (int s : sharded.ReachableShards(q)) {
-      pages.push_back(sharded.QueryShard(s, q, 5));
+      pages.push_back(sharded.QueryShard(s, q, 10));
     }
-    ExpectHitsEqual(sharded.MergeShardPages(q, pages, 5), direct, "merge");
-    // Arrival order is irrelevant: reversing the pages folds identically.
-    std::reverse(pages.begin(), pages.end());
-    ExpectHitsEqual(sharded.MergeShardPages(q, pages, 5), direct,
-                    "merge reversed");
-  }
-}
-
-TEST(ShardedServer, FoldTopKIsInputOrderInvariant) {
-  Rng rng(47);
-  std::vector<ShardCandidate> candidates;
-  for (int i = 0; i < 200; ++i) {
-    // Coarse d2 grid forces plenty of exact ties, exercising the id
-    // tie-break.
-    const double d2 = static_cast<double>(rng.UniformInt(20));
-    candidates.push_back({d2, std::sqrt(d2), i});
-  }
-  const std::vector<ServerHit> folded = FoldTopK(candidates, 10);
-  ASSERT_EQ(folded.size(), 10u);
-  for (size_t i = 1; i < folded.size(); ++i) {
-    EXPECT_TRUE(folded[i - 1].distance < folded[i].distance ||
-                (folded[i - 1].distance == folded[i].distance &&
-                 folded[i - 1].tuple_id < folded[i].tuple_id));
-  }
-  std::mt19937 shuffler(7);
-  for (int trial = 0; trial < 5; ++trial) {
-    std::shuffle(candidates.begin(), candidates.end(), shuffler);
-    ExpectHitsEqual(FoldTopK(candidates, 10), folded, "shuffled fold");
+    ExpectHitsEqual(sharded.MergeShardPages(q, pages, 10), expected, "merge");
+    // Arrival order and page-internal order are irrelevant.
+    for (int trial = 0; trial < 3; ++trial) {
+      std::shuffle(pages.begin(), pages.end(), shuffler);
+      for (auto& page : pages) {
+        std::shuffle(page.begin(), page.end(), shuffler);
+      }
+      ExpectHitsEqual(sharded.MergeShardPages(q, pages, 10), expected,
+                      "merge shuffled");
+    }
   }
 }
 
@@ -244,7 +211,7 @@ TEST(ShardedServer, BuildThreadCountDoesNotChangeAnswers) {
   EXPECT_GE(serial.build_stats().wall_ms, 0.0);
   EXPECT_GE(serial.build_stats().critical_path_ms(), 0.0);
   for (const Vec2& q : queries) {
-    ExpectHitsEqual(parallel.Query(q, 5), serial.Query(q, 5), "threads");
+    ExpectHitsEqual(Gather(parallel, q, 5), Gather(serial, q, 5), "threads");
   }
 }
 

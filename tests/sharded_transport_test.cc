@@ -21,6 +21,7 @@
 #include "lbs/server.h"
 #include "lbs/sharded_server.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
 #include "util/rng.h"
@@ -219,6 +220,7 @@ TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
 }
 
 TEST(ShardedTransport, PerShardCountersLandOnTheMetricPlane) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
   const Dataset d = MakeDataset(600, 31);
   const ShardedLbsServer server(&d, {.num_shards = 3});
   obs::MetricsRegistry registry;
@@ -245,6 +247,20 @@ TEST(ShardedTransport, PerShardCountersLandOnTheMetricPlane) {
   EXPECT_EQ(lane_counters, 3);
   // Clean lanes, infinite radius: every query fans out to all 3 shards.
   EXPECT_EQ(lane_attempts, 60u);
+
+  // One latency observation per lane sub-request, and one per logical
+  // query in the client-facing aggregate.
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(registry
+                  .GetHistogram(obs::ShardMetricName("transport", s,
+                                                     "latency_ms"),
+                                {})
+                  ->count(),
+              transport.ShardMetrics(s).requests)
+        << "shard " << s;
+  }
+  EXPECT_EQ(registry.GetHistogram("transport.sharded.latency_ms", {})->count(),
+            transport.Metrics().requests);
 }
 
 TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {
@@ -254,15 +270,13 @@ TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {
   const ShardedLbsServer server(
       &d, {.num_shards = 16, .partition = ShardPartition::kSpatial,
            .server = sopts});
-  obs::MetricsRegistry registry;
-  ShardedTransportOptions topts;
-  topts.registry = &registry;
-  ShardedTransport transport(&server, topts);
+  ShardedTransport transport(&server);
   const std::vector<Vec2> queries = MakeQueries(50, 43);
   for (const Vec2& q : queries) (void)transport.Query(q, 5, nullptr);
+  // Every targeted lane takes exactly one sub-request per query.
   uint64_t fanout = 0;
-  for (const auto& c : registry.Snapshot().counters) {
-    if (c.name == "transport.sharded.fanout") fanout = c.value;
+  for (int s = 0; s < transport.num_shards(); ++s) {
+    fanout += transport.ShardMetrics(s).requests;
   }
   // Spatial shards + small d_max: the scatter targets a handful of shards,
   // not all 16 — this is what lets per-lane quota scale with the fleet.

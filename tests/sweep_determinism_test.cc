@@ -66,12 +66,17 @@ TEST(SweepDeterminism, OneVersusManyThreadsBitIdentical) {
 }
 
 // The same determinism contract extended to the metric plane (DESIGN.md
-// §4.8): a run's counters and histograms are a pure function of its seed,
-// not of the dispatcher's worker count or scheduling. Each run injects a
-// fresh registry, so nothing leaks between runs or onto the process-wide
-// default plane.
-obs::MetricsSnapshot RunFlakyWithRegistry(unsigned dispatcher_workers,
-                                          uint64_t seed) {
+// §4.8): a run's counters and histograms, and the transport's own
+// accounting, are a pure function of its seed, not of the dispatcher's
+// worker count or scheduling. Each run injects a fresh registry, so nothing
+// leaks between runs or onto the process-wide default plane.
+struct FlakyRun {
+  obs::MetricsSnapshot snapshot;
+  TransportMetrics transport;
+  bool operator==(const FlakyRun&) const = default;
+};
+
+FlakyRun RunFlakyWithRegistry(unsigned dispatcher_workers, uint64_t seed) {
   UsaOptions usa_opts;
   usa_opts.num_pois = 400;
   static const UsaScenario* usa = new UsaScenario(BuildUsaScenario(usa_opts));
@@ -101,14 +106,13 @@ obs::MetricsSnapshot RunFlakyWithRegistry(unsigned dispatcher_workers,
                                     {.seed = seed, .registry = &registry});
   RunToBudget(&resolver, AggregateSpec::Count(), /*budget=*/300,
               {.registry = &registry});
-  PublishTransportMetrics(transport.Metrics(), &registry);
-  return registry.Snapshot();
+  return {registry.Snapshot(), transport.Metrics()};
 }
 
 TEST(SweepDeterminism, MetricSnapshotsIdenticalAcrossWorkerCounts) {
-  const obs::MetricsSnapshot one = RunFlakyWithRegistry(1, 42);
-  const obs::MetricsSnapshot four = RunFlakyWithRegistry(4, 42);
-  const obs::MetricsSnapshot eight = RunFlakyWithRegistry(8, 42);
+  const FlakyRun one = RunFlakyWithRegistry(1, 42);
+  const FlakyRun four = RunFlakyWithRegistry(4, 42);
+  const FlakyRun eight = RunFlakyWithRegistry(8, 42);
   // The snapshots are name-sorted, so == is a full bit-identical compare of
   // every counter, gauge and histogram across the worker counts.
   EXPECT_EQ(one, four);
@@ -132,6 +136,7 @@ struct EngineRun {
   std::vector<TracePoint> count_trace;
   std::vector<TracePoint> sum_trace;
   obs::MetricsSnapshot snapshot;
+  TransportMetrics transport;
 };
 
 uint64_t HashEvidence(const engine::EvidenceStore& store) {
@@ -194,13 +199,13 @@ EngineRun RunEngineFlaky(unsigned dispatcher_workers, uint64_t seed) {
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
   RunEngine(&eng, {.budget = 300});
-  PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
   run.evidence_hash = HashEvidence(eng.evidence());
   run.count_trace = count->trace();
   run.sum_trace = sum->trace();
   run.snapshot = registry.Snapshot();
+  run.transport = transport.Metrics();
   return run;
 }
 
@@ -217,6 +222,7 @@ void ExpectEngineRunsIdentical(const EngineRun& a, const EngineRun& b) {
     EXPECT_EQ(a.sum_trace[i].estimate, b.sum_trace[i].estimate);
   }
   EXPECT_EQ(a.snapshot, b.snapshot);
+  EXPECT_EQ(a.transport, b.transport);
 }
 
 TEST(SweepDeterminism, EngineEvidenceIdenticalAcrossWorkerCounts) {
@@ -282,13 +288,13 @@ EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
   auto* count = eng.AddAggregate(AggregateSpec::Count());
   auto* sum = eng.AddAggregate(AggregateSpec::Sum(rating, "SUM(rating)"));
   RunEngine(&eng, {.budget = 300});
-  PublishTransportMetrics(transport.Metrics(), &registry);
 
   EngineRun run;
   run.evidence_hash = HashEvidence(eng.evidence());
   run.count_trace = count->trace();
   run.sum_trace = sum->trace();
   run.snapshot = registry.Snapshot();
+  run.transport = transport.Metrics();
   return run;
 }
 

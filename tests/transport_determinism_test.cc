@@ -3,6 +3,7 @@
 // queries run synchronously, through an inline dispatcher, or across 1..8
 // dispatcher worker threads, and across independent reruns.
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -12,10 +13,13 @@
 #include "core/runner.h"
 #include "engine/engine.h"
 #include "engine/nno_resolver.h"
+#include "geometry/loc_key.h"  // SplitMix64
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
+#include "lbs/sharded_server.h"
 #include "transport/async_dispatcher.h"
+#include "transport/sharded_transport.h"
 #include "transport/simulated_transport.h"
 #include "util/rng.h"
 
@@ -182,6 +186,95 @@ TEST(TransportDeterminism, BatchMatchesSequentialQueries) {
   }
   EXPECT_EQ(seq_client.queries_used(), batch_client.queries_used());
   EXPECT_EQ(seq_transport.Metrics(), batch_transport.Metrics());
+}
+
+// The tests above compare runs with each other; this one pins what the
+// policy pipeline decides. It hashes every plan (outcome, attempts, latency
+// and truncation-uniform bits), every delivered page, and the final metrics
+// of a faulty, rate-limited, retry-budgeted SimulatedTransport and of a
+// 4-shard ShardedTransport with one hot lane on the pipelined clock, 1,000
+// tickets each. A change to draw order, clock arithmetic, truncation or
+// accounting moves a fingerprint.
+uint64_t Mix(uint64_t h, uint64_t v) { return SplitMix64(h ^ v); }
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+uint64_t HashReply(uint64_t h, const TransportPlan& plan,
+                   const TransportReply& reply) {
+  h = Mix(h, plan.ticket);
+  h = Mix(h, static_cast<uint64_t>(plan.outcome));
+  h = Mix(h, static_cast<uint64_t>(plan.attempts));
+  h = Mix(h, Bits(plan.latency_ms));
+  h = Mix(h, Bits(plan.truncate_u));
+  h = Mix(h, reply.hits.size());
+  for (const ServerHit& hit : reply.hits) {
+    h = Mix(h, static_cast<uint64_t>(hit.tuple_id));
+  }
+  return h;
+}
+
+uint64_t HashMetrics(uint64_t h, const TransportMetrics& m) {
+  h = Mix(h, m.requests);
+  h = Mix(h, m.attempts);
+  h = Mix(h, m.retries);
+  for (uint64_t count : m.outcomes) h = Mix(h, count);
+  h = Mix(h, m.attempt_transient_errors);
+  h = Mix(h, m.attempt_timeouts);
+  h = Mix(h, m.throttle_events);
+  h = Mix(h, Bits(m.throttle_wait_ms));
+  h = Mix(h, Bits(m.latency_ms));
+  for (uint64_t count : m.attempts_histogram) h = Mix(h, count);
+  return h;
+}
+
+TEST(TransportDeterminism, PipelineFingerprintPinned) {
+  const Dataset dataset = MakeDataset(300, 8);
+  const std::vector<Vec2> points = RandomPoints(1000, 9);
+
+  const LbsServer server(&dataset, {.max_k = 10});
+  SimulatedTransportOptions sopts = FlakyOptions();
+  sopts.rate_limit = {.capacity = 4.0, .refill_per_sec = 8.0};
+  sopts.retry.retry_budget = 150;  // spent partway: later failures are fatal
+  SimulatedTransport simulated(&server, sopts);
+  uint64_t h = 0;
+  for (const Vec2& q : points) {
+    const TransportPlan plan = simulated.Prepare(q, 5);
+    h = HashReply(h, plan, simulated.Fulfill(plan, q, 5, nullptr));
+  }
+  h = HashMetrics(h, simulated.Metrics());
+  h = Mix(h, Bits(simulated.VirtualNowMs()));
+  EXPECT_EQ(h, 0xf45c47c5f1448342ull) << std::hex << h;
+
+  const ShardedLbsServer sharded(&dataset, {.num_shards = 4,
+                                            .server = {.max_k = 10}});
+  ShardedTransportOptions topts;
+  topts.latency.kind = LatencyOptions::Kind::kLognormal;
+  topts.rate_limit = {.capacity = 8.0, .refill_per_sec = 100.0};
+  topts.faults.truncate_rate = 0.05;
+  topts.shard_faults.resize(4, topts.faults);
+  topts.shard_faults[1] = {.transient_error_rate = 0.3,
+                           .timeout_rate = 0.05,
+                           .truncate_rate = 0.1};
+  topts.retry.max_attempts = 3;
+  topts.retry.retry_budget = 200;
+  topts.pipelined_clock = true;
+  topts.seed = 4321;
+  ShardedTransport transport(&sharded, topts);
+  h = 0;
+  for (const Vec2& q : points) {
+    const TransportPlan plan = transport.Prepare(q, 5);
+    h = HashReply(h, plan, transport.Fulfill(plan, q, 5, nullptr));
+  }
+  h = HashMetrics(h, transport.Metrics());
+  for (int s = 0; s < transport.num_shards(); ++s) {
+    h = HashMetrics(h, transport.ShardMetrics(s));
+  }
+  h = Mix(h, Bits(transport.VirtualNowMs()));
+  EXPECT_EQ(h, 0x73fa8f531088d25eull) << std::hex << h;
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "transport/metrics.h"
 #include "transport/policies.h"
 #include "transport/simulated_transport.h"
@@ -328,9 +330,11 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
 TEST(TransportMetrics, JsonAndTableRender) {
   const Dataset dataset = MakeDataset(100, 16);
   const LbsServer server(&dataset, {.max_k = 10});
+  obs::MetricsRegistry registry;
   SimulatedTransportOptions topts;
   topts.faults.transient_error_rate = 0.2;
   topts.faults.truncate_rate = 0.1;
+  topts.registry = &registry;
   SimulatedTransport transport(&server, topts);
   for (const Vec2& q : RandomPoints(50, 17)) transport.Query(q, 5, nullptr);
 
@@ -343,7 +347,6 @@ TEST(TransportMetrics, JsonAndTableRender) {
   uint64_t histogram_total = 0;
   for (uint64_t c : m.attempts_histogram) histogram_total += c;
   EXPECT_EQ(histogram_total, m.requests);
-  EXPECT_EQ(m.latency.count(), m.requests);
 
   uint64_t outcome_total = 0;
   for (int i = 0; i < kNumTransportOutcomes; ++i) {
@@ -351,8 +354,23 @@ TEST(TransportMetrics, JsonAndTableRender) {
   }
   EXPECT_EQ(outcome_total, m.requests);
 
-  const std::string table = m.ToTable().ToString();
-  EXPECT_NE(table.find("outcome.ok"), std::string::npos);
+  // Millisecond totals print every digit, not ostream's six.
+  TransportMetrics wide;
+  wide.throttle_wait_ms = 497785.675;
+  wide.latency_ms = 1202947.12;
+  const std::string wide_json = wide.ToJson();
+  EXPECT_NE(wide_json.find("\"throttle_wait_ms\": 497785.675,"),
+            std::string::npos);
+  EXPECT_NE(wide_json.find("\"latency_ms\": 1202947.12,"), std::string::npos);
+
+  // The latency distribution lives on the metric plane: one observation
+  // per logical query, rendered by the registry's table.
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(registry.GetHistogram("transport.latency_ms", {})->count(),
+              m.requests);
+    const std::string table = registry.Snapshot().ToTable().ToString();
+    EXPECT_NE(table.find("transport.latency_ms.count"), std::string::npos);
+  }
 }
 
 TEST(TransportMetrics, MergeAddsEverything) {
@@ -361,12 +379,12 @@ TEST(TransportMetrics, MergeAddsEverything) {
   a.attempts = 3;
   a.RecordAttemptsForRequest(1);
   a.RecordAttemptsForRequest(2);
-  a.latency.Add(10.0);
+  a.latency_ms = 10.0;
   TransportMetrics b;
   b.requests = 1;
   b.attempts = 4;
   b.RecordAttemptsForRequest(4);
-  b.latency.Add(2000.0);
+  b.latency_ms = 2000.0;
 
   a.Merge(b);
   EXPECT_EQ(a.requests, 3u);
@@ -374,7 +392,7 @@ TEST(TransportMetrics, MergeAddsEverything) {
   ASSERT_EQ(a.attempts_histogram.size(), 4u);
   EXPECT_EQ(a.attempts_histogram[0], 1u);
   EXPECT_EQ(a.attempts_histogram[3], 1u);
-  EXPECT_EQ(a.latency.count(), 2u);
+  EXPECT_EQ(a.latency_ms, 2010.0);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Full local gate: sanitizer builds + tier-1 tests + perf smoke.
 #
 #   tools/check.sh            # everything (ASAN/UBSAN ctest, TSAN transport
-#                             # tests, then perf smoke)
-#   tools/check.sh --fast     # sanitizer tests only, skip the perf smoke
+#                             # tests, then perf smoke, the transport suites
+#                             # with obs compiled out, and the obs gate)
+#   tools/check.sh --fast     # sanitizer tests only, skip the rest
 #
 # The sanitizer builds live in build-asan/ and build-tsan/ so they never
 # clobber the regular build/ tree. ASAN and TSAN cannot share a binary, so
@@ -84,11 +85,21 @@ if [[ "$FAST" == "0" ]]; then
   cmake --build build -j "$(nproc)" --target micro_hotpath
   ./build/bench/micro_hotpath --benchmark_min_time=0.01
 
-  echo "==> observability overhead gate (instrumented vs LBSAGG_OBS_DISABLED)"
+  echo "==> LBSAGG_OBS_DISABLED build + transport suites"
+  # The wire's own accounting (TransportMetrics) must stay exact with every
+  # metric-plane cell compiled out.
+  NOOBS_TARGETS=(micro_hotpath transport_test transport_determinism_test
+                 sharded_transport_test sweep_determinism_test)
   cmake -B build-noobs -S . -DLBSAGG_OBS_DISABLED=ON > /dev/null
-  cmake --build build-noobs -j "$(nproc)" --target micro_hotpath \
+  cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}" \
     -- --quiet 2>/dev/null \
-    || cmake --build build-noobs -j "$(nproc)" --target micro_hotpath
+    || cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}"
+  ./build-noobs/tests/transport_test
+  ./build-noobs/tests/transport_determinism_test
+  ./build-noobs/tests/sharded_transport_test
+  ./build-noobs/tests/sweep_determinism_test
+
+  echo "==> observability overhead gate (instrumented vs LBSAGG_OBS_DISABLED)"
   # Paired interleaved min-of-N: the two binaries alternate, each benchmark
   # keeps its best time per round, and the gate compares the mins — the only
   # methodology that survives a noisy shared VM (see DESIGN.md §4.8). The

@@ -228,7 +228,7 @@ EstimatorStack BuildStack(service::EstimatorFamily family, LbsServer& server,
     }
     case service::EstimatorFamily::kLnr: {
       auto client = std::make_unique<LnrClient>(
-          &server, ClientOptions{.k = k, .budget = budget});
+          &server, ClientOptions{.k = k, .budget = budget}, transport);
       LnrAggOptions opts;
       opts.seed = seed;
       opts.cell.search.delta_fraction = 1e-6;
@@ -443,12 +443,6 @@ int Run(const FlagParser& flags) {
   const std::optional<service::EstimatorFamily> family =
       ParseFamily(algorithm);
   if (!family.has_value()) return 1;
-  if (shards > 1 && algorithm == "lnr") {
-    std::fprintf(stderr,
-                 "error: --shards needs a transport-capable client "
-                 "(--algorithm=lr or nno)\n");
-    return 1;
-  }
   // With --shards the per-shard indexes answer every query; the monolithic
   // server is metadata-only, so the brute backend skips a duplicate index
   // build (DESIGN.md §4.11).
@@ -456,13 +450,18 @@ int Run(const FlagParser& flags) {
                    {.max_k = std::max(k, 1),
                     .index_backend = shards > 1 ? SpatialBackend::kBruteForce
                                                 : SpatialBackend::kKdTree});
+  // One metric plane for the sharded wire and, with --sessions, the
+  // service and its introspection plane.
+  obs::MetricsRegistry registry;
   std::unique_ptr<ShardedLbsServer> sharded;
   std::unique_ptr<ShardedTransport> transport;
   if (shards > 1) {
     sharded = std::make_unique<ShardedLbsServer>(
         &dataset, ShardedServerOptions{.num_shards = shards,
                                        .server = {.max_k = std::max(k, 1)}});
-    transport = std::make_unique<ShardedTransport>(sharded.get());
+    ShardedTransportOptions topts;
+    topts.registry = &registry;
+    transport = std::make_unique<ShardedTransport>(sharded.get(), topts);
   }
   std::unique_ptr<QuerySampler> sampler;
   if (flags.GetString("sampler") == "uniform") {
@@ -530,7 +529,6 @@ int Run(const FlagParser& flags) {
     const std::string statusz_path = flags.GetString("statusz");
     const std::string prom_path = flags.GetString("prom");
     const bool introspect = !statusz_path.empty() || !prom_path.empty();
-    obs::MetricsRegistry registry;
     obs::introspect::FlightRecorder recorder(4096);
 
     service::ServiceOptions sopts;
@@ -673,8 +671,7 @@ int main(int argc, char** argv) {
   flags.AddInt("k", 5, "results requested per query");
   flags.AddInt("shards", 1,
                "partition the hidden database across this many shards and "
-               "answer kNN by scatter-gather (results are identical; lr/nno "
-               "only)");
+               "answer kNN by scatter-gather (results are identical)");
   flags.AddInt("budget", 10000, "query budget per run");
   flags.AddInt("runs", 3, "independent runs");
   flags.AddInt("sessions", 0,
