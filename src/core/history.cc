@@ -1,6 +1,7 @@
 #include "core/history.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -94,12 +95,81 @@ std::vector<Vec2> History::NearestOtherPositions(const Vec2& p,
   return out;
 }
 
+namespace {
+
+// λ_h over a given seed; an empty seed leaves the whole box.
+double SeedCellArea(const Vec2& pos, const std::vector<Vec2>& seed,
+                    const Box& box, int h) {
+  if (seed.empty()) return box.Area();
+  return ComputeTopkRegionArea(pos, seed, box, h);
+}
+
+// The double nearest π lies below π, so kPiBelow · r² never exceeds the
+// area of a disc of radius r (up to the product's own rounding).
+constexpr double kPiBelow = 3.141592653589793;
+
+// How far a certificate's area must exceed λ0 before it may answer
+// "λ_2 > λ0": more than the floating-point error of fp(λ_2) and of the
+// certificate's own area together (DESIGN §4.6). Vertex rounding, dropped
+// slivers and merged vertices scale with M², M ≥ 1 the box's largest
+// coordinate (the clip loop's pruning scale); summing piece areas scales
+// with the areas compared, which sit near λ0.
+double CertificateMargin(const Box& box, double lambda0) {
+  const double m = std::max({1.0, std::abs(box.lo.x), std::abs(box.lo.y),
+                             std::abs(box.hi.x), std::abs(box.hi.y)});
+  return 1e-6 * lambda0 + 1e-7 * m * m;
+}
+
+// Area of a region inside both the open disc of squared radius `r2` around
+// `c` and the box: the disc itself when it lies inside the box, else its
+// inscribed square clipped to the box.
+double DiscInBoxArea(const Vec2& c, double r2, const Box& box) {
+  const double r = std::sqrt(r2);
+  if (c.x - r >= box.lo.x && c.x + r <= box.hi.x && c.y - r >= box.lo.y &&
+      c.y + r <= box.hi.y) {
+    return kPiBelow * r2;
+  }
+  const double s = r * M_SQRT1_2;
+  const double w = std::min(c.x + s, box.hi.x) - std::max(c.x - s, box.lo.x);
+  const double h = std::min(c.y + s, box.hi.y) - std::max(c.y - s, box.lo.y);
+  return std::max(w, 0.0) * std::max(h, 0.0);
+}
+
+}  // namespace
+
 double History::UpperBoundCellArea(int id, const Vec2& pos, const Box& box,
                                    int h, size_t max_constraints) const {
-  const std::vector<Vec2> others =
-      NearestOtherPositions(pos, id, max_constraints);
-  if (others.empty()) return box.Area();
-  return ComputeTopkRegionArea(pos, others, box, h);
+  return SeedCellArea(pos, NearestOtherPositions(pos, id, max_constraints),
+                      box, h);
+}
+
+bool History::TopTwoCellAreaExceeds(int id, const Vec2& pos, const Box& box,
+                                    double lambda0) const {
+  // Tuples at t's own location bound nothing (SortedBisectors drops them),
+  // so o₁ below is t's nearest tuple elsewhere.
+  const auto elsewhere = [&pos](const Vec2& o) {
+    return SquaredDistance(o, pos) > 0.0;
+  };
+  const double bar = lambda0 + CertificateMargin(box, lambda0);
+
+  // Disc of radius r = d(t, o₂)/2: for q inside it and any o ≠ o₁,
+  // d(q, o) ≥ d(t, o) − d(q, t) > 2r − r > d(q, t), so t ranks at most 2nd.
+  const std::vector<Vec2> two = NearestOtherPositions(pos, id, 2);
+  if (two.size() == 2 && elsewhere(two[0]) &&
+      DiscInBoxArea(pos, 0.25 * SquaredDistance(pos, two[1]), box) > bar) {
+    return true;
+  }
+
+  // Top-1 cell over S′ ∖ {o₁}: no tuple but o₁ is closer than t there.
+  const std::vector<Vec2> seed =
+      NearestOtherPositions(pos, id, kBoundSeedSize);
+  if (!seed.empty()) {
+    std::vector<Vec2> rest = seed;
+    const auto o1 = std::find_if(rest.begin(), rest.end(), elsewhere);
+    if (o1 != rest.end()) rest.erase(o1);
+    if (ComputeTopkRegionArea(pos, rest, box, 1) > bar) return true;
+  }
+  return SeedCellArea(pos, seed, box, 2) > lambda0;
 }
 
 }  // namespace lbsagg

@@ -38,13 +38,18 @@ class History {
   // Positions of the `limit` known tuples nearest to `p`, excluding
   // `excluded_id`, ascending by (squared distance, insertion order). This is
   // query-free offline work (free in the paper's §2.1 cost model) but it
-  // seeds every cell computation and every λ_h bound (one per level tried
-  // for each wanted returned tuple), so it sits on LR's hot path. A kd-tree
-  // over the settled prefix of the history (rebuilt on doubling) answers
-  // for the prefix; a linear pass over the recent tail keeps only entries
-  // nearer than the tree's limit-th hit, and the two sorted runs merge.
+  // seeds every cell computation and the adaptive-h decision of every
+  // wanted returned tuple (a 2-NN search for the disc certificate, then the
+  // 64-NN bound seed when the disc does not decide), so it sits on LR's hot
+  // path. A kd-tree over the settled prefix of the history (rebuilt on
+  // doubling) answers for the prefix; a linear pass over the recent tail
+  // keeps only entries nearer than the tree's limit-th hit, and the two
+  // sorted runs merge.
   std::vector<Vec2> NearestOtherPositions(const Vec2& p, int excluded_id,
                                           size_t limit) const;
+
+  // The history seed S′ of a λ_h bound: at most this many nearest tuples.
+  static constexpr size_t kBoundSeedSize = 64;
 
   // Upper bound λ_h on the area of the top-h Voronoi cell of the tuple at
   // `pos` (§3.2.3): the cell computed from a subset of the database always
@@ -53,7 +58,18 @@ class History {
   // is still a bound). Only the area is computed (ComputeTopkRegionArea),
   // bit-identical to ComputeTopkRegion(...).area.
   double UpperBoundCellArea(int id, const Vec2& pos, const Box& box, int h,
-                            size_t max_constraints = 64) const;
+                            size_t max_constraints = kBoundSeedSize) const;
+
+  // Exactly UpperBoundCellArea(id, pos, box, 2) > lambda0, the one question
+  // Algorithm 4 asks of λ_2. Two regions inside the top-2 cell settle "yes"
+  // without building it, cheapest first (DESIGN §4.6): the open disc of
+  // radius d(t, o₂)/2 around t, then t's top-1 cell over the seed without
+  // its nearest tuple o₁. A region's area must clear λ0 by a margin that
+  // covers the floating-point error of both areas, so the answer never
+  // differs from the full λ_2, which decides every call neither region
+  // settles.
+  bool TopTwoCellAreaExceeds(int id, const Vec2& pos, const Box& box,
+                             double lambda0) const;
 
  private:
   struct Entry {

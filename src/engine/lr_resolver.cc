@@ -51,15 +51,17 @@ int LrCellResolver::ChooseH(int id, const Vec2& pos) {
   const int k = client_->k();
   if (!options_.adaptive_h) return std::min(options_.fixed_h, k);
   if (k == 1) return 1;
-  const double lambda0 = options_.lambda0_fraction * client_->region().Area();
+  const Box& box = client_->region();
+  const double lambda0 = options_.lambda0_fraction * box.Area();
   // λ_h is non-decreasing in h: scan upward and stop at the first bound
-  // exceeding λ0. In the common case λ_2 already fails and a single region
-  // computation decides h = 1.
-  int chosen = 1;
-  for (int h = 2; h <= k; ++h) {
-    const double lambda_h =
-        history_.UpperBoundCellArea(id, pos, client_->region(), h);
-    if (lambda_h > lambda0) break;
+  // exceeding λ0. Almost every call stops at λ_2 > λ0 (h = 1), and the
+  // history mostly settles that from a region inside the top-2 cell
+  // without building the cell (DESIGN §4.6). Past λ_2 the scan computes
+  // each λ_h.
+  if (history_.TopTwoCellAreaExceeds(id, pos, box, lambda0)) return 1;
+  int chosen = 2;
+  for (int h = 3; h <= k; ++h) {
+    if (history_.UpperBoundCellArea(id, pos, box, h) > lambda0) break;
     chosen = h;
   }
   return chosen;

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -131,6 +133,10 @@ std::optional<Dataset> ReadDatasetCsv(std::istream& in, std::string* error) {
   }
 
   Dataset dataset(Box(lo, hi), schema);
+  // Tuples must be in general position (§2.2). Of two tuples at one
+  // location the server always ranks the lower id first, so LR never counts
+  // the other at h = 1. Keys compare by value, so -0.0 matches 0.0.
+  std::map<std::pair<double, double>, int> row_at;
   int row = 0;
   while (std::getline(in, line)) {
     ++row;
@@ -154,6 +160,15 @@ std::optional<Dataset> ReadDatasetCsv(std::istream& in, std::string* error) {
     if (!dataset.box().Contains(pos)) {
       Fail(error, "row " + std::to_string(row) + ": (" + cells[0] + ", " +
                       cells[1] + ") lies outside the box");
+      return std::nullopt;
+    }
+    if (const auto [twin, fresh] = row_at.emplace(std::pair{pos.x, pos.y}, row);
+        !fresh) {
+      Fail(error, "rows " + std::to_string(twin->second) + " and " +
+                      std::to_string(row) + " share the location (" +
+                      cells[0] + ", " + cells[1] +
+                      "); jitter duplicates apart first "
+                      "(Dataset::JitterDuplicates)");
       return std::nullopt;
     }
     std::vector<AttrValue> values;

@@ -23,7 +23,8 @@ bool SaveDatasetCsv(const Dataset& dataset, const std::string& path);
 void WriteDatasetCsv(const Dataset& dataset, std::ostream& out);
 
 // Reads a dataset; nullopt on malformed input (an explanation is written to
-// `error` when non-null).
+// `error` when non-null). Two tuples at the same location are malformed:
+// the estimators assume general position (§2.2).
 std::optional<Dataset> LoadDatasetCsv(const std::string& path,
                                       std::string* error = nullptr);
 std::optional<Dataset> ReadDatasetCsv(std::istream& in,

@@ -1,10 +1,15 @@
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/history.h"
+#include "geometry/topk_region.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -151,6 +156,160 @@ TEST(History, UpperBoundRespectsConstraintCap) {
   const double loose = h.UpperBoundCellArea(999, {50, 50}, kBox, 1, 4);
   const double tight = h.UpperBoundCellArea(999, {50, 50}, kBox, 1, 64);
   EXPECT_GE(loose, tight - 1e-9);
+}
+
+// One history for the certificate agreement test below.
+struct CertificateInput {
+  std::string name;
+  Box box;
+  std::vector<Vec2> points;  // recorded with ids 0, 1, ...
+};
+
+std::vector<CertificateInput> CertificateInputs(uint64_t seed) {
+  std::vector<CertificateInput> inputs;
+  Rng rng(seed);
+
+  CertificateInput uniform{"uniform", kBox, {}};
+  for (int i = 0; i < 300; ++i) uniform.points.push_back(kBox.SamplePoint(rng));
+  inputs.push_back(uniform);
+
+  // Five clusters of spread 1e-3: cells far below the default λ0.
+  CertificateInput clustered{"clustered", kBox, {}};
+  const Vec2 centers[] = {{20, 20}, {80, 30}, {50, 50}, {30, 75}, {75, 80}};
+  for (int i = 0; i < 300; ++i) {
+    const Vec2& c = centers[i % 5];
+    clustered.points.push_back({rng.Normal(c.x, 1e-3), rng.Normal(c.y, 1e-3)});
+  }
+  inputs.push_back(clustered);
+
+  // Every location held by two or three tuples: o₁ has a twin, so the
+  // convex cell over S′ ∖ {o₁} is the top-2 cell itself and the two areas
+  // differ only by rounding.
+  CertificateInput duplicates{"duplicates", kBox, {}};
+  while (duplicates.points.size() < 300) {
+    const Vec2 p = kBox.SamplePoint(rng);
+    for (uint64_t copies = 2 + rng.UniformInt(2); copies > 0; --copies) {
+      duplicates.points.push_back(p);
+    }
+  }
+  inputs.push_back(duplicates);
+
+  // Tuples on or just inside the edges and corners of a box away from the
+  // origin: the disc crosses the box edge.
+  const Box edge_box({-40, 1000}, {60, 1080});
+  CertificateInput edge{"box-edge", edge_box, {}};
+  Vec2 corners[4];
+  edge_box.Corners(corners);
+  for (int i = 0; i < 300; ++i) {
+    const double inset = i % 3 == 0 ? 0.0 : rng.Uniform(0, 0.5);
+    const double along = rng.Uniform01();
+    Vec2 p;
+    switch (i % 5) {
+      case 0: p = {edge_box.lo.x + inset, edge_box.lo.y + along * 80}; break;
+      case 1: p = {edge_box.hi.x - inset, edge_box.lo.y + along * 80}; break;
+      case 2: p = {edge_box.lo.x + along * 100, edge_box.lo.y + inset}; break;
+      case 3: p = {edge_box.lo.x + along * 100, edge_box.hi.y - inset}; break;
+      default: p = corners[(i / 5) % 4]; break;
+    }
+    edge.points.push_back(p);
+  }
+  inputs.push_back(edge);
+
+  // Histories of one to three tuples: the seed is tiny and both
+  // certificate regions reach the box.
+  for (size_t n = 1; n <= 3; ++n) {
+    CertificateInput tiny{"tiny" + std::to_string(n), kBox, {}};
+    for (size_t i = 0; i < n; ++i) tiny.points.push_back(kBox.SamplePoint(rng));
+    inputs.push_back(tiny);
+  }
+  return inputs;
+}
+
+// TopTwoCellAreaExceeds must answer exactly as the full λ_2 does, for every
+// λ0: the default fraction of the box, a multi-level one, and adversarial
+// values at the full λ_2 and at the convex cell's area, each with its two
+// neighbouring doubles. Focal tuples are the recorded ones (excluded by
+// id) and fresh ones: anywhere, at a recorded tuple's location, or just
+// beside one. A certificate that claims more area than the top-2 cell holds
+// shows up as a flip at λ0 = λ_2; one whose margin is too thin, on the
+// duplicate inputs, where the convex cell equals the top-2 cell. Each of
+// these scratch mutations fails the test: no margin, the disc radius taken
+// from o₃ or not halved, the convex cell without o₁ and o₂, and πr² for a
+// disc that crosses the box edge.
+TEST(History, TopTwoCellCertificateNeverFlipsTheFullDecision) {
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  size_t decisions = 0;
+  size_t flips = 0;
+  size_t cell_above = 0;  // convex cell alone clears λ0 by 1%
+  size_t full_only = 0;   // λ_2 > λ0 but the convex cell does not clear it
+  std::string first_flip;
+  std::vector<CertificateInput> inputs;
+  for (const uint64_t seed : {1, 2}) {
+    for (CertificateInput& input : CertificateInputs(seed)) {
+      inputs.push_back(std::move(input));
+    }
+  }
+  for (const CertificateInput& input : inputs) {
+    History h;
+    for (size_t i = 0; i < input.points.size(); ++i) {
+      h.Record(static_cast<int>(i), input.points[i]);
+    }
+    std::vector<std::pair<int, Vec2>> focal = h.Entries();
+    Rng rng(input.points.size());
+    for (int i = 0; i < 150; ++i) {
+      Vec2 pos = input.box.SamplePoint(rng);
+      if (i % 4 < 2) {
+        pos = input.points[rng.UniformInt(input.points.size())];
+        if (i % 4 == 1) {
+          pos = input.box.Clamp(pos + Vec2{rng.Normal(), rng.Normal()} * 0.05);
+        }
+      }
+      focal.emplace_back(100000 + i, pos);
+    }
+    for (const auto& [id, pos] : focal) {
+      const double lambda2 = h.UpperBoundCellArea(id, pos, input.box, 2);
+      std::vector<double> lambda0s = {2e-5 * input.box.Area(),
+                                      1e-4 * input.box.Area()};
+      std::vector<double> marks = {lambda2};
+      std::vector<Vec2> rest =
+          h.NearestOtherPositions(pos, id, History::kBoundSeedSize);
+      const auto o1 =
+          std::find_if(rest.begin(), rest.end(), [&pos](const Vec2& o) {
+            return SquaredDistance(o, pos) > 0.0;
+          });
+      if (o1 != rest.end()) {
+        rest.erase(o1);
+        marks.push_back(ComputeTopkRegionArea(pos, rest, input.box, 1));
+      }
+      for (const double m : marks) {
+        lambda0s.insert(lambda0s.end(),
+                        {m, std::nextafter(m, 0.0),
+                         std::nextafter(m, kInfinity)});
+      }
+      for (const double lambda0 : lambda0s) {
+        const bool want = lambda2 > lambda0;
+        const bool got = h.TopTwoCellAreaExceeds(id, pos, input.box, lambda0);
+        const bool cell_clears = marks.size() > 1 && marks[1] > 1.01 * lambda0;
+        ++decisions;
+        if (cell_clears) ++cell_above;
+        if (want && !cell_clears) ++full_only;
+        if (got != want && flips++ == 0) {
+          std::ostringstream os;
+          os.precision(17);
+          os << input.name << " id " << id << " pos " << pos << " lambda0 "
+             << lambda0 << " lambda2 " << lambda2 << " certificate " << got;
+          first_flip = os.str();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(flips, 0u) << "of " << decisions << " decisions; first: "
+                       << first_flip;
+  // The inputs reach every stage: decisions the convex cell (or the disc
+  // before it) settles, and "yes" answers only the full λ_2 gives.
+  EXPECT_GT(decisions, 30000u);
+  EXPECT_GT(cell_above, 4000u);
+  EXPECT_GT(full_only, 8000u);
 }
 
 }  // namespace

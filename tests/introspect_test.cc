@@ -26,6 +26,7 @@
 #include "obs/introspect/sampler.h"
 #include "obs/introspect/statusz.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "service/introspect.h"
 #include "service/service.h"
@@ -73,8 +74,25 @@ FlightRecord MakeRecord(uint64_t a) {
   return r;
 }
 
+// With instrumentation compiled out the recorder is a stub that keeps
+// nothing. Checks that contract and returns true there (the caller then
+// returns); returns false, checking nothing, when the plane is compiled in.
+bool CompiledOutRecorder(FlightRecorder& recorder) {
+  if (obs::kObsEnabled) return false;
+  EXPECT_EQ(recorder.capacity(), 0u);
+  EXPECT_FALSE(recorder.TryPublish(MakeRecord(1)));
+  std::vector<FlightRecord> out;
+  EXPECT_EQ(recorder.Drain(&out), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(recorder.published(), 0u);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(recorder.drained(), 0u);
+  return true;
+}
+
 TEST(FlightRecorder, PublishThenDrainRoundTrips) {
   FlightRecorder recorder(8);
+  if (CompiledOutRecorder(recorder)) return;
   EXPECT_EQ(recorder.capacity(), 8u);
   for (uint64_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(recorder.TryPublish(MakeRecord(i)));
@@ -95,6 +113,8 @@ TEST(FlightRecorder, PublishThenDrainRoundTrips) {
 }
 
 TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
+  FlightRecorder recorder(1);
+  if (CompiledOutRecorder(recorder)) return;
   EXPECT_EQ(FlightRecorder(1).capacity(), 8u);  // minimum
   EXPECT_EQ(FlightRecorder(9).capacity(), 16u);
   EXPECT_EQ(FlightRecorder(64).capacity(), 64u);
@@ -102,6 +122,7 @@ TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(FlightRecorder, FullRingDropsNewestAndCounts) {
   FlightRecorder recorder(8);
+  if (CompiledOutRecorder(recorder)) return;
   for (uint64_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(recorder.TryPublish(MakeRecord(i)));
   }
@@ -133,6 +154,7 @@ TEST(FlightRecorder, NameTruncatesSafely) {
 
 TEST(FlightRecorder, ConcurrentPublishersAndDrainerAccountExactly) {
   FlightRecorder recorder(256);
+  if (CompiledOutRecorder(recorder)) return;
   constexpr int kProducers = 4;
   constexpr uint64_t kPerProducer = 5000;
 
@@ -202,6 +224,19 @@ TEST(QuantileFromBuckets, OverflowBucketClampsToLastBound) {
 
 // --- Time-series sampler ----------------------------------------------------
 
+// With instrumentation compiled out the sampler is a stub that never cuts
+// a window. Checks that contract and returns true there; returns false,
+// checking nothing, when the plane is compiled in.
+bool CompiledOutSampler(TimeSeriesSampler& sampler) {
+  if (obs::kObsEnabled) return false;
+  sampler.Tick();
+  EXPECT_FALSE(sampler.MaybeTick());
+  EXPECT_EQ(sampler.num_windows(), 0u);
+  EXPECT_TRUE(sampler.windows().empty());
+  EXPECT_EQ(sampler.windows_cut(), 0u);
+  return true;
+}
+
 TEST(TimeSeriesSampler, DiffsCountersIntoWindowsOnVirtualClock) {
   obs::MetricsRegistry registry;
   obs::Counter* queries = registry.GetCounter("client.queries");
@@ -211,6 +246,7 @@ TEST(TimeSeriesSampler, DiffsCountersIntoWindowsOnVirtualClock) {
   TimeSeriesSampler sampler(
       {.registry = &registry, .clock_ms = [&clock] { return clock; },
        .period_ms = 10.0, .max_windows = 4});
+  if (CompiledOutSampler(sampler)) return;
 
   sampler.Tick();  // baseline at t=0, no window yet
   EXPECT_EQ(sampler.num_windows(), 0u);
@@ -247,6 +283,7 @@ TEST(TimeSeriesSampler, MaybeTickHonorsPeriod) {
   TimeSeriesSampler sampler(
       {.registry = &registry, .clock_ms = [&clock] { return clock; },
        .period_ms = 100.0});
+  if (CompiledOutSampler(sampler)) return;
   sampler.Tick();  // baseline
   clock = 50.0;
   EXPECT_FALSE(sampler.MaybeTick());  // period not elapsed
@@ -264,6 +301,7 @@ TEST(TimeSeriesSampler, SlidingRingEvictsOldestWindows) {
   TimeSeriesSampler sampler(
       {.registry = &registry, .clock_ms = [&clock] { return clock; },
        .period_ms = 1.0, .max_windows = 3});
+  if (CompiledOutSampler(sampler)) return;
   sampler.Tick();
   for (int i = 0; i < 6; ++i) {
     c->Add(1);
@@ -283,6 +321,7 @@ TEST(TimeSeriesSampler, HistogramWindowsCarryPerWindowQuantiles) {
   TimeSeriesSampler sampler(
       {.registry = &registry, .clock_ms = [&clock] { return clock; },
        .period_ms = 1.0});
+  if (CompiledOutSampler(sampler)) return;
   sampler.Tick();
 
   // First window: 10 observations in (1,2].
@@ -356,6 +395,13 @@ TEST(Statusz, RendersMetaMetricsAndSections) {
   status.AddJsonSection("custom", "{\"x\":1}");
 
   const std::string json = status.ToJson();
+  if (!obs::kObsEnabled) {
+    // The stub renders a valid, empty page and drops everything set.
+    EXPECT_NE(json.find("\"statusz_version\":1"), std::string::npos);
+    EXPECT_EQ(json.find("mode"), std::string::npos);
+    EXPECT_EQ(status.ToText(), "statusz: observability disabled\n");
+    return;
+  }
   EXPECT_NE(json.find("\"statusz_version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"mode\": \"test\""), std::string::npos);
   EXPECT_NE(json.find("\"active\": 3"), std::string::npos);
@@ -415,6 +461,7 @@ TEST(Tracer, MirrorsCompletedSpansIntoFlightRecorder) {
   tracer.SetFlightRecorder(&recorder);
   tracer.AddComplete("span.x", "cat", 10.0, 5.0);
   { obs::ScopedSpan span(&tracer, "span.y"); }
+  if (CompiledOutRecorder(recorder)) return;
   EXPECT_EQ(recorder.published(), 2u);
   std::vector<FlightRecord> out;
   recorder.Drain(&out);
@@ -525,6 +572,7 @@ TEST(ServiceRecorder, LifecycleEventsRecordedWithoutAnyTrigger) {
   const SessionId id = svc.Submit(spec);
   svc.RunUntilIdle();
   EXPECT_EQ(svc.Poll(id).state, SessionState::kCompleted);
+  if (CompiledOutRecorder(recorder)) return;
 
   std::vector<FlightRecord> out;
   recorder.Drain(&out);
@@ -570,12 +618,19 @@ TEST(Introspection, SessionsReportBudgetBurnDownAndTrajectory) {
   EXPECT_GT(row.deadline_slack_ms, 0.0);
   ASSERT_EQ(row.aggregates.size(), 1u);
   const AggregateIntrospection& agg = row.aggregates[0];
-  EXPECT_EQ(agg.trajectory.size(), row.rounds);
-  for (size_t i = 1; i < agg.trajectory.size(); ++i) {
-    EXPECT_GE(agg.trajectory[i].queries, agg.trajectory[i - 1].queries);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(agg.trajectory.size(), row.rounds);
+    for (size_t i = 1; i < agg.trajectory.size(); ++i) {
+      EXPECT_GE(agg.trajectory[i].queries, agg.trajectory[i - 1].queries);
+    }
+    // The trajectory's tail is the live estimate.
+    ASSERT_FALSE(agg.trajectory.empty());
+    EXPECT_TRUE(SameBits(agg.trajectory.back().estimate, agg.estimate));
+  } else {
+    // Convergence telemetry compiles out; the burn-down above is scheduler
+    // state and stays.
+    EXPECT_TRUE(agg.trajectory.empty());
   }
-  // The trajectory's tail is the live estimate.
-  EXPECT_TRUE(SameBits(agg.trajectory.back().estimate, agg.estimate));
 
   svc.RunUntilIdle();
   const std::vector<SessionIntrospection> done = svc.IntrospectSessions();
@@ -615,6 +670,14 @@ TEST(Introspection, StatuszSnapshotsTheWholeStack) {
                                       .recorder = &recorder,
                                       .registry = &registry});
   const std::string json = intro.BuildStatusz().ToJson();
+  if (!obs::kObsEnabled) {
+    // BuildStatusz and PrometheusText degrade to the stubs: an empty page
+    // and an empty scrape.
+    EXPECT_EQ(json, obs::introspect::Statusz().ToJson());
+    EXPECT_EQ(intro.PrometheusText(), obs::introspect::ToPrometheusText(
+                                          obs::MetricsRegistry().Snapshot()));
+    return;
+  }
   EXPECT_NE(json.find("\"service\""), std::string::npos);
   EXPECT_NE(json.find("\"sessions\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant-a\""), std::string::npos);
@@ -731,8 +794,15 @@ TEST(IntrospectionDeterminism, EstimatesBitIdenticalWithPlaneAttached) {
       svc.IntrospectSessions();  // statusz mid-run must not perturb
     }
     observed = svc.Poll(id).estimates;
-    EXPECT_GT(recorder.published(), 0u);
-    EXPECT_GT(sampler.windows_cut(), 0u);
+    // The plane was live (with instrumentation compiled out its stubs keep
+    // nothing, and the estimates below must still match).
+    if (obs::kObsEnabled) {
+      EXPECT_GT(recorder.published(), 0u);
+      EXPECT_GT(sampler.windows_cut(), 0u);
+    } else {
+      EXPECT_EQ(recorder.published(), 0u);
+      EXPECT_EQ(sampler.windows_cut(), 0u);
+    }
   }
 
   ASSERT_EQ(bare.size(), observed.size());

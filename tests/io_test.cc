@@ -188,6 +188,8 @@ TEST(DatasetCsv, RejectsMalformedInputs) {
   expect_fail("# box 0 0 10 10\nx,y\n5,-0.5\n", "tuple below the box");
   expect_fail("# box 0 0 0 10\nx,y\n0,2\n", "zero-width box");
   expect_fail("# box 0 5 10 5\nx,y\n1,5\n", "zero-height box");
+  expect_fail("# box -1 -1 10 10\nx,y\n0,2\n3,4\n-0.0,2.0\n",
+              "tuples sharing a location");
 }
 
 TEST(DatasetCsv, LoadMissingFileFails) {
