@@ -228,18 +228,13 @@ int main(int argc, char** argv) {
     double est_mean_error = -1.0, est_mean_queries = -1.0;
     if (n <= estimator_max) {
       // Clean lanes: any shard count gives the same trace; use the middle
-      // one. The metadata server uses the brute backend — never searched,
-      // so it skips a third index build.
+      // one.
       const ShardedLbsServer* sharded =
           servers[std::min<size_t>(1, servers.size() - 1)].get();
-      const LbsServer meta(&dataset,
-                           {.max_k = k,
-                            .max_radius = sopts.max_radius,
-                            .index_backend = SpatialBackend::kBruteForce});
       ShardedTransport transport(sharded, {});
       double err_sum = 0.0, query_sum = 0.0;
       for (int r = 0; r < runs; ++r) {
-        LrClient client(&meta, {.k = k, .budget = budget}, &transport);
+        LrClient client(sharded, {.k = k, .budget = budget}, &transport);
         engine::NnoProbeResolver resolver(
             &client, {.seed = 42 + static_cast<uint64_t>(r)});
         const RunResult result =

@@ -1,4 +1,4 @@
-// Transport-layer micro-benchmarks: overhead of the wire abstraction, cost
+// Transport-layer micro-benchmarks: the direct in-process wire, the cost
 // of the simulated policy pipeline, and dispatcher batch throughput at
 // 1/2/4/8 workers. These are the numbers tracked in BENCH_transport.json
 // (regenerate with
@@ -46,21 +46,8 @@ SimulatedTransportOptions FlakyOptions() {
   return topts;
 }
 
-// Baseline: the client wired straight to the server (no transport object).
-void BM_ClientDirectWire(benchmark::State& state) {
-  Fixture* fixture = SharedFixture();
-  LrClient client(&fixture->server, {.k = 5});
-  Rng rng(3);
-  const Box& box = fixture->usa.dataset->box();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(client.Query(box.SamplePoint(rng)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ClientDirectWire);
-
-// The same path through an explicit DirectTransport: measures the cost of
-// the wire abstraction itself (one virtual dispatch + a reply struct).
+// A client over a DirectTransport, the wire of every client built without
+// one: the server's kNN plus one virtual dispatch and a reply struct.
 void BM_ClientDirectTransport(benchmark::State& state) {
   Fixture* fixture = SharedFixture();
   DirectTransport transport(&fixture->server);

@@ -37,11 +37,6 @@ int main() {
                            {.num_shards = 8, .build_threads = 8,
                             .server = {.max_k = 10}});
 
-  // Metadata-only server for the client side (brute backend: O(n) setup,
-  // never searched — all kNN goes over the wire).
-  LbsServer meta(usa.dataset.get(),
-                 {.max_k = 10, .index_backend = SpatialBackend::kBruteForce});
-
   ShardedTransportOptions topts;
   topts.rate_limit = {.capacity = 16.0, .refill_per_sec = 100.0};  // per lane
   topts.shard_faults.resize(8);
@@ -81,7 +76,7 @@ int main() {
   // The estimator neither knows nor cares about the topology: same trace
   // over the sharded wire as over the monolithic stack.
   CensusSampler sampler(&usa.census);
-  LrClient client(&meta, {.k = k, .budget = 6000}, &transport);
+  LrClient client(&sharded, {.k = k, .budget = 6000}, &transport);
   engine::LrCellResolver resolver(&client, &sampler, {.seed = 42});
   engine::EstimationEngine eng(&resolver);
   eng.AddAggregate(AggregateSpec::Count());

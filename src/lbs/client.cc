@@ -7,20 +7,17 @@
 
 namespace lbsagg {
 
-LbsClient::LbsClient(const LbsServer* server, ClientOptions options)
+LbsClient::LbsClient(const LbsServer* server, ClientOptions options,
+                     LbsTransport* transport, BatchExecutor* batch)
     : server_(server),
       options_(options),
+      transport_(transport),
+      batch_(batch),
       k_(std::min(options.k, server->options().max_k)),
       queries_counter_(obs::GetCounter(options.registry, "client.queries")),
       tracer_(options.tracer) {
   LBSAGG_CHECK_GE(options.k, 1);
-}
-
-LbsClient::LbsClient(const LbsServer* server, ClientOptions options,
-                     LbsTransport* transport, BatchExecutor* batch)
-    : LbsClient(server, options) {
-  transport_ = transport;
-  batch_ = batch;
+  if (transport_ == nullptr) transport_ = &direct_.emplace(server);
 }
 
 bool LbsClient::HasBudget(uint64_t upcoming) const {
@@ -45,10 +42,6 @@ double LbsClient::NumericAttribute(int id, int col) const {
 
 std::vector<ServerHit> LbsClient::RawQuery(const Vec2& q) {
   obs::ScopedSpan span(tracer_, "client.query", "client");
-  if (transport_ == nullptr) {  // zero-overhead direct wire
-    ChargeQuery(q, 1);
-    return server_->Query(q, k_, filter_);
-  }
   TransportReply reply = transport_->Query(q, k_, filter_);
   ChargeQuery(q, static_cast<uint64_t>(reply.attempts));
   return std::move(reply.hits);
@@ -57,7 +50,7 @@ std::vector<ServerHit> LbsClient::RawQuery(const Vec2& q) {
 std::vector<std::vector<ServerHit>> LbsClient::RawQueryBatch(
     const std::vector<Vec2>& points) {
   std::vector<std::vector<ServerHit>> pages(points.size());
-  if (transport_ != nullptr && batch_ != nullptr) {
+  if (batch_ != nullptr) {
     obs::ScopedSpan span(tracer_, "client.query_batch", "client");
     std::vector<TransportReply> replies =
         batch_->QueryBatch(points, k_, filter_);

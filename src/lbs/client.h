@@ -48,19 +48,16 @@ struct ClientOptions {
 // once.
 class LbsClient {
  public:
-  // `server` must outlive the client. Queries go straight to the server —
-  // the zero-overhead in-process wire, equivalent to a DirectTransport.
-  LbsClient(const LbsServer* server, ClientOptions options);
-
   // Routes every query through `transport` (latency, rate limits, faults,
-  // retries — see transport/simulated_transport.h). Each *interface
+  // retries — see transport/simulated_transport.h); without one, through a
+  // DirectTransport over `server` that the client owns. Each *interface
   // attempt* the transport makes counts against the query budget. An
   // optional `batch` executor (an AsyncDispatcher over the same transport)
   // pipelines QueryBatch() calls across worker threads; without one,
   // batches run sequentially with identical results. All three pointers
   // must outlive the client.
   LbsClient(const LbsServer* server, ClientOptions options,
-            LbsTransport* transport, BatchExecutor* batch = nullptr);
+            LbsTransport* transport = nullptr, BatchExecutor* batch = nullptr);
 
   virtual ~LbsClient() = default;
 
@@ -134,8 +131,8 @@ class LbsClient {
   const std::vector<Vec2>& query_log() const { return query_log_; }
 
  protected:
-  // Issues one counted query (through the transport when one is attached;
-  // the cost charged is the transport's attempt count).
+  // Issues one counted query through the transport; the cost charged is
+  // the transport's attempt count.
   std::vector<ServerHit> RawQuery(const Vec2& q);
 
   // Issues `points.size()` independent counted queries and returns the
@@ -158,8 +155,9 @@ class LbsClient {
   }
 
   ClientOptions options_;
-  LbsTransport* transport_ = nullptr;  // null = direct in-process wire
-  BatchExecutor* batch_ = nullptr;
+  std::optional<DirectTransport> direct_;  // the wire when none is given
+  LbsTransport* transport_;
+  BatchExecutor* batch_;
   int k_;
   TupleFilter filter_;
   std::atomic<uint64_t> queries_used_{0};

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json_writer.h"
+
 namespace lbsagg {
 namespace obs {
 namespace introspect {
@@ -52,13 +54,13 @@ std::string Statusz::ToJson(int indent) const {
   os << in << "\"meta\": {";
   bool first = true;
   for (const auto& [key, value] : meta_) {
-    os << (first ? "\n" : ",\n") << in2 << '"' << key << "\": \"" << value
-       << '"';
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(key) << ": "
+       << JsonWriter::Quoted(value);
     first = false;
   }
   for (const auto& [key, value] : meta_num_) {
-    os << (first ? "\n" : ",\n") << in2 << '"' << key
-       << "\": " << value;
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(key) << ": "
+       << value;
     first = false;
   }
   os << (first ? "" : "\n" + in) << "},\n";
@@ -68,8 +70,8 @@ std::string Statusz::ToJson(int indent) const {
   os << in << "\"sections\": {";
   first = true;
   for (const auto& [name, blob] : sections_) {
-    os << (first ? "\n" : ",\n") << in2 << '"' << name
-       << "\": " << IndentBlob(blob, in2);
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(name) << ": "
+       << IndentBlob(blob, in2);
     first = false;
   }
   os << (first ? "" : "\n" + in) << "}\n";

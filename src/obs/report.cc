@@ -9,18 +9,6 @@ namespace obs {
 
 namespace {
 
-// Quoted JSON string with real escaping (JsonWriter::AppendEscaped), so a
-// meta value carrying a quote, backslash, or newline cannot corrupt the
-// report. The pretty-printed layout itself stays hand-assembled.
-std::string Quoted(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  JsonWriter::AppendEscaped(&out, s);
-  out.push_back('"');
-  return out;
-}
-
 // Re-indents a pre-serialized JSON blob by prefixing continuation lines;
 // keeps nested sections readable without reparsing them.
 std::string IndentBlob(const std::string& blob, const std::string& pad) {
@@ -67,12 +55,12 @@ std::string RunReport::ToJson(int indent) const {
   os << in << "\"meta\": {";
   bool first = true;
   for (const auto& [key, value] : meta_) {
-    os << (first ? "\n" : ",\n") << in2 << Quoted(key) << ": "
-       << Quoted(value);
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(key) << ": "
+       << JsonWriter::Quoted(value);
     first = false;
   }
   for (const auto& [key, value] : meta_num_) {
-    os << (first ? "\n" : ",\n") << in2 << Quoted(key)
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(key)
        << ": " << value;
     first = false;
   }
@@ -81,7 +69,7 @@ std::string RunReport::ToJson(int indent) const {
   os << in << "\"stats\": {";
   first = true;
   for (const auto& [name, stats] : stats_) {
-    os << (first ? "\n" : ",\n") << in2 << Quoted(name)
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(name)
        << ": " << stats.ToJson();
     first = false;
   }
@@ -92,7 +80,7 @@ std::string RunReport::ToJson(int indent) const {
   os << in << "\"sections\": {";
   first = true;
   for (const auto& [name, blob] : sections_) {
-    os << (first ? "\n" : ",\n") << in2 << Quoted(name)
+    os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(name)
        << ": " << IndentBlob(blob, in2);
     first = false;
   }

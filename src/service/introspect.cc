@@ -5,43 +5,48 @@
 
 #include "obs/introspect/prometheus.h"
 #include "util/check.h"
+#include "util/json_writer.h"
 
 namespace lbsagg {
 namespace service {
 
 std::string SessionIntrospectionJson(const SessionIntrospection& row) {
-  std::ostringstream os;
-  os << "{\"id\":" << row.id << ",\"state\":\"" << SessionStateName(row.state)
-     << "\",\"principal\":\"" << row.principal << "\",\"family\":\""
-     << EstimatorFamilyName(row.family) << "\",\"budget\":" << row.budget
-     << ",\"queries_used\":" << row.queries_used << ",\"rounds\":" << row.rounds
-     << ",\"dedup_hits\":" << row.dedup_hits
-     << ",\"submit_ms\":" << row.submit_ms
-     << ",\"start_ms\":" << row.start_ms
-     << ",\"end_ms\":" << row.end_ms;
+  JsonWriter w;
+  w.BeginObject()
+      .KV("id", row.id)
+      .KV("state", SessionStateName(row.state))
+      .KV("principal", row.principal)
+      .KV("family", EstimatorFamilyName(row.family))
+      .KV("budget", row.budget)
+      .KV("queries_used", row.queries_used)
+      .KV("rounds", row.rounds)
+      .KV("dedup_hits", row.dedup_hits)
+      .KV("submit_ms", row.submit_ms)
+      .KV("start_ms", row.start_ms)
+      .KV("end_ms", row.end_ms);
   if (row.has_deadline) {
-    os << ",\"deadline_ms\":" << row.deadline_ms
-       << ",\"deadline_slack_ms\":" << row.deadline_slack_ms;
+    w.KV("deadline_ms", row.deadline_ms)
+        .KV("deadline_slack_ms", row.deadline_slack_ms);
   }
-  os << ",\"aggregates\":[";
-  for (size_t i = 0; i < row.aggregates.size(); ++i) {
-    const AggregateIntrospection& agg = row.aggregates[i];
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << agg.name
-       << "\",\"estimate\":" << agg.estimate
-       << ",\"half_width\":" << agg.half_width
-       << ",\"trajectory\":[";
-    for (size_t j = 0; j < agg.trajectory.size(); ++j) {
-      const engine::ConvergencePoint& p = agg.trajectory[j];
-      if (j > 0) os << ",";
-      os << "{\"queries\":" << p.queries
-         << ",\"estimate\":" << p.estimate
-         << ",\"half_width\":" << p.half_width << "}";
+  w.Key("aggregates").BeginArray();
+  for (const AggregateIntrospection& agg : row.aggregates) {
+    w.BeginObject()
+        .KV("name", agg.name)
+        .KV("estimate", agg.estimate)
+        .KV("half_width", agg.half_width)
+        .Key("trajectory")
+        .BeginArray();
+    for (const engine::ConvergencePoint& p : agg.trajectory) {
+      w.BeginObject()
+          .KV("queries", p.queries)
+          .KV("estimate", p.estimate)
+          .KV("half_width", p.half_width)
+          .EndObject();
     }
-    os << "]}";
+    w.EndArray().EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.TakeString();
 }
 
 ServiceIntrospector::ServiceIntrospector(IntrospectorOptions options)

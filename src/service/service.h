@@ -50,12 +50,11 @@
 namespace lbsagg {
 namespace service {
 
-// One hosted backend: the metadata server (schema, region, attribute reads —
-// the PR-7 pattern: it is consulted for public knowledge, while search
-// traffic goes down the wire) plus the wire itself. For a sharded backend,
-// `meta` is a cheap brute-backend server over the same dataset and `wire` a
-// ShardedTransport; for a single server, `wire` may be null and the service
-// runs a DirectTransport over `meta`.
+// One hosted backend: the server (consulted for public knowledge — schema,
+// region, attribute reads — while search traffic goes down the wire) plus
+// the wire itself. For a sharded backend, `meta` is the ShardedLbsServer
+// and `wire` a ShardedTransport over it; for any server, `wire` may be null
+// and the service runs a DirectTransport over `meta`.
 struct ServiceBackend {
   const LbsServer* meta = nullptr;
   LbsTransport* wire = nullptr;  // null = direct in-process wire over `meta`

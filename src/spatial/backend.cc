@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "spatial/brute_force.h"
 #include "spatial/kdtree.h"
@@ -10,22 +11,22 @@
 namespace lbsagg {
 
 std::unique_ptr<SpatialIndex> MakeSpatialIndex(
-    SpatialBackend backend, const std::vector<Vec2>& points,
+    SpatialBackend backend, std::vector<Vec2> points,
     obs::MetricsRegistry* stats_registry) {
   switch (backend) {
     case SpatialBackend::kKdTree: {
-      auto tree = std::make_unique<KdTree>(points);
+      auto tree = std::make_unique<KdTree>(std::move(points));
       if (stats_registry != nullptr) tree->EnableStats(stats_registry);
       return tree;
     }
     case SpatialBackend::kBruteForce:
-      return std::make_unique<BruteForceIndex>(points);
+      return std::make_unique<BruteForceIndex>(std::move(points));
   }
   return nullptr;
 }
 
 std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
-    SpatialBackend backend, const std::vector<std::vector<Vec2>>& shard_points,
+    SpatialBackend backend, std::vector<std::vector<Vec2>> shard_points,
     unsigned threads, obs::MetricsRegistry* stats_registry,
     std::vector<double>* build_ms) {
   const size_t shards = shard_points.size();
@@ -45,8 +46,8 @@ std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
          shard = next.fetch_add(1)) {
       if (shard_points[shard].empty()) continue;  // null index for the slot
       const auto start = std::chrono::steady_clock::now();
-      indexes[shard] =
-          MakeSpatialIndex(backend, shard_points[shard], stats_registry);
+      indexes[shard] = MakeSpatialIndex(
+          backend, std::move(shard_points[shard]), stats_registry);
       if (build_ms != nullptr) {
         (*build_ms)[shard] =
             std::chrono::duration<double, std::milli>(

@@ -17,9 +17,7 @@ class MetricsRegistry;
 // (spatial_equivalence_test.cc), so the choice never changes an answer
 // (DESIGN.md §4.10):
 //   kKdTree     — flat preorder k-d tree; every server that searches.
-//   kBruteForce — O(n) scan; the test oracle, and the metadata-only server
-//                 of sharded set-ups, which is never searched and so pays
-//                 only its O(n) construction.
+//   kBruteForce — O(n) scan with O(n) construction; the test oracle.
 enum class SpatialBackend {
   kKdTree,
   kBruteForce,
@@ -28,7 +26,7 @@ enum class SpatialBackend {
 // Builds the chosen index over `points`. When `stats_registry` is non-null
 // the k-d tree publishes its per-search work counters to it.
 std::unique_ptr<SpatialIndex> MakeSpatialIndex(
-    SpatialBackend backend, const std::vector<Vec2>& points,
+    SpatialBackend backend, std::vector<Vec2> points,
     obs::MetricsRegistry* stats_registry = nullptr);
 
 // Parallel multi-index build: one index per entry of `shard_points`, shard
@@ -38,10 +36,11 @@ std::unique_ptr<SpatialIndex> MakeSpatialIndex(
 // When `build_ms` is non-null it receives one per-shard build duration per
 // entry (the max entry is the build's critical path — what an N-core
 // machine pays for the whole fleet). Empty point arrays yield null index
-// slots rather than empty indexes. Used by ShardedLbsServer
-// (lbs/sharded_server.h) and benchmarked in bench/fig18_sharded.cc.
+// slots rather than empty indexes. Each point array moves into its index.
+// Used by LbsServer (lbs/server.h) and benchmarked in
+// bench/fig18_sharded.cc.
 std::vector<std::unique_ptr<SpatialIndex>> MakeSpatialIndexes(
-    SpatialBackend backend, const std::vector<std::vector<Vec2>>& shard_points,
+    SpatialBackend backend, std::vector<std::vector<Vec2>> shard_points,
     unsigned threads = 0, obs::MetricsRegistry* stats_registry = nullptr,
     std::vector<double>* build_ms = nullptr);
 

@@ -8,7 +8,7 @@
 
 namespace lbsagg {
 
-ShardedTransport::ShardedTransport(const ShardedLbsServer* server,
+ShardedTransport::ShardedTransport(const LbsServer* server,
                                    ShardedTransportOptions options)
     : server_(server),
       options_(std::move(options)),

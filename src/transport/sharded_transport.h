@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "lbs/sharded_server.h"
+#include "lbs/server.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "transport/metrics.h"
@@ -57,13 +57,13 @@ struct ShardedTransportOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-// The scatter-gather wire over a ShardedLbsServer: one public kNN endpoint
+// The scatter-gather wire over a sharded LbsServer: one public kNN endpoint
 // backed by N per-shard PolicyLanes, each owning its own token bucket,
 // seeded fault injector, and retry budget (seeds are mixed per shard, so a
 // lane's fault stream is independent of its neighbors').
 //
 // Prepare() is the stateful scatter: it picks the reachable shards for the
-// query (pure geometry — ShardedLbsServer::ReachableShards), then runs the
+// query (pure geometry — LbsServer::ReachableShards), then runs the
 // policy pipeline on every targeted lane, all departing at the shared
 // virtual now. Sub-requests travel in parallel, so the
 // combined plan charges the *critical path*: attempts = max over lanes
@@ -76,9 +76,9 @@ struct ShardedTransportOptions {
 //
 // Fulfill() is the pure gather: delivered lanes answer their shard page
 // (per-lane truncation keeps a strict prefix of that shard's page), and
-// the pages fold through ShardedLbsServer::MergeShardPages — the (d2, id)
+// the pages fold through LbsServer::MergeShardPages — the (d2, id)
 // merge — so with every lane delivered the reply is bit-identical to the
-// unsharded server for any shard count, worker count, and arrival order.
+// one-shard server for any shard count, worker count, and arrival order.
 //
 // Partial failure is *typed*, never silent: if any targeted lane fails its
 // sub-request (kTransientError / kTimeout / kFatal after the lane's
@@ -90,7 +90,7 @@ struct ShardedTransportOptions {
 class ShardedTransport final : public LbsTransport {
  public:
   // `server` must outlive the transport.
-  ShardedTransport(const ShardedLbsServer* server,
+  ShardedTransport(const LbsServer* server,
                    ShardedTransportOptions options = {});
 
   // Stateful scatter; serialize calls in submission order.
@@ -118,7 +118,7 @@ class ShardedTransport final : public LbsTransport {
   // Each shard one prepared ticket targets, with its lane's decision.
   using Fanout = std::vector<std::pair<int, LaneDecision>>;
 
-  const ShardedLbsServer* server_;
+  const LbsServer* server_;
   ShardedTransportOptions options_;
   LatencyModel latency_model_;
 

@@ -84,9 +84,7 @@ class BatchExecutor {
 };
 
 // The in-process wire: no latency, no faults, no rate limit, one attempt
-// per query. A client over a DirectTransport issues exactly the same
-// backend calls, in the same order, with the same accounting as a client
-// wired straight to the server — traces are bit-identical.
+// per query. It is the wire of every client built without a transport.
 class DirectTransport final : public LbsTransport {
  public:
   // `server` must outlive the transport.

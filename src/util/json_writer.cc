@@ -38,6 +38,15 @@ void JsonWriter::AppendEscaped(std::string* out, std::string_view s) {
   }
 }
 
+std::string JsonWriter::Quoted(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  AppendEscaped(&out, s);
+  out.push_back('"');
+  return out;
+}
+
 void JsonWriter::AppendShortestDouble(std::string* out, double v) {
   char buf[32];  // the longest shortest form: -1.7976931348623157e+308
   const std::to_chars_result result = std::to_chars(buf, buf + sizeof(buf), v);

@@ -62,6 +62,9 @@ class JsonWriter {
   // still assemble fragments by hand.
   static void AppendEscaped(std::string* out, std::string_view s);
 
+  // `s` as a JSON string literal: escaped, in double quotes.
+  static std::string Quoted(std::string_view s);
+
   // Appends the shortest text that parses back to exactly `v`
   // (std::to_chars), for numbers that 6 significant digits would round.
   static void AppendShortestDouble(std::string* out, double v);

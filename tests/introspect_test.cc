@@ -393,6 +393,9 @@ TEST(Statusz, RendersMetaMetricsAndSections) {
   registry.GetCounter("c")->Add(1);
   status.SetSnapshot(registry.Snapshot());
   status.AddJsonSection("custom", "{\"x\":1}");
+  // User strings arrive escaped.
+  status.SetMeta("note", "say \"hi\"\\");
+  status.AddJsonSection("odd\"name", "1");
 
   const std::string json = status.ToJson();
   if (!obs::kObsEnabled) {
@@ -406,6 +409,8 @@ TEST(Statusz, RendersMetaMetricsAndSections) {
   EXPECT_NE(json.find("\"mode\": \"test\""), std::string::npos);
   EXPECT_NE(json.find("\"active\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"custom\": {\"x\":1}"), std::string::npos);
+  EXPECT_NE(json.find(R"("note": "say \"hi\"\\")"), std::string::npos);
+  EXPECT_NE(json.find(R"("odd\"name": 1)"), std::string::npos);
 
   const std::string text = status.ToText();
   EXPECT_NE(text.find("mode: test"), std::string::npos);
@@ -692,6 +697,38 @@ TEST(Introspection, StatuszSnapshotsTheWholeStack) {
 }
 
 // --- SLO watchdog ------------------------------------------------------------
+
+TEST(Introspection, SessionRowEscapesUserStrings) {
+  // Called directly, so it also runs with instrumentation compiled out.
+  SessionIntrospection row;
+  row.id = 7;
+  row.state = SessionState::kRunning;
+  row.principal = "ten\"ant\\x";
+  row.family = EstimatorFamily::kLr;
+  row.budget = 500;
+  row.queries_used = 120;
+  row.rounds = 9;
+  row.dedup_hits = 4;
+  row.submit_ms = 1.5;
+  row.start_ms = 2.25;
+  row.has_deadline = true;
+  row.deadline_ms = 1000;
+  row.deadline_slack_ms = 996.75;
+  row.aggregates.push_back({"COUNT(\"all\")",
+                            1234.5678,
+                            12.345678,
+                            {{60, 1200.1, 30.5}, {120, 1234.5678, 12.345678}}});
+  EXPECT_EQ(
+      SessionIntrospectionJson(row),
+      R"json({"id":7,"state":"running","principal":"ten\"ant\\x",)json"
+      R"json("family":"lr","budget":500,"queries_used":120,"rounds":9,)json"
+      R"json("dedup_hits":4,"submit_ms":1.5,"start_ms":2.25,"end_ms":-1,)json"
+      R"json("deadline_ms":1000,"deadline_slack_ms":996.75,"aggregates":[)json"
+      R"json({"name":"COUNT(\"all\")","estimate":1234.57,)json"
+      R"json("half_width":12.3457,"trajectory":[)json"
+      R"json({"queries":60,"estimate":1200.1,"half_width":30.5},)json"
+      R"json({"queries":120,"estimate":1234.57,"half_width":12.3457}]}]})json");
+}
 
 TEST(SloWatchdog, FiresDeadlineAtRiskOnceWhenSlackRunsOut) {
   const UsaScenario& usa = SmallUsa();

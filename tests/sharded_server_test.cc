@@ -1,10 +1,11 @@
-// ShardedLbsServer bit-identity: the shard count, partitioner, and build
-// thread count are invisible through the query interface — every answer is
-// bit-identical to the monolithic LbsServer over the same dataset and
-// options, the same guarantee the index backends give (spatial_equivalence_
-// test.cc). This is acceptance criterion (b) of the sharded backend.
+// Sharded LbsServer bit-identity: the shard count and build thread count
+// are invisible through the query interface — every answer is bit-identical
+// to the one-shard LbsServer over the same dataset and options, the same
+// guarantee the index backends give (spatial_equivalence_test.cc). Both
+// also match a naive scan that shares no ranking code with the server.
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
@@ -75,25 +76,80 @@ void ExpectBitIdentical(const Dataset& d, const ServerOptions& server_opts,
   const LbsServer mono(&d, server_opts);
   const ShardedLbsServer sharded(&d, sharded_opts);
   for (const Vec2& q : queries) {
-    ExpectHitsEqual(Gather(sharded, q, k, filter), mono.Query(q, k, filter),
-                    what);
+    const std::vector<ServerHit> expected = mono.Query(q, k, filter);
+    ExpectHitsEqual(Gather(sharded, q, k, filter), expected, what);
+    ExpectHitsEqual(sharded.Query(q, k, filter), expected, what);
   }
+}
+
+// The ranking reference: scans every tuple's effective position, applies
+// the filter and the d_max trim, and orders by (d2, id), or by (score, id)
+// under prominence. It shares no code with QueryShard or MergeShardPages.
+std::vector<ServerHit> NaiveQuery(const LbsServer& server, const Vec2& q,
+                                  int k, const TupleFilter& filter) {
+  const ServerOptions& opts = server.options();
+  const Dataset& d = server.dataset();
+  const bool prominence = opts.ranking == RankingMode::kProminence;
+  const int score_col =
+      prominence ? d.schema().Require(opts.prominence_column) : -1;
+  struct Candidate {
+    double key;
+    int id;
+    double distance;
+  };
+  std::vector<Candidate> all;
+  for (size_t i = 0; i < d.size(); ++i) {
+    const int id = static_cast<int>(i);
+    const Tuple& t = d.tuple(id);
+    if (filter && !filter(t)) continue;
+    const Vec2& p = server.EffectivePosition(id);
+    const double dx = p.x - q.x;
+    const double dy = p.y - q.y;
+    const double d2 = dx * dx + dy * dy;
+    const double distance = std::sqrt(d2);
+    if (distance > opts.max_radius) continue;
+    const double key =
+        prominence ? distance - opts.prominence_weight *
+                                    std::get<double>(t.values[score_col])
+                   : d2;
+    all.push_back({key, id, distance});
+  }
+  std::sort(all.begin(), all.end(), [](const Candidate& a, const Candidate& b) {
+    return a.key < b.key || (a.key == b.key && a.id < b.id);
+  });
+  std::vector<ServerHit> hits;
+  for (const Candidate& c : all) {
+    if (hits.size() == static_cast<size_t>(std::min(k, opts.max_k))) break;
+    hits.push_back({c.id, c.distance});
+  }
+  return hits;
+}
+
+// Tuples on the 50-unit lattice of ShardPagesMergeToGlobalAnswerInAnyOrder,
+// where exact d2 ties reach the id tie-break. Scores are 0, 1 or 2, so
+// under prominence weight 50 a tuple one lattice step farther with a score
+// one higher ties exactly too.
+Dataset MakeLatticeDataset(int n, uint64_t seed) {
+  Dataset d(kBox, MakeSchema());
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    d.Add({50.0 * rng.UniformInt(21), 50.0 * rng.UniformInt(13)},
+          {std::string(i % 3 == 0 ? "restaurant" : "other"),
+           static_cast<double>(rng.UniformInt(3))});
+  }
+  return d;
 }
 
 TEST(ShardedServer, PartitionCoversDataset) {
   const Dataset d = MakeDataset(500, 7);
-  for (ShardPartition partition :
-       {ShardPartition::kSpatial, ShardPartition::kHash}) {
-    const ShardedLbsServer sharded(
-        &d, {.num_shards = 7, .partition = partition});
+  for (int shards : {1, 7}) {
+    const ShardedLbsServer sharded(&d, {.num_shards = shards});
+    ASSERT_EQ(sharded.num_shards(), shards);
     std::vector<int> seen(d.size(), 0);
     for (int s = 0; s < sharded.num_shards(); ++s) {
       const std::vector<int>& ids = sharded.shard_ids(s);
       EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-      for (int id : ids) {
-        EXPECT_EQ(sharded.shard_of(id), s);
-        ++seen[id];
-      }
+      for (int id : ids) ++seen[id];
     }
     for (size_t id = 0; id < d.size(); ++id) {
       EXPECT_EQ(seen[id], 1) << "tuple " << id << " not in exactly one shard";
@@ -104,12 +160,41 @@ TEST(ShardedServer, PartitionCoversDataset) {
 TEST(ShardedServer, QueryBitIdenticalToMonolithEveryShardCount) {
   const Dataset d = MakeDataset(1500, 11);
   const std::vector<Vec2> queries = MakeQueries(120, 21);
-  for (ShardPartition partition :
-       {ShardPartition::kSpatial, ShardPartition::kHash}) {
-    for (int shards : {1, 3, 4, 16}) {
-      for (int k : {1, 5, 50}) {
-        ExpectBitIdentical(d, {}, {.num_shards = shards, .partition = partition},
-                           queries, k, nullptr, "plain knn");
+  for (int shards : {1, 3, 4, 16}) {
+    for (int k : {1, 5, 50}) {
+      ExpectBitIdentical(d, {}, {.num_shards = shards}, queries, k, nullptr,
+                         "plain knn");
+    }
+  }
+}
+
+TEST(ShardedServer, OneAndManyShardsMatchNaiveScan) {
+  const Dataset d = MakeLatticeDataset(1000, 43);
+  const TupleFilter restaurants = [](const Tuple& t) {
+    return std::get<std::string>(t.values[0]) == "restaurant";
+  };
+  ServerOptions nearest{.max_k = 10};
+  // One lattice step: the trim binds, and tuples exactly at d_max stay.
+  ServerOptions trimmed{.max_k = 10, .max_radius = 50.0};
+  ServerOptions prominence = trimmed;
+  prominence.ranking = RankingMode::kProminence;
+  prominence.prominence_column = "score";
+  prominence.prominence_weight = 50.0;
+  Rng rng(47);
+  std::vector<Vec2> queries;
+  for (int i = 0; i < 60; ++i) {
+    queries.push_back({50.0 * rng.UniformInt(21), 50.0 * rng.UniformInt(13)});
+  }
+  for (const ServerOptions& opts : {nearest, trimmed, prominence}) {
+    const LbsServer one(&d, opts);
+    const ShardedLbsServer many(&d, {.num_shards = 8, .server = opts});
+    for (const TupleFilter& filter : {TupleFilter{}, restaurants}) {
+      for (int k : {3, 10}) {
+        for (const Vec2& q : queries) {
+          const std::vector<ServerHit> expected = NaiveQuery(one, q, k, filter);
+          ExpectHitsEqual(one.Query(q, k, filter), expected, "one shard");
+          ExpectHitsEqual(many.Query(q, k, filter), expected, "eight shards");
+        }
       }
     }
   }
@@ -217,12 +302,8 @@ TEST(ShardedServer, BuildThreadCountDoesNotChangeAnswers) {
 
 TEST(ShardedServer, MoreShardsThanTuples) {
   const Dataset d = MakeDataset(5, 41);
-  const std::vector<Vec2> queries = MakeQueries(30, 59);
-  for (ShardPartition partition :
-       {ShardPartition::kSpatial, ShardPartition::kHash}) {
-    ExpectBitIdentical(d, {}, {.num_shards = 16, .partition = partition},
-                       queries, 10, nullptr, "tiny dataset");
-  }
+  ExpectBitIdentical(d, {}, {.num_shards = 16}, MakeQueries(30, 59), 10,
+                     nullptr, "tiny dataset");
 }
 
 }  // namespace

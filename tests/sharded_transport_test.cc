@@ -187,9 +187,6 @@ TEST(ShardedTransport, ExhaustedLaneBudgetSurfacesTypedErrorNotTruncation) {
 TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
   const Dataset d = MakeDataset(1000, 29);
   const ShardedLbsServer server(&d, {.num_shards = 4});
-  // Metadata server for the client: same options, brute backend (zero
-  // build cost; never searched — all queries route through the transport).
-  const LbsServer meta(&d, {.index_backend = IndexBackend::kBruteForce});
   const AggregateSpec spec = AggregateSpec::Count();
 
   auto estimate = [&](double hot_rate) {
@@ -198,7 +195,7 @@ TEST(ShardedTransport, EstimatorOverHotShardMatchesCleanEstimate) {
     topts.shard_faults[3].transient_error_rate = hot_rate;
     topts.retry.max_attempts = 16;  // retries always recover eventually
     ShardedTransport transport(&server, topts);
-    LrClient client(&meta, {.k = 5, .budget = 400}, &transport);
+    LrClient client(&server, {.k = 5, .budget = 400}, &transport);
     engine::NnoProbeResolver resolver(&client, {.seed = 99});
     engine::EstimationEngine eng(&resolver);
     eng.AddAggregate(spec);
@@ -267,9 +264,7 @@ TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {
   const Dataset d = MakeDataset(1200, 41);
   ServerOptions sopts;
   sopts.max_radius = 40.0;  // small coverage disc in an 800x500 box
-  const ShardedLbsServer server(
-      &d, {.num_shards = 16, .partition = ShardPartition::kSpatial,
-           .server = sopts});
+  const ShardedLbsServer server(&d, {.num_shards = 16, .server = sopts});
   ShardedTransport transport(&server);
   const std::vector<Vec2> queries = MakeQueries(50, 43);
   for (const Vec2& q : queries) (void)transport.Query(q, 5, nullptr);

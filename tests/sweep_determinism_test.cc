@@ -261,11 +261,6 @@ EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
   const ShardedLbsServer sharded(
       usa->dataset.get(),
       {.num_shards = num_shards, .server = ServerOptions{.max_k = 10}});
-  // Metadata server for the client: never searched (every query routes
-  // through the transport), so the brute backend skips the index build.
-  const LbsServer meta(usa->dataset.get(),
-                       {.max_k = 10,
-                        .index_backend = IndexBackend::kBruteForce});
 
   ShardedTransportOptions topts;
   topts.rate_limit = {.capacity = 8.0, .refill_per_sec = 50.0};
@@ -278,7 +273,7 @@ EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
     dispatcher = std::make_unique<AsyncDispatcher>(
         &transport, DispatcherOptions{dispatcher_workers, 64});
   }
-  LrClient client(&meta, {.k = 3, .budget = 300, .registry = &registry},
+  LrClient client(&sharded, {.k = 3, .budget = 300, .registry = &registry},
                   &transport, dispatcher.get());
 
   engine::NnoProbeResolver resolver(&client,
@@ -373,9 +368,6 @@ TEST(SweepDeterminism, LegacyTraceFingerprintThroughShardedStack) {
   const AggregateSpec spec = AggregateSpec::CountWhere(
       ColumnEquals(usa->columns.category, "restaurant"),
       "COUNT(restaurants)");
-  const LbsServer meta(usa->dataset.get(),
-                       {.max_k = 5,
-                        .index_backend = IndexBackend::kBruteForce});
   for (int shards : {1, 4}) {
     const ShardedLbsServer sharded(
         usa->dataset.get(),
@@ -383,7 +375,7 @@ TEST(SweepDeterminism, LegacyTraceFingerprintThroughShardedStack) {
     ShardedTransport transport(&sharded, {});
     uint64_t hash = 0;
     for (uint64_t seed = 42; seed < 45; ++seed) {
-      LrClient client(&meta, {.k = 5, .budget = 4000}, &transport);
+      LrClient client(&sharded, {.k = 5, .budget = 4000}, &transport);
       LrAggOptions opts;
       opts.seed = seed;
       engine::LrCellResolver resolver(&client, &sampler, opts);

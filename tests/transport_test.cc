@@ -1,4 +1,4 @@
-// Behavior of the transport layer: the zero-overhead direct wire, the
+// Behavior of the transport layer: the direct in-process wire, the
 // simulated policy pipeline (latency, token bucket, fault injection,
 // retries), per-attempt budget accounting (§2.1), and metrics.
 
@@ -65,28 +65,6 @@ TEST(DirectTransport, MatchesServerExactly) {
       EXPECT_EQ(reply.hits[i].distance, direct[i].distance);
     }
   }
-}
-
-TEST(DirectTransport, ClientTraceIdenticalToNullWire) {
-  const Dataset dataset = MakeDataset(300, 3);
-  const LbsServer server(&dataset, {.max_k = 10});
-  DirectTransport transport(&server);
-
-  LrClient bare(&server, {.k = 5});
-  LrClient wired(&server, {.k = 5}, &transport);
-  bare.EnableQueryLog();
-  wired.EnableQueryLog();
-  for (const Vec2& q : RandomPoints(100, 4)) {
-    const auto a = bare.Query(q);
-    const auto b = wired.Query(q);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].distance, b[i].distance);
-    }
-  }
-  EXPECT_EQ(bare.queries_used(), wired.queries_used());
-  EXPECT_EQ(bare.query_log().size(), wired.query_log().size());
 }
 
 // ---------------------------------------------------------------------------

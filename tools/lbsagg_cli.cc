@@ -443,25 +443,19 @@ int Run(const FlagParser& flags) {
   const std::optional<service::EstimatorFamily> family =
       ParseFamily(algorithm);
   if (!family.has_value()) return 1;
-  // With --shards the per-shard indexes answer every query; the monolithic
-  // server is metadata-only, so the brute backend skips a duplicate index
-  // build (DESIGN.md §4.11).
-  LbsServer server(&dataset,
-                   {.max_k = std::max(k, 1),
-                    .index_backend = shards > 1 ? SpatialBackend::kBruteForce
-                                                : SpatialBackend::kKdTree});
+  // With --shards every query scatters to the per-shard indexes through
+  // the sharded wire (DESIGN.md §4.11).
+  ShardedLbsServer server(
+      &dataset, {.num_shards = std::max(shards, 1),
+                 .server = {.max_k = std::max(k, 1)}});
   // One metric plane for the sharded wire and, with --sessions, the
   // service and its introspection plane.
   obs::MetricsRegistry registry;
-  std::unique_ptr<ShardedLbsServer> sharded;
   std::unique_ptr<ShardedTransport> transport;
   if (shards > 1) {
-    sharded = std::make_unique<ShardedLbsServer>(
-        &dataset, ShardedServerOptions{.num_shards = shards,
-                                       .server = {.max_k = std::max(k, 1)}});
     ShardedTransportOptions topts;
     topts.registry = &registry;
-    transport = std::make_unique<ShardedTransport>(sharded.get(), topts);
+    transport = std::make_unique<ShardedTransport>(&server, topts);
   }
   std::unique_ptr<QuerySampler> sampler;
   if (flags.GetString("sampler") == "uniform") {
