@@ -152,15 +152,9 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTop1Cell(int id,
     if (!center.has_value()) return false;
     has_disc = true;
     disc_center = *center;
-    const ConvexPolygon disc =
-        InscribedCirclePolygon(disc_center, client_->max_radius());
-    for (size_t i = 0; i < disc.size() && !domain.IsEmpty(); ++i) {
-      const Vec2& a = disc.vertices()[i];
-      const Vec2& b = disc.vertices()[(i + 1) % disc.size()];
-      domain = domain.Clip(HalfPlane(Line::Through(b, a)));
-    }
+    domain = ClipToDisc(std::move(domain), disc_center, client_->max_radius());
     // Retire the chord approximations — the disc replaces them.
-    std::erase_if(result.edges, [](const LnrEdgeInfo& e) {
+    std::erase_if(result.edges, [](const EdgeEstimate& e) {
       return !e.is_box_edge && e.neighbor_id < 0;
     });
     return true;
@@ -182,8 +176,7 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTop1Cell(int id,
     } else {
       if (!known_neighbors.insert(e.neighbor_id).second) return false;
     }
-    result.edges.push_back({e.edge, e.neighbor_id, e.is_box_edge,
-                            e.near_witness, e.far_witness});
+    result.edges.push_back(e);
     return true;
   };
 
@@ -214,9 +207,9 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTop1Cell(int id,
 
   auto rebuild = [&]() {
     ConvexPolygon poly = domain;
-    for (const LnrEdgeInfo& e : result.edges) {
+    for (const EdgeEstimate& e : result.edges) {
       if (e.is_box_edge) continue;
-      poly = poly.Clip(HalfPlane(e.line));
+      poly = poly.Clip(HalfPlane(e.edge));
       if (poly.IsEmpty()) break;
     }
     return poly;
@@ -337,13 +330,8 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTopkCell(int id,
     if (!center.has_value()) return false;
     has_disc = true;
     disc_center = *center;
-    const ConvexPolygon disc =
-        InscribedCirclePolygon(disc_center, client_->max_radius());
-    for (size_t i = 0; i < disc.size() && !base_domain.IsEmpty(); ++i) {
-      const Vec2& a = disc.vertices()[i];
-      const Vec2& b = disc.vertices()[(i + 1) % disc.size()];
-      base_domain = base_domain.Clip(HalfPlane(Line::Through(b, a)));
-    }
+    base_domain =
+        ClipToDisc(std::move(base_domain), disc_center, client_->max_radius());
     chords.clear();
     return true;
   };
@@ -556,7 +544,7 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTopkCell(int id,
     }
     std::vector<Line> lines;
     lines.reserve(result.edges.size());
-    for (const LnrEdgeInfo& e : result.edges) lines.push_back(e.line);
+    for (const EdgeEstimate& e : result.edges) lines.push_back(e.edge);
     return ComputeLevelRegionFromLines(lines, domain, k);
   };
 

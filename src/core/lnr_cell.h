@@ -11,22 +11,14 @@
 
 namespace lbsagg {
 
-// One inferred cell edge with enough provenance for §4.3 localization.
-struct LnrEdgeInfo {
-  Line line;             // oriented: focal-tuple side negative
-  int neighbor_id = -1;  // tuple beyond the edge; -1 for a box edge
-  bool is_box_edge = false;
-  Vec2 near_witness;     // returns the focal tuple
-  Vec2 far_witness;      // returns the neighbor instead
-};
-
 // Result of an LNR cell inference.
 struct LnrCellResult {
   // Top-1 mode: the convex polygon cell. Top-k mode: empty.
   ConvexPolygon cell;
   // Top-k mode: the (possibly concave) region. Top-1 mode: empty pieces.
   TopkRegion region;
-  std::vector<LnrEdgeInfo> edges;
+  // The inferred edges, with the provenance §4.3 localization reads.
+  std::vector<EdgeEstimate> edges;
   // Area of the inferred cell (either representation).
   double area = 0.0;
   uint64_t queries = 0;

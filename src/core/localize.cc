@@ -13,6 +13,11 @@ Localizer::Localizer(LnrClient* client, LocalizeOptions options)
     : client_(client), options_(options) {
   LBSAGG_CHECK(client_ != nullptr);
   LBSAGG_CHECK_GE(options_.probe_points, 6);
+  // As in LnrCellComputer: the cell's plane reaches the d2 binary searches
+  // unless they were pinned to another.
+  if (options_.cell.search.registry == nullptr) {
+    options_.cell.search.registry = options_.cell.registry;
+  }
 }
 
 std::optional<Vec2> Localizer::Locate(int id, const Vec2& q0) {
@@ -141,8 +146,8 @@ std::optional<Vec2> Localizer::LocateWithCell(int id,
   // lie on the cell boundary (box corners carry no reflection information).
   struct Candidate {
     Vec2 vertex;
-    const LnrEdgeInfo* e1;
-    const LnrEdgeInfo* e2;
+    const EdgeEstimate* e1;
+    const EdgeEstimate* e2;
   };
   std::vector<Candidate> candidates;
   for (size_t i = 0; i < cell.edges.size(); ++i) {
@@ -152,7 +157,7 @@ std::optional<Vec2> Localizer::LocateWithCell(int id,
     for (size_t j = i + 1; j < cell.edges.size(); ++j) {
       if (cell.edges[j].is_box_edge || cell.edges[j].neighbor_id < 0) continue;
       const std::optional<Vec2> x =
-          cell.edges[i].line.Intersect(cell.edges[j].line);
+          cell.edges[i].edge.Intersect(cell.edges[j].edge);
       if (!x.has_value() || !box.Contains(*x)) continue;
       if (!cell.cell.Contains(*x, tol)) continue;
       candidates.push_back({*x, &cell.edges[i], &cell.edges[j]});
@@ -189,12 +194,12 @@ std::optional<Vec2> Localizer::LocateWithCell(int id,
     const Candidate& a = candidates[i];
     const Candidate& b = candidates[j];
     const std::optional<Vec2> dir_a =
-        RayDirectionAtVertex(id, cell, a.vertex, a.e1->line,
-                             a.e1->neighbor_id, a.e2->line, a.e2->neighbor_id);
+        RayDirectionAtVertex(id, cell, a.vertex, a.e1->edge,
+                             a.e1->neighbor_id, a.e2->edge, a.e2->neighbor_id);
     if (!dir_a.has_value()) continue;
     const std::optional<Vec2> dir_b =
-        RayDirectionAtVertex(id, cell, b.vertex, b.e1->line,
-                             b.e1->neighbor_id, b.e2->line, b.e2->neighbor_id);
+        RayDirectionAtVertex(id, cell, b.vertex, b.e1->edge,
+                             b.e1->neighbor_id, b.e2->edge, b.e2->neighbor_id);
     if (!dir_b.has_value()) continue;
 
     const Line ray_a = Line::Through(a.vertex, a.vertex + *dir_a);

@@ -62,15 +62,7 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
   // domain of the region computation.
   ConvexPolygon domain = ConvexPolygon::FromBox(box);
   if (std::isfinite(client_->max_radius())) {
-    const ConvexPolygon disc =
-        InscribedCirclePolygon(pos, client_->max_radius());
-    for (size_t i = 0; i < disc.size() && !domain.IsEmpty(); ++i) {
-      const Vec2& a = disc.vertices()[i];
-      const Vec2& b = disc.vertices()[(i + 1) % disc.size()];
-      // The disc polygon is CCW, so its interior is Side > 0 of
-      // Through(a, b); orient the half-plane to keep it.
-      domain = domain.Clip(HalfPlane(Line::Through(b, a)));
-    }
+    domain = ClipToDisc(std::move(domain), pos, client_->max_radius());
     LBSAGG_CHECK(!domain.IsEmpty());
   }
 

@@ -14,12 +14,19 @@ namespace engine {
 namespace {
 
 // One observability pointer instruments the whole stack: the resolver's
-// registry flows into the cell computer (and from there into the binary
-// searches) unless the caller pinned a different plane there explicitly.
+// registry flows into the cell computer and the localizer (and from there
+// into the binary searches) unless the caller pinned a different plane
+// there explicitly.
 LnrCellOptions PropagateRegistry(LnrCellOptions cell,
                                  obs::MetricsRegistry* registry) {
   if (cell.registry == nullptr) cell.registry = registry;
   return cell;
+}
+
+LocalizeOptions PropagateRegistry(LocalizeOptions localize,
+                                  obs::MetricsRegistry* registry) {
+  localize.cell = PropagateRegistry(localize.cell, registry);
+  return localize;
 }
 
 }  // namespace
@@ -30,7 +37,7 @@ LnrCellResolver::LnrCellResolver(LnrClient* client, const QuerySampler* sampler,
       sampler_(sampler),
       options_(options),
       cell_computer_(client, PropagateRegistry(options.cell, options.registry)),
-      localizer_(client, options.localize),
+      localizer_(client, PropagateRegistry(options.localize, options.registry)),
       rng_(options.seed),
       rounds_counter_(
           obs::GetCounter(options.registry, "estimator.lnr.rounds")),

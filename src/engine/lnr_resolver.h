@@ -49,8 +49,9 @@ struct LnrAggOptions {
 
   // Metric plane for the estimator.lnr.* counters and the
   // estimator.lnr.ht_weight histogram; null lands on
-  // obs::MetricsRegistry::Default(). Propagated into cell.registry (and from
-  // there into the binary searches) when that is unset.
+  // obs::MetricsRegistry::Default(). Propagated into cell.registry and
+  // localize.cell.registry (and from there into the binary searches) when
+  // those are unset.
   obs::MetricsRegistry* registry = nullptr;
 
   // When set, each round emits an "estimator.round" span with nested

@@ -432,4 +432,17 @@ ConvexPolygon InscribedCirclePolygon(const Vec2& center, double radius,
   return ConvexPolygon(std::move(vertices));
 }
 
+ConvexPolygon ClipToDisc(ConvexPolygon domain, const Vec2& center,
+                         double radius) {
+  const ConvexPolygon disc = InscribedCirclePolygon(center, radius);
+  for (size_t i = 0; i < disc.size() && !domain.IsEmpty(); ++i) {
+    const Vec2& a = disc.vertices()[i];
+    const Vec2& b = disc.vertices()[(i + 1) % disc.size()];
+    // The disc polygon is CCW, so its interior is Side > 0 of
+    // Through(a, b); orient the half-plane to keep it.
+    domain = domain.Clip(HalfPlane(Line::Through(b, a)));
+  }
+  return domain;
+}
+
 }  // namespace lbsagg

@@ -96,6 +96,12 @@ TopkRegion ComputeTopkRegionUnpruned(const Vec2& focal,
 ConvexPolygon InscribedCirclePolygon(const Vec2& center, double radius,
                                      int sides = 256);
 
+// `domain` clipped to the default InscribedCirclePolygon(center, radius):
+// one half-plane per polygon edge, in vertex order, stopping early once the
+// domain is empty. The §5.3 d_max disc clip of the LR and LNR cells.
+ConvexPolygon ClipToDisc(ConvexPolygon domain, const Vec2& center,
+                         double radius);
+
 // Computes V_k(focal) with respect to `others`, clipped to `box`. Points of
 // `others` coincident with `focal` are ignored. Requires k >= 1.
 //

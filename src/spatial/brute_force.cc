@@ -23,10 +23,6 @@ inline bool Better(const Candidate& a, const Candidate& b) {
 BruteForceIndex::BruteForceIndex(std::vector<Vec2> points)
     : points_(std::move(points)) {}
 
-std::vector<Neighbor> BruteForceIndex::Nearest(const Vec2& q, int k) const {
-  return NearestFiltered(q, k, nullptr);
-}
-
 std::vector<Neighbor> BruteForceIndex::NearestFiltered(
     const Vec2& q, int k, const IndexFilter& filter) const {
   std::vector<Candidate> all;

@@ -14,7 +14,6 @@ class BruteForceIndex : public SpatialIndex {
   explicit BruteForceIndex(std::vector<Vec2> points);
 
   size_t size() const override { return points_.size(); }
-  std::vector<Neighbor> Nearest(const Vec2& q, int k) const override;
   std::vector<Neighbor> NearestFiltered(const Vec2& q, int k,
                                         const IndexFilter& filter) const
       override;

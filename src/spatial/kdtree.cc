@@ -12,7 +12,7 @@ namespace lbsagg {
 
 namespace {
 
-// Heap candidate. `d2` is the squared distance: the shared candidate order
+// kNN candidate. `d2` is the squared distance: the shared candidate order
 // of all SpatialIndex implementations is (squared distance, index) — see
 // spatial_index.h — and sqrt is taken only for the candidates that survive.
 struct Candidate {
@@ -30,8 +30,8 @@ inline bool Better(const Candidate& a, const Candidate& b) {
 // point p inside satisfies |q.x - p.x| >= ox, |q.y - p.y| >= oy in exact
 // double comparisons; x >= y implies fl(x*x) >= fl(y*y) and fl(a+b) is
 // monotone for non-negative operands, so `bound2` never exceeds the d2 the
-// leaf scan would compute — the pruning test `bound2 > worst2` can never
-// discard a candidate the heap would accept, and results stay bit-exact.
+// leaf scan would compute — the pruning test `bound2 > screen` can never
+// discard a candidate the search would accept, and results stay bit-exact.
 struct PendingNode {
   int32_t node;
   double bound2;
@@ -148,18 +148,13 @@ int KdTree::Build(std::vector<int>& order, const std::vector<Vec2>& input,
   return me;
 }
 
-template <typename Accept>
-void KdTree::SearchKnnSmall(const Vec2& q, int k, const Accept& accept,
-                            std::vector<Neighbor>& out) const {
-  // Small-k variant (k <= kLeafSize): the best k candidates live in a
-  // sorted array maintained by insertion — a few compares and a short
-  // memmove per improving candidate. The screen is exact at every step
-  // (d2 of the current k-th best), so pruning is as tight as possible and
-  // the final result needs no sort.
-  Candidate best[kLeafSize];
-  int m = 0;
-  double worst2 = std::numeric_limits<double>::infinity();
-
+// `screen` is re-read before every pruning test, so a visit that tightens it
+// prunes the rest of the walk at once. Forced inline so the screen and the
+// candidates stay in the calling search's locals.
+template <typename Visit>
+[[gnu::always_inline]] inline void KdTree::Walk(const Vec2& q,
+                                                const double& screen,
+                                                Visit&& visit) const {
   double d2s[kLeafSize];
   SearchTally tally;
   PendingNode stack[kMaxStack];
@@ -167,19 +162,21 @@ void KdTree::SearchKnnSmall(const Vec2& q, int k, const Accept& accept,
   stack[sp++] = {0, 0.0, 0.0, 0.0};
   while (sp > 0) {
     const PendingNode top = stack[--sp];
-    if (top.bound2 > worst2) continue;
+    if (top.bound2 > screen) continue;
     int32_t node = top.node;
-    double ox = top.ox, oy = top.oy;
+    const double ox = top.ox, oy = top.oy;
     while (!(nodes_[node].tag & kLeafBit)) {
       tally.Node();
       const Node& nd = nodes_[node];
       const double diff = (nd.tag == 0 ? q.x : q.y) - nd.split;
       const int32_t near = diff <= 0 ? node + 1 : nd.right;
       const int32_t far = diff <= 0 ? nd.right : node + 1;
+      // Crossing to the far child replaces that axis' offset with the gap
+      // to the split plane (regions nest, so it can only grow).
       const double fox = nd.tag == 0 ? std::abs(diff) : ox;
       const double foy = nd.tag == 0 ? oy : std::abs(diff);
       const double fbound2 = fox * fox + foy * foy;
-      if (fbound2 <= worst2) {
+      if (fbound2 <= screen) {
         stack[sp++] = {far, fbound2, fox, foy};
         __builtin_prefetch(&nodes_[far]);
       }
@@ -189,21 +186,36 @@ void KdTree::SearchKnnSmall(const Vec2& q, int k, const Accept& accept,
     const double* xb = blob_.data() + leaf.right;
     const int count = static_cast<int>(leaf.tag & ~kLeafBit);
     const double* yb = xb + count;
-    const double* ib = yb + count;
     tally.Leaf(count);
     for (int j = 0; j < count; ++j) {
       const double dx = xb[j] - q.x;
       const double dy = yb[j] - q.y;
       d2s[j] = dx * dx + dy * dy;
     }
+    visit(d2s, yb + count, count);
+  }
+  FlushTally(tally);
+}
+
+template <typename Accept>
+void KdTree::SearchSorted(const Vec2& q, int k, const Accept& accept,
+                          std::vector<Neighbor>& out) const {
+  // k <= kLeafSize: the best k candidates live in a sorted array maintained
+  // by insertion — a few compares and a short move per improving candidate.
+  // The screen is exact at every step (d2 of the current k-th best), so
+  // pruning is as tight as possible and the result needs no sort.
+  Candidate best[kLeafSize];
+  int m = 0;
+  double worst2 = std::numeric_limits<double>::infinity();
+  Walk(q, worst2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
       if (d2s[j] > worst2) continue;
-      const int32_t id = LoadId(ib, j);
+      const int32_t id = LoadId(ids, j);
       if (!accept(id)) continue;
       const Candidate c{d2s[j], id};
       // Insert into the sorted prefix; when full, the last element falls
       // off. A candidate tying the current worst on (d2, index) lands at
-      // pos == m and is dropped, matching the heap path's tie-break.
+      // pos == m and is dropped.
       int pos = m;
       while (pos > 0 && Better(c, best[pos - 1])) --pos;
       if (m < k) {
@@ -215,18 +227,14 @@ void KdTree::SearchKnnSmall(const Vec2& q, int k, const Accept& accept,
       best[pos] = c;
       if (m == k) worst2 = best[m - 1].d2;
     }
-  }
-  FlushTally(tally);
-
+  });
   out.resize(m);
-  for (int i = 0; i < m; ++i) {
-    out[i] = {best[i].index, std::sqrt(best[i].d2)};
-  }
+  for (int i = 0; i < m; ++i) out[i] = {best[i].index, std::sqrt(best[i].d2)};
 }
 
 template <typename Accept>
-void KdTree::SearchKnn(const Vec2& q, int k, const Accept& accept,
-                       std::vector<Neighbor>& out) const {
+void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
+                            std::vector<Neighbor>& out) const {
   // Candidates are appended to a buffer guarded by a lazy screen `worst2`
   // (the k-th best d2 seen so far, +inf until k have been seen). When the
   // buffer reaches 2k entries an nth_element compaction keeps the k best
@@ -251,51 +259,10 @@ void KdTree::SearchKnn(const Vec2& q, int k, const Accept& accept,
     m = k;
     worst2 = buf[k - 1].d2;
   };
-
-  double d2s[kLeafSize];
-  SearchTally tally;
-  PendingNode stack[kMaxStack];
-  int sp = 0;
-  stack[sp++] = {0, 0.0, 0.0, 0.0};
-  while (sp > 0) {
-    const PendingNode top = stack[--sp];
-    if (top.bound2 > worst2) continue;
-    int32_t node = top.node;
-    double ox = top.ox, oy = top.oy;
-    // Descend to the leaf on the query's side, deferring far subtrees.
-    while (!(nodes_[node].tag & kLeafBit)) {
-      tally.Node();
-      const Node& nd = nodes_[node];
-      const double diff = (nd.tag == 0 ? q.x : q.y) - nd.split;
-      const int32_t near = diff <= 0 ? node + 1 : nd.right;
-      const int32_t far = diff <= 0 ? nd.right : node + 1;
-      // Crossing to the far child replaces that axis' offset with the gap
-      // to the split plane (regions nest, so it can only grow).
-      const double fox = nd.tag == 0 ? std::abs(diff) : ox;
-      const double foy = nd.tag == 0 ? oy : std::abs(diff);
-      const double fbound2 = fox * fox + foy * foy;
-      if (fbound2 <= worst2) {
-        stack[sp++] = {far, fbound2, fox, foy};
-        __builtin_prefetch(&nodes_[far]);
-      }
-      node = near;
-    }
-    const Node& leaf = nodes_[node];
-    const double* xb = blob_.data() + leaf.right;
-    const int count = static_cast<int>(leaf.tag & ~kLeafBit);
-    const double* yb = xb + count;
-    const double* ib = yb + count;
-    tally.Leaf(count);
-    // Branch-free distance pass over the bucket (vectorizable), then the
-    // scalar heap pass over the few that can matter.
-    for (int j = 0; j < count; ++j) {
-      const double dx = xb[j] - q.x;
-      const double dy = yb[j] - q.y;
-      d2s[j] = dx * dx + dy * dy;
-    }
+  Walk(q, worst2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
       if (d2s[j] > worst2) continue;
-      const int32_t id = LoadId(ib, j);
+      const int32_t id = LoadId(ids, j);
       if (!accept(id)) continue;
       buf[m++] = {d2s[j], id};
       if (m == cap) compact();
@@ -303,109 +270,31 @@ void KdTree::SearchKnn(const Vec2& q, int k, const Accept& accept,
     // Eager first compaction: until k candidates have been seen the screen
     // is +inf and nothing prunes, so tighten it at the first opportunity —
     // typically right after the query's home leaf.
-    if (worst2 == std::numeric_limits<double>::infinity() && m >= k) compact();
-  }
-  FlushTally(tally);
-
+    if (worst2 == std::numeric_limits<double>::infinity() && m >= k) {
+      compact();
+    }
+  });
   if (m > k) compact();
   std::sort(buf, buf + m, Better);
   out.resize(m);
-  for (int i = 0; i < m; ++i) {
-    out[i] = {buf[i].index, std::sqrt(buf[i].d2)};
-  }
-}
-
-template <typename Accept>
-void KdTree::SearchNn(const Vec2& q, const Accept& accept,
-                      std::vector<Neighbor>& out) const {
-  double best2 = std::numeric_limits<double>::infinity();
-  int32_t best = -1;
-  double d2s[kLeafSize];
-  SearchTally tally;
-  PendingNode stack[kMaxStack];
-  int sp = 0;
-  stack[sp++] = {0, 0.0, 0.0, 0.0};
-  while (sp > 0) {
-    const PendingNode top = stack[--sp];
-    if (top.bound2 > best2) continue;
-    int32_t node = top.node;
-    double ox = top.ox, oy = top.oy;
-    while (!(nodes_[node].tag & kLeafBit)) {
-      tally.Node();
-      const Node& nd = nodes_[node];
-      const double diff = (nd.tag == 0 ? q.x : q.y) - nd.split;
-      const int32_t near = diff <= 0 ? node + 1 : nd.right;
-      const int32_t far = diff <= 0 ? nd.right : node + 1;
-      const double fox = nd.tag == 0 ? std::abs(diff) : ox;
-      const double foy = nd.tag == 0 ? oy : std::abs(diff);
-      const double fbound2 = fox * fox + foy * foy;
-      if (fbound2 <= best2) {
-        stack[sp++] = {far, fbound2, fox, foy};
-        __builtin_prefetch(&nodes_[far]);
-      }
-      node = near;
-    }
-    const Node& leaf = nodes_[node];
-    const double* xb = blob_.data() + leaf.right;
-    const int count = static_cast<int>(leaf.tag & ~kLeafBit);
-    const double* yb = xb + count;
-    const double* ib = yb + count;
-    tally.Leaf(count);
-    for (int j = 0; j < count; ++j) {
-      const double dx = xb[j] - q.x;
-      const double dy = yb[j] - q.y;
-      d2s[j] = dx * dx + dy * dy;
-    }
-    for (int j = 0; j < count; ++j) {
-      if (d2s[j] > best2) continue;
-      const int32_t id = LoadId(ib, j);
-      // Same (d2, index) order as the heap path: strict improvement, or a
-      // tie on d2 won by the smaller index.
-      if (d2s[j] == best2 && id >= best) continue;
-      if (!accept(id)) continue;
-      best2 = d2s[j];
-      best = id;
-    }
-  }
-  FlushTally(tally);
-  if (best >= 0) out.push_back({best, std::sqrt(best2)});
-}
-
-std::vector<Neighbor> KdTree::Nearest(const Vec2& q, int k) const {
-  std::vector<Neighbor> out;
-  if (k <= 0 || nodes_.empty()) return out;
-  if (k == 1) {
-    SearchNn(q, [](int) { return true; }, out);
-  } else if (k <= kLeafSize) {
-    SearchKnnSmall(q, k, [](int) { return true; }, out);
-  } else {
-    SearchKnn(q, k, [](int) { return true; }, out);
-  }
-  return out;
+  for (int i = 0; i < m; ++i) out[i] = {buf[i].index, std::sqrt(buf[i].d2)};
 }
 
 std::vector<Neighbor> KdTree::NearestFiltered(const Vec2& q, int k,
                                               const IndexFilter& filter) const {
   std::vector<Neighbor> out;
   if (k <= 0 || nodes_.empty()) return out;
+  const auto search = [&](const auto& accept) {
+    if (k <= kLeafSize) {
+      SearchSorted(q, k, accept, out);
+    } else {
+      SearchBuffered(q, k, accept, out);
+    }
+  };
   if (filter) {
-    const auto accept = [&filter](int index) { return filter(index); };
-    if (k == 1) {
-      SearchNn(q, accept, out);
-    } else if (k <= kLeafSize) {
-      SearchKnnSmall(q, k, accept, out);
-    } else {
-      SearchKnn(q, k, accept, out);
-    }
+    search(filter);
   } else {
-    const auto accept = [](int) { return true; };
-    if (k == 1) {
-      SearchNn(q, accept, out);
-    } else if (k <= kLeafSize) {
-      SearchKnnSmall(q, k, accept, out);
-    } else {
-      SearchKnn(q, k, accept, out);
-    }
+    search([](int) { return true; });
   }
   return out;
 }
@@ -415,49 +304,11 @@ std::vector<Neighbor> KdTree::WithinRadius(const Vec2& q, double radius) const {
   std::vector<Neighbor> result;
   if (nodes_.empty()) return result;
   const double r2 = radius * radius;
-  double d2s[kLeafSize];
-  SearchTally tally;
-  PendingNode stack[kMaxStack];
-  int sp = 0;
-  stack[sp++] = {0, 0.0, 0.0, 0.0};
-  while (sp > 0) {
-    const PendingNode top = stack[--sp];
-    if (top.bound2 > r2) continue;
-    int32_t node = top.node;
-    double ox = top.ox, oy = top.oy;
-    while (!(nodes_[node].tag & kLeafBit)) {
-      tally.Node();
-      const Node& nd = nodes_[node];
-      const double diff = (nd.tag == 0 ? q.x : q.y) - nd.split;
-      const int32_t near = diff <= 0 ? node + 1 : nd.right;
-      const int32_t far = diff <= 0 ? nd.right : node + 1;
-      const double fox = nd.tag == 0 ? std::abs(diff) : ox;
-      const double foy = nd.tag == 0 ? oy : std::abs(diff);
-      const double fbound2 = fox * fox + foy * foy;
-      if (fbound2 <= r2) {
-        stack[sp++] = {far, fbound2, fox, foy};
-        __builtin_prefetch(&nodes_[far]);
-      }
-      node = near;
-    }
-    const Node& leaf = nodes_[node];
-    const double* xb = blob_.data() + leaf.right;
-    const int count = static_cast<int>(leaf.tag & ~kLeafBit);
-    const double* yb = xb + count;
-    const double* ib = yb + count;
-    tally.Leaf(count);
+  Walk(q, r2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
-      const double dx = xb[j] - q.x;
-      const double dy = yb[j] - q.y;
-      d2s[j] = dx * dx + dy * dy;
+      if (d2s[j] <= r2) result.push_back({LoadId(ids, j), std::sqrt(d2s[j])});
     }
-    for (int j = 0; j < count; ++j) {
-      if (d2s[j] <= r2) {
-        result.push_back({LoadId(ib, j), std::sqrt(d2s[j])});
-      }
-    }
-  }
-  FlushTally(tally);
+  });
   return result;
 }
 

@@ -21,10 +21,13 @@ namespace lbsagg {
 // every search walks contiguous memory. Each leaf owns one contiguous
 // 64-byte-aligned block holding its points' x coordinates, y coordinates,
 // and original indices back to back, so a bucket scan touches a single
-// short run of cache lines the hardware prefetcher streams. Searches are
-// iterative (explicit stack, bounded by the balanced depth) and keep the k
-// best candidates in a bounded max-heap in a stack buffer: no allocation
-// happens per query beyond the result vector the interface returns.
+// short run of cache lines the hardware prefetcher streams. Every search
+// runs one iterative traversal (explicit stack, bounded by the balanced
+// depth) and differs only in what it keeps of each leaf's candidates: a
+// sorted insertion array for k <= 16, a 2k buffer compacted with
+// nth_element for larger k, every point within the radius for
+// WithinRadius. Candidates live in stack buffers: no allocation happens per
+// query beyond the result vector the interface returns.
 //
 // Results are exactly the k smallest under the (distance, index) total
 // order, bit-identical to BruteForceIndex.
@@ -34,7 +37,6 @@ class KdTree : public SpatialIndex {
   explicit KdTree(std::vector<Vec2> points);
 
   size_t size() const override { return size_; }
-  std::vector<Neighbor> Nearest(const Vec2& q, int k) const override;
   std::vector<Neighbor> NearestFiltered(const Vec2& q, int k,
                                         const IndexFilter& filter) const
       override;
@@ -104,21 +106,22 @@ class KdTree : public SpatialIndex {
 #endif
   }
 
-  template <typename Accept>
-  void SearchKnn(const Vec2& q, int k, const Accept& accept,
-                 std::vector<Neighbor>& out) const;
+  // The one stack walk behind every search: descends toward q, defers far
+  // subtrees against `screen`, and hands each reached leaf's squared
+  // distances and id block to `visit(d2s, ids, count)`, which may tighten
+  // the screen.
+  template <typename Visit>
+  void Walk(const Vec2& q, const double& screen, Visit&& visit) const;
 
-  // 2 <= k <= kLeafSize specialization: sorted insertion array, exact
-  // screen, no final sort.
+  // k <= kLeafSize: sorted insertion array, exact screen, no final sort.
   template <typename Accept>
-  void SearchKnnSmall(const Vec2& q, int k, const Accept& accept,
+  void SearchSorted(const Vec2& q, int k, const Accept& accept,
+                    std::vector<Neighbor>& out) const;
+
+  // k > kLeafSize: 2k buffer with nth_element compaction.
+  template <typename Accept>
+  void SearchBuffered(const Vec2& q, int k, const Accept& accept,
                       std::vector<Neighbor>& out) const;
-
-  // k == 1 specialization: the single best candidate is tracked in two
-  // registers instead of a heap.
-  template <typename Accept>
-  void SearchNn(const Vec2& q, const Accept& accept,
-                std::vector<Neighbor>& out) const;
 
   // Per-leaf interleaved point blocks (see Node); blocks start on 64-byte
   // boundaries so each bucket scan is one contiguous run of cache lines.

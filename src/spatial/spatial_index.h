@@ -33,7 +33,8 @@ struct Neighbor {
 using IndexFilter = std::function<bool(int)>;
 
 // Abstract kNN index over a fixed set of 2-D points. Implementations:
-// KdTree (production) and BruteForceIndex (test oracle).
+// KdTree (production) and BruteForceIndex (test oracle). Each implements
+// one kNN entry point, NearestFiltered; Nearest is its unfiltered call.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -41,13 +42,16 @@ class SpatialIndex {
   // Number of indexed points.
   virtual size_t size() const = 0;
 
-  // The k nearest points to q, sorted by ascending distance. Returns fewer
-  // than k when the index holds fewer points.
-  virtual std::vector<Neighbor> Nearest(const Vec2& q, int k) const = 0;
-
-  // The k nearest points accepted by `filter`. A null filter accepts all.
+  // The k nearest points to q accepted by `filter`, sorted by ascending
+  // distance. A null filter accepts all. Returns fewer than k when fewer
+  // points are accepted.
   virtual std::vector<Neighbor> NearestFiltered(
       const Vec2& q, int k, const IndexFilter& filter) const = 0;
+
+  // The k nearest points to q: NearestFiltered with a null filter.
+  std::vector<Neighbor> Nearest(const Vec2& q, int k) const {
+    return NearestFiltered(q, k, nullptr);
+  }
 
   // All points within `radius` of q (inclusive), unsorted.
   virtual std::vector<Neighbor> WithinRadius(const Vec2& q,

@@ -1,9 +1,13 @@
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
 #include "engine/engine.h"
 #include "engine/lnr_resolver.h"
 #include "lbs/client.h"
+#include "obs/metrics.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -14,6 +18,19 @@ ChinaScenario SmallChina(int n = 800, double male = 0.671) {
   opts.num_users = n;
   opts.male_fraction = male;
   return BuildChinaScenario(opts);
+}
+
+// Name -> value of every nonzero counter and histogram count on `registry`.
+std::map<std::string, uint64_t> Tallies(const obs::MetricsRegistry& registry) {
+  std::map<std::string, uint64_t> out;
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.value != 0) out[c.name] = c.value;
+  }
+  for (const obs::HistogramSample& h : snap.histograms) {
+    if (h.count != 0) out[h.name] = h.count;
+  }
+  return out;
 }
 
 // Algorithm LNR-LBS-AGG on one aggregate: `rounds` engine rounds over
@@ -134,6 +151,35 @@ TEST(LnrAgg, PositionConditionViaLocalization) {
   opts.seed = 97;
   EXPECT_NEAR(LnrEstimate(&client, &sampler, spec, opts, 120), truth,
               0.35 * truth);
+}
+
+TEST(LnrAgg, PrivateRegistryLeavesDefaultPlaneUntouched) {
+  // A position condition runs the localizer, whose cell inference and d2
+  // binary searches must count on the resolver's plane like the rest of
+  // the stack.
+  const ChinaScenario china = SmallChina();
+  const Box& box = china.dataset->box();
+  const Box west(box.lo, {box.lo.x + box.width() / 2.0, box.hi.y});
+  obs::MetricsRegistry registry;
+  LbsServer server(china.dataset.get(), {.max_k = 1});
+  LnrClient client(&server, {.k = 1, .registry = &registry});
+  CensusSampler sampler(&china.census);
+  AggregateSpec spec = AggregateSpec::Count();
+  spec.position_condition = [west](const Vec2& p) {
+    return west.Contains(p);
+  };
+  LnrAggOptions opts;
+  opts.registry = &registry;
+  const auto before = Tallies(obs::MetricsRegistry::Default());
+  engine::LnrCellResolver resolver(&client, &sampler, opts);
+  engine::EstimationEngine eng(&resolver, {.registry = &registry});
+  eng.AddAggregate(spec);
+  for (int i = 0; i < 20; ++i) eng.Step();
+  EXPECT_EQ(Tallies(obs::MetricsRegistry::Default()), before);
+#ifndef LBSAGG_OBS_DISABLED
+  EXPECT_GT(registry.GetCounter("estimator.binary_search.probes")->Value(),
+            0u);
+#endif
 }
 
 TEST(LnrAgg, DiagnosticsTrackCacheHits) {

@@ -94,7 +94,7 @@ TEST(LnrCell, EdgesCarryNeighborIdentity) {
   const auto cell = computer.ComputeTop1Cell(0, {50, 50});
   ASSERT_TRUE(cell.has_value());
   std::vector<int> neighbors;
-  for (const LnrEdgeInfo& e : cell->edges) {
+  for (const EdgeEstimate& e : cell->edges) {
     if (!e.is_box_edge) neighbors.push_back(e.neighbor_id);
   }
   std::sort(neighbors.begin(), neighbors.end());

@@ -6,9 +6,11 @@
 // even under distance ties, which the duplicate-point cases below force; the
 // total order is additionally asserted directly on every Nearest result, so
 // the tree cannot pass by agreeing with an unordered oracle. The LBS server
-// relies on this to make the index backend invisible through the interface;
-// every kd-tree search specialization (k == 1, sorted-insertion small k,
-// buffered large k) is covered by the k values used here.
+// relies on this to make the index backend invisible through the interface.
+// Every kd-tree search runs one traversal; the k values used here cover
+// both of its kNN candidate stores (the sorted insertion array for k <= 16,
+// k = 1 included, and the 2k buffer above it), and the radius cases its
+// radius collector.
 
 #include <algorithm>
 #include <memory>
@@ -101,9 +103,9 @@ void ExpectSameSet(std::vector<Neighbor> a, std::vector<Neighbor> b,
   }
 }
 
-// The k values cover all three KdTree search paths (the k == 1 register
-// path, sorted insertion for 2 <= k <= leaf size 16, buffered compaction
-// beyond), plus k > n truncation.
+// The k values cover both KdTree kNN candidate stores (sorted insertion for
+// k <= leaf size 16, buffered compaction beyond) at their edges, plus k > n
+// truncation.
 const int kTestKs[] = {1, 2, 7, 16, 17, 50, 400};
 
 TEST(SpatialEquivalence, KdTreeMatchesBruteForceRandomized) {

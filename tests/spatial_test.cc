@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
+#include "obs/metrics.h"
 #include "spatial/brute_force.h"
 #include "spatial/kdtree.h"
 #include "util/rng.h"
@@ -135,6 +136,41 @@ TEST(KdTree, DuplicateCoordinatesHandled) {
   const auto r = tree.Nearest({5.0, 10.2}, 3);
   ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r[0].index, 10);
+}
+
+// Pins the traversal's work, not only its answers: a search that pruned
+// less would still return the right neighbors. The tree mixes random points
+// with coincident ones, some queries sit exactly on a duplicated point, and
+// every search kind runs: both kNN candidate stores (k <= 16 and larger),
+// filtered, and radius. A change that moves these counts changes how much
+// the search prunes.
+TEST(KdTree, WorkCountersPinned) {
+#ifdef LBSAGG_OBS_DISABLED
+  GTEST_SKIP() << "work counters are compiled out";
+#endif
+  std::vector<Vec2> pts = RandomPoints(2000, 337);
+  for (int i = 0; i < 200; ++i) pts.push_back(pts[7 * i]);
+  KdTree tree(pts);
+  obs::MetricsRegistry registry;
+  tree.EnableStats(&registry);
+  Rng rng(347);
+  std::vector<Vec2> queries;
+  for (int i = 0; i < 100; ++i) queries.push_back(kBox.SamplePoint(rng));
+  for (int i = 0; i < 20; ++i) queries.push_back(pts[7 * i]);
+  const IndexFilter every_third = [](int i) { return i % 3 == 0; };
+  for (const Vec2& q : queries) {
+    for (int k : {1, 5, 16, 17, 65}) tree.Nearest(q, k);
+    tree.NearestFiltered(q, 5, every_third);
+    tree.NearestFiltered(q, 33, every_third);
+    tree.WithinRadius(q, 40.0);
+  }
+  const auto value = [&registry](const char* name) {
+    return registry.GetCounter(name)->Value();
+  };
+  EXPECT_EQ(value("spatial.kdtree.searches"), 960u);
+  EXPECT_EQ(value("spatial.kdtree.nodes_visited"), 18555u);
+  EXPECT_EQ(value("spatial.kdtree.leaves_scanned"), 9709u);
+  EXPECT_EQ(value("spatial.kdtree.points_tested"), 83546u);
 }
 
 TEST(BruteForce, TieBreakByIndex) {
