@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "spatial/backend.h"
@@ -182,9 +183,47 @@ LbsServer::LbsServer(const Dataset* dataset, ServerOptions options,
 std::vector<ServerHit> LbsServer::Query(const Vec2& q, int k,
                                         const TupleFilter& filter) const {
   if (num_shards() == 1) return QueryShard(0, q, k, filter);
+  std::vector<GatherLane> lanes;
+  for (int s : ReachableShards(q)) lanes.push_back({s});
+  return GatherShards(q, k, filter, lanes);
+}
+
+std::vector<ServerHit> LbsServer::GatherShards(
+    const Vec2& q, int k, const TupleFilter& filter,
+    const std::vector<GatherLane>& lanes, const Truncation& truncate) const {
+  LBSAGG_CHECK_GE(k, 1);
+  const size_t want = static_cast<size_t>(std::min(k, options_.max_k));
+  constexpr double kNoCap = std::numeric_limits<double>::infinity();
+  std::vector<std::tuple<double, int, size_t>> order;  // bbox d2, shard, lane
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const int s = lanes[i].shard;
+    LBSAGG_CHECK(s >= 0 && s < num_shards()) << "shard " << s;
+    order.emplace_back(ShardMinDist2(shards_[s].bbox, q), s, i);
+  }
+  std::sort(order.begin(), order.end());
   std::vector<std::vector<ServerHit>> pages;
-  for (int s : ReachableShards(q)) {
-    pages.push_back(QueryShard(s, q, k, filter));
+  // The `want` smallest d2 gathered, ranked as MergeShardPages ranks them.
+  // A global top-k hit has d2 <= the k-th d2 of any k gathered hits, so
+  // the inclusive cap keeps it (DESIGN.md §4.11).
+  std::vector<double> best;
+  double cap = kNoCap;
+  for (const auto& [bbox_d2, shard, lane] : order) {
+    const bool capped = options_.ranking == RankingMode::kDistance &&
+                        !lanes[lane].truncated;
+    const double lane_cap = capped ? cap : kNoCap;
+    // Monotone rounding puts every point of the shard at d2 >= bbox_d2.
+    if (bbox_d2 > lane_cap) continue;
+    std::vector<ServerHit> page = QueryShard(shard, q, k, filter, lane_cap);
+    if (lanes[lane].truncated) truncate(lane, &page);
+    for (const ServerHit& h : page) {
+      best.push_back(SquaredDistance(q, effective_pos_[h.tuple_id]));
+    }
+    if (best.size() >= want) {
+      std::nth_element(best.begin(), best.begin() + (want - 1), best.end());
+      best.resize(want);
+      cap = best.back();
+    }
+    pages.push_back(std::move(page));
   }
   return MergeShardPages(q, pages, k);
 }
@@ -208,7 +247,8 @@ std::vector<int> LbsServer::ReachableShards(const Vec2& q) const {
 }
 
 std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
-                                             const TupleFilter& filter) const {
+                                             const TupleFilter& filter,
+                                             double max_d2) const {
   LBSAGG_CHECK_GE(shard, 0);
   LBSAGG_CHECK_LT(shard, num_shards());
   LBSAGG_CHECK_GE(k, 1);
@@ -238,7 +278,7 @@ std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
     };
   }
   const std::vector<Neighbor> nearest =
-      sh.index->NearestFiltered(q, k, index_filter);
+      sh.index->NearestFiltered(q, k, index_filter, max_d2);
   std::vector<ServerHit> hits;
   hits.reserve(nearest.size());
   for (const Neighbor& n : nearest) {

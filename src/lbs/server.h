@@ -2,6 +2,7 @@
 #define LBSAGG_LBS_SERVER_H_
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -92,9 +93,10 @@ struct ShardBuildStats {
 // A server built from ServerOptions alone has one shard holding every
 // tuple; ShardedLbsServer (lbs/sharded_server.h) builds N. The shard count
 // is invisible through the interface, exactly like the index backend: a
-// query scatters to the ReachableShards, each answers its QueryShard page,
-// and MergeShardPages gathers them through the (d2, id) fold, so every
-// answer is bit-identical to the one-shard server's (DESIGN.md §4.11).
+// query scatters to the ReachableShards, GatherShards asks each for its
+// QueryShard page nearest-first under the running k-th best d2, and
+// MergeShardPages folds the pages by (d2, id), so every answer is
+// bit-identical to the one-shard server's (DESIGN.md §4.11).
 //
 // Thread-safety: construction is internally parallel; afterwards the object
 // is immutable and every method is const and safe to call concurrently.
@@ -105,17 +107,42 @@ class LbsServer {
 
   // Answers a kNN query at `q` for min(k, max_k) tuples, honoring
   // max_radius and the optional pass-through selection condition. One
-  // shard answers with its own page; N shards run the scatter-gather.
+  // shard answers with its own page; N shards run GatherShards over the
+  // ReachableShards.
   std::vector<ServerHit> Query(const Vec2& q, int k,
                                const TupleFilter& filter = nullptr) const;
 
   // The per-shard endpoint the sharded transport fans out to, and the only
-  // ranking code: this shard's top-k page (global tuple ids, clamped to
-  // max_k, radius-trimmed; under kProminence, scored and re-ranked by
-  // (score, global id)). Merging every reachable shard's page with
-  // MergeShardPages reproduces the one-shard answer exactly.
-  std::vector<ServerHit> QueryShard(int shard, const Vec2& q, int k,
-                                    const TupleFilter& filter = nullptr) const;
+  // ranking code: this shard's top-k page among its tuples with d2 <=
+  // max_d2 (global tuple ids, clamped to max_k, radius-trimmed; under
+  // kProminence, scored and re-ranked by (score, global id), uncapped).
+  // Merging every reachable shard's uncapped page with MergeShardPages
+  // reproduces the one-shard answer exactly.
+  std::vector<ServerHit> QueryShard(
+      int shard, const Vec2& q, int k, const TupleFilter& filter = nullptr,
+      double max_d2 = std::numeric_limits<double>::infinity()) const;
+
+  // A lane of GatherShards. A truncated lane's wire keeps a prefix of its
+  // page whose length depends on the page's size, so it is searched
+  // uncapped, and `Truncation` cuts its page (`lane` indexes the lanes).
+  struct GatherLane {
+    int shard = 0;
+    bool truncated = false;
+  };
+  using Truncation =
+      std::function<void(size_t lane, std::vector<ServerHit>* page)>;
+
+  // The N-shard gather of Query and ShardedTransport::Fulfill. It visits
+  // `lanes` in ascending (bbox d2, shard id) and searches each under the
+  // running cap: the min(k, max_k)-th smallest d2 among the hits gathered
+  // so far, +inf until that many are in. A lane whose bbox lies beyond its
+  // cap is not searched; truncated lanes and kProminence run uncapped. The
+  // result is exactly the merge of every lane's uncapped page (DESIGN.md
+  // §4.11).
+  std::vector<ServerHit> GatherShards(
+      const Vec2& q, int k, const TupleFilter& filter,
+      const std::vector<GatherLane>& lanes,
+      const Truncation& truncate = nullptr) const;
 
   // Gathers per-shard pages into the final top-k: the (d2, id) fold under
   // kDistance, the (score, id) fold under kProminence. Pure and

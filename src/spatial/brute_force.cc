@@ -24,12 +24,14 @@ BruteForceIndex::BruteForceIndex(std::vector<Vec2> points)
     : points_(std::move(points)) {}
 
 std::vector<Neighbor> BruteForceIndex::NearestFiltered(
-    const Vec2& q, int k, const IndexFilter& filter) const {
+    const Vec2& q, int k, const IndexFilter& filter, double max_d2) const {
   std::vector<Candidate> all;
   all.reserve(points_.size());
   for (size_t i = 0; i < points_.size(); ++i) {
+    const double d2 = SquaredDistance(q, points_[i]);
+    if (d2 > max_d2) continue;
     if (filter && !filter(static_cast<int>(i))) continue;
-    all.push_back({SquaredDistance(q, points_[i]), static_cast<int>(i)});
+    all.push_back({d2, static_cast<int>(i)});
   }
   const size_t keep = std::min<size_t>(k < 0 ? 0 : k, all.size());
   std::partial_sort(all.begin(), all.begin() + keep, all.end(), Better);

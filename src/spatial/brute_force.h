@@ -1,6 +1,7 @@
 #ifndef LBSAGG_SPATIAL_BRUTE_FORCE_H_
 #define LBSAGG_SPATIAL_BRUTE_FORCE_H_
 
+#include <limits>
 #include <vector>
 
 #include "spatial/spatial_index.h"
@@ -14,9 +15,9 @@ class BruteForceIndex : public SpatialIndex {
   explicit BruteForceIndex(std::vector<Vec2> points);
 
   size_t size() const override { return points_.size(); }
-  std::vector<Neighbor> NearestFiltered(const Vec2& q, int k,
-                                        const IndexFilter& filter) const
-      override;
+  std::vector<Neighbor> NearestFiltered(
+      const Vec2& q, int k, const IndexFilter& filter,
+      double max_d2 = std::numeric_limits<double>::infinity()) const override;
   std::vector<Neighbor> WithinRadius(const Vec2& q,
                                      double radius) const override;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
 
 #include "util/check.h"
@@ -199,14 +198,15 @@ template <typename Visit>
 
 template <typename Accept>
 void KdTree::SearchSorted(const Vec2& q, int k, const Accept& accept,
-                          std::vector<Neighbor>& out) const {
+                          double max_d2, std::vector<Neighbor>& out) const {
   // k <= kLeafSize: the best k candidates live in a sorted array maintained
   // by insertion — a few compares and a short move per improving candidate.
-  // The screen is exact at every step (d2 of the current k-th best), so
-  // pruning is as tight as possible and the result needs no sort.
+  // The screen is exact at every step (d2 of the current k-th best, or the
+  // cap until k candidates are in), so pruning is as tight as possible and
+  // the result needs no sort.
   Candidate best[kLeafSize];
   int m = 0;
-  double worst2 = std::numeric_limits<double>::infinity();
+  double worst2 = max_d2;
   Walk(q, worst2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
       if (d2s[j] > worst2) continue;
@@ -234,9 +234,9 @@ void KdTree::SearchSorted(const Vec2& q, int k, const Accept& accept,
 
 template <typename Accept>
 void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
-                            std::vector<Neighbor>& out) const {
+                            double max_d2, std::vector<Neighbor>& out) const {
   // Candidates are appended to a buffer guarded by a lazy screen `worst2`
-  // (the k-th best d2 seen so far, +inf until k have been seen). When the
+  // (the k-th best d2 seen so far, the cap until k have been seen). When the
   // buffer reaches 2k entries an nth_element compaction keeps the k best
   // under the (d2, index) order and tightens the screen — O(1) amortized
   // per candidate, no per-candidate heap sifts. A dropped candidate is
@@ -253,11 +253,13 @@ void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
     buf = spill.data();
   }
   int m = 0;
-  double worst2 = std::numeric_limits<double>::infinity();
+  double worst2 = max_d2;
+  bool compacted = false;
   const auto compact = [&] {
     std::nth_element(buf, buf + k - 1, buf + m, Better);
     m = k;
     worst2 = buf[k - 1].d2;
+    compacted = true;
   };
   Walk(q, worst2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
@@ -268,11 +270,9 @@ void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
       if (m == cap) compact();
     }
     // Eager first compaction: until k candidates have been seen the screen
-    // is +inf and nothing prunes, so tighten it at the first opportunity —
-    // typically right after the query's home leaf.
-    if (worst2 == std::numeric_limits<double>::infinity() && m >= k) {
-      compact();
-    }
+    // is the cap (+inf when uncapped), so tighten it at the first
+    // opportunity — typically right after the query's home leaf.
+    if (!compacted && m >= k) compact();
   });
   if (m > k) compact();
   std::sort(buf, buf + m, Better);
@@ -281,14 +281,15 @@ void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
 }
 
 std::vector<Neighbor> KdTree::NearestFiltered(const Vec2& q, int k,
-                                              const IndexFilter& filter) const {
+                                              const IndexFilter& filter,
+                                              double max_d2) const {
   std::vector<Neighbor> out;
   if (k <= 0 || nodes_.empty()) return out;
   const auto search = [&](const auto& accept) {
     if (k <= kLeafSize) {
-      SearchSorted(q, k, accept, out);
+      SearchSorted(q, k, accept, max_d2, out);
     } else {
-      SearchBuffered(q, k, accept, out);
+      SearchBuffered(q, k, accept, max_d2, out);
     }
   };
   if (filter) {

@@ -2,6 +2,7 @@
 #define LBSAGG_SPATIAL_KDTREE_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "obs/obs.h"
@@ -26,20 +27,22 @@ namespace lbsagg {
 // depth) and differs only in what it keeps of each leaf's candidates: a
 // sorted insertion array for k <= 16, a 2k buffer compacted with
 // nth_element for larger k, every point within the radius for
-// WithinRadius. Candidates live in stack buffers: no allocation happens per
-// query beyond the result vector the interface returns.
+// WithinRadius. Both kNN stores start their screen at the caller's cap
+// (NearestFiltered's max_d2) instead of +inf. Candidates live in stack
+// buffers: no allocation happens per query beyond the result vector the
+// interface returns.
 //
-// Results are exactly the k smallest under the (distance, index) total
-// order, bit-identical to BruteForceIndex.
+// Results are exactly the k smallest within the cap under the (distance,
+// index) total order, bit-identical to BruteForceIndex.
 class KdTree : public SpatialIndex {
  public:
   // Builds the tree over `points` in O(n log n).
   explicit KdTree(std::vector<Vec2> points);
 
   size_t size() const override { return size_; }
-  std::vector<Neighbor> NearestFiltered(const Vec2& q, int k,
-                                        const IndexFilter& filter) const
-      override;
+  std::vector<Neighbor> NearestFiltered(
+      const Vec2& q, int k, const IndexFilter& filter,
+      double max_d2 = std::numeric_limits<double>::infinity()) const override;
 
   std::vector<Neighbor> WithinRadius(const Vec2& q,
                                      double radius) const override;
@@ -115,13 +118,13 @@ class KdTree : public SpatialIndex {
 
   // k <= kLeafSize: sorted insertion array, exact screen, no final sort.
   template <typename Accept>
-  void SearchSorted(const Vec2& q, int k, const Accept& accept,
+  void SearchSorted(const Vec2& q, int k, const Accept& accept, double max_d2,
                     std::vector<Neighbor>& out) const;
 
   // k > kLeafSize: 2k buffer with nth_element compaction.
   template <typename Accept>
   void SearchBuffered(const Vec2& q, int k, const Accept& accept,
-                      std::vector<Neighbor>& out) const;
+                      double max_d2, std::vector<Neighbor>& out) const;
 
   // Per-leaf interleaved point blocks (see Node); blocks start on 64-byte
   // boundaries so each bucket scan is one contiguous run of cache lines.

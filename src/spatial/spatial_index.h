@@ -2,6 +2,7 @@
 #define LBSAGG_SPATIAL_SPATIAL_INDEX_H_
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "geometry/vec2.h"
@@ -42,11 +43,13 @@ class SpatialIndex {
   // Number of indexed points.
   virtual size_t size() const = 0;
 
-  // The k nearest points to q accepted by `filter`, sorted by ascending
-  // distance. A null filter accepts all. Returns fewer than k when fewer
-  // points are accepted.
+  // The k nearest points to q accepted by `filter` among those with squared
+  // distance <= max_d2, sorted by ascending distance: exactly the uncapped
+  // result's points within the cap. A null filter accepts all. Returns
+  // fewer than k when fewer points qualify.
   virtual std::vector<Neighbor> NearestFiltered(
-      const Vec2& q, int k, const IndexFilter& filter) const = 0;
+      const Vec2& q, int k, const IndexFilter& filter,
+      double max_d2 = std::numeric_limits<double>::infinity()) const = 0;
 
   // The k nearest points to q: NearestFiltered with a null filter.
   std::vector<Neighbor> Nearest(const Vec2& q, int k) const {

@@ -128,14 +128,16 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
   reply.latency_ms = plan.latency_ms;
   if (!Delivered(plan.outcome)) return reply;  // typed failure, empty page
 
-  std::vector<std::vector<ServerHit>> pages;
-  pages.reserve(fanout.size());
+  std::vector<LbsServer::GatherLane> lanes;
+  lanes.reserve(fanout.size());
   for (const auto& [shard, lane] : fanout) {
-    std::vector<ServerHit> page = server_->QueryShard(shard, q, k, filter);
-    TruncatePage(lane.outcome, lane.truncate_u, &page);
-    pages.push_back(std::move(page));
+    lanes.push_back({shard, lane.outcome == TransportOutcome::kTruncated});
   }
-  reply.hits = server_->MergeShardPages(q, pages, k);
+  reply.hits = server_->GatherShards(
+      q, k, filter, lanes, [&fanout](size_t i, std::vector<ServerHit>* page) {
+        const LaneDecision& lane = fanout[i].second;
+        TruncatePage(lane.outcome, lane.truncate_u, page);
+      });
   return reply;
 }
 

@@ -74,11 +74,16 @@ struct ShardedTransportOptions {
 // order inside sequential Prepare() calls, and every draw is a pure
 // function of (lane seed, ticket, attempt).
 //
-// Fulfill() is the pure gather: delivered lanes answer their shard page
-// (per-lane truncation keeps a strict prefix of that shard's page), and
-// the pages fold through LbsServer::MergeShardPages — the (d2, id)
-// merge — so with every lane delivered the reply is bit-identical to the
-// one-shard server for any shard count, worker count, and arrival order.
+// Fulfill() is the pure gather, LbsServer::GatherShards: delivered lanes
+// answer nearest-first, each kOk lane searched under the running k-th best
+// d2 of the pages already gathered, and a lane whose shard lies wholly
+// beyond that cap answers an empty page without a search. A kTruncated
+// lane is searched uncapped and keeps a strict prefix of its page. The
+// pages fold through LbsServer::MergeShardPages — the (d2, id) merge — so
+// with every lane delivered the reply is bit-identical to the one-shard
+// server for any shard count, worker count, and arrival order. The cap
+// only shrinks far pages: Prepare still contacts every targeted lane, so
+// attempts, fault draws and latency do not depend on it.
 //
 // Partial failure is *typed*, never silent: if any targeted lane fails its
 // sub-request (kTransientError / kTimeout / kFatal after the lane's

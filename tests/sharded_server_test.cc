@@ -58,8 +58,10 @@ void ExpectHitsEqual(const std::vector<ServerHit>& a,
   }
 }
 
-// The production gather, as ShardedTransport::Fulfill runs it with every
-// lane delivered: scatter to the reachable shards, merge their pages.
+// The uncapped reference gather: every reachable shard answers its full
+// page, and the pages merge. The production gather (GatherShards, which
+// Query and ShardedTransport::Fulfill run) caps and skips far shards and
+// must return the same page.
 std::vector<ServerHit> Gather(const ShardedLbsServer& sharded, const Vec2& q,
                               int k, const TupleFilter& filter = nullptr) {
   std::vector<std::vector<ServerHit>> pages;

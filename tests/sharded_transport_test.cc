@@ -4,8 +4,11 @@
 // still merges bit-identically (the retry path changes cost, never
 // content); (3) an exhausted lane budget surfaces as a *typed* error with
 // an empty page, never a silently truncated top-k; (4) per-lane metrics
-// and the obs counters account truthfully.
+// and the obs counters account truthfully; (5) lanes searched under the
+// running k-th best d2 keep exact-tie hits, and their k-d tree work is
+// pinned below the uncapped scatter's.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +84,41 @@ TEST(ShardedTransport, CleanLanesBitIdenticalToMonolithEveryShardCount) {
     const TransportMetrics m = transport.Metrics();
     EXPECT_EQ(m.requests, queries.size());
     EXPECT_EQ(m.attempts, queries.size());  // critical path: 1 per query
+  }
+}
+
+// Tuples and queries on a 50-unit lattice, several tuples per node, so
+// exact d2 ties reach the merge's id tie-break across lanes: a later lane's
+// equal-d2, lower-id tuple survives only if each lane's cap is inclusive.
+TEST(ShardedTransport, LatticeTiesThroughCappedLanesMatchOneShardServer) {
+  Dataset d(kBox, MakeSchema());
+  Rng rng(43);
+  for (int i = 0; i < 1000; ++i) {
+    d.Add({50.0 * rng.UniformInt(17), 50.0 * rng.UniformInt(11)},
+          {std::string(i % 3 == 0 ? "restaurant" : "other")});
+  }
+  std::vector<Vec2> queries;
+  for (int i = 0; i < 60; ++i) {
+    queries.push_back({50.0 * rng.UniformInt(17), 50.0 * rng.UniformInt(11)});
+  }
+  const TupleFilter restaurants = [](const Tuple& t) {
+    return std::get<std::string>(t.values[0]) == "restaurant";
+  };
+  for (const double max_radius :
+       {std::numeric_limits<double>::infinity(), 50.0}) {
+    const ServerOptions sopts{.max_k = 10, .max_radius = max_radius};
+    const LbsServer one(&d, sopts);
+    const ShardedLbsServer server(&d, {.num_shards = 8, .server = sopts});
+    ShardedTransport transport(&server);
+    for (const TupleFilter& filter : {TupleFilter{}, restaurants}) {
+      for (int k : {3, 10}) {
+        for (const Vec2& q : queries) {
+          const TransportReply reply = transport.Query(q, k, filter);
+          ASSERT_EQ(reply.outcome, TransportOutcome::kOk);
+          ExpectHitsEqual(reply.hits, one.Query(q, k, filter), "lattice");
+        }
+      }
+    }
   }
 }
 
@@ -258,6 +296,53 @@ TEST(ShardedTransport, PerShardCountersLandOnTheMetricPlane) {
   }
   EXPECT_EQ(registry.GetHistogram("transport.sharded.latency_ms", {})->count(),
             transport.Metrics().requests);
+}
+
+// The wire's k-d tree work on city-clustered tuples (the fleet's shape):
+// capped lanes and skipped far shards, pinned, and below the uncapped
+// scatter that asks every reachable shard for a full page.
+TEST(ShardedTransport, CappedLaneWorkPinnedBelowUncappedScatter) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  Dataset d(kBox, MakeSchema());
+  Rng rng(53);
+  std::vector<Vec2> centers;
+  for (int c = 0; c < 8; ++c) centers.push_back(kBox.SamplePoint(rng));
+  for (int i = 0; i < 20000; ++i) {
+    const Vec2& c = centers[i % 2 == 0 ? 0 : rng.UniformInt(8)];
+    const double spread = 5.0 + 40.0 * rng.Uniform01();
+    d.Add(kBox.Clamp(c + Vec2{rng.Uniform(-spread, spread),
+                              rng.Uniform(-spread, spread)}),
+          {std::string(i % 3 == 0 ? "restaurant" : "other")});
+  }
+  obs::MetricsRegistry wire_stats;
+  obs::MetricsRegistry uncapped_stats;
+  ShardedServerOptions sopts{.num_shards = 4, .build_threads = 1};
+  sopts.server.max_k = 5;
+  sopts.server.stats_registry = &wire_stats;
+  const ShardedLbsServer server(&d, sopts);
+  sopts.server.stats_registry = &uncapped_stats;
+  const ShardedLbsServer uncapped(&d, sopts);
+  ShardedTransport transport(&server);
+  for (const Vec2& q : MakeQueries(300, 59)) {
+    std::vector<std::vector<ServerHit>> pages;
+    for (int s : uncapped.ReachableShards(q)) {
+      pages.push_back(uncapped.QueryShard(s, q, 5));
+    }
+    ExpectHitsEqual(transport.Query(q, 5, nullptr).hits,
+                    uncapped.MergeShardPages(q, pages, 5), "capped lanes");
+  }
+  const auto value = [](obs::MetricsRegistry& registry, const char* name) {
+    return registry.GetCounter(name)->Value();
+  };
+  const uint64_t searches = value(wire_stats, "spatial.kdtree.searches");
+  const uint64_t points = value(wire_stats, "spatial.kdtree.points_tested");
+  // Per query: 1.39 searches testing 99.9 points, against 4 searches
+  // testing 623.5 uncapped.
+  EXPECT_EQ(searches, 417u);
+  EXPECT_EQ(points, 29978u);
+  EXPECT_EQ(value(uncapped_stats, "spatial.kdtree.searches"), 1200u);
+  EXPECT_LT(searches, value(uncapped_stats, "spatial.kdtree.searches"));
+  EXPECT_LT(points, value(uncapped_stats, "spatial.kdtree.points_tested"));
 }
 
 TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {

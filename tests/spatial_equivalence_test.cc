@@ -13,6 +13,8 @@
 // radius collector.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -253,6 +255,61 @@ TEST(SpatialEquivalence, WithinRadiusBoundaryInclusive) {
   // Nearest at k = count-of-ties must break the 4-way distance tie by id.
   for (const int k : {4, 5, 6}) {
     ExpectIdentical(kd.Nearest(q, k), brute.Nearest(q, k), "kd boundary tie");
+  }
+}
+
+// A capped search keeps the k best points with d2 <= max_d2 (inclusive).
+// On lattice points with duplicates, exact d2 ties sit at every cap drawn
+// from a neighbor's d2, so the tree must match the capped oracle at, and
+// one ulp below, each such cap, through both candidate stores; the oracle
+// itself must keep exactly its uncapped page's points within the cap.
+TEST(SpatialEquivalence, CappedSearchMatchesCappedOracle) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const IndexFilter every_other = [](int id) { return id % 2 == 0; };
+  for (const uint64_t seed : {5u, 6u, 7u}) {
+    Rng rng(seed);
+    std::vector<Vec2> pts;
+    for (int i = 0; i < 700; ++i) {
+      pts.push_back({25.0 * rng.UniformInt(21), 25.0 * rng.UniformInt(21)});
+    }
+    const KdTree kd(pts);
+    const BruteForceIndex brute(pts);
+    for (int trial = 0; trial < 40; ++trial) {
+      const Vec2 q = trial % 2 == 0
+                         ? Vec2{25.0 * rng.UniformInt(21),
+                                25.0 * rng.UniformInt(21)}
+                         : kBox.SamplePoint(rng) * 0.5;
+      for (const int k : {1, 5, 16, 17, 65}) {
+        for (const IndexFilter& filter : {IndexFilter{}, every_other}) {
+          const std::vector<Neighbor> wide =
+              brute.NearestFiltered(q, k + 3, filter);
+          std::vector<double> caps = {kInf, 0.0};
+          for (const int j : {0, k / 2, k - 1, k + 2}) {
+            if (j < static_cast<int>(wide.size())) {
+              caps.push_back(SquaredDistance(q, pts[wide[j].index]));
+            }
+          }
+          for (const double cap : std::vector<double>(caps)) {
+            caps.push_back(std::nextafter(cap, -kInf));
+          }
+          const std::vector<Neighbor> page =
+              brute.NearestFiltered(q, k, filter);
+          for (const double cap : caps) {
+            std::vector<Neighbor> within;
+            for (const Neighbor& nb : page) {
+              if (SquaredDistance(q, pts[nb.index]) <= cap) {
+                within.push_back(nb);
+              }
+            }
+            const std::vector<Neighbor> want =
+                brute.NearestFiltered(q, k, filter, cap);
+            ExpectIdentical(want, within, "capped oracle");
+            ExpectIdentical(kd.NearestFiltered(q, k, filter, cap), want,
+                            "kd capped");
+          }
+        }
+      }
+    }
   }
 }
 
