@@ -9,8 +9,7 @@
 namespace lbsagg {
 
 void History::Record(int id, const Vec2& pos) {
-  auto [it, inserted] = by_id_.emplace(id, pos);
-  if (!inserted) return;
+  if (!by_id_.try_emplace(id, pos).second) return;
   entries_.push_back({id, pos});
   if (entries_.size() >= kIndexThreshold && entries_.size() >= 2 * indexed_) {
     RebuildIndex();

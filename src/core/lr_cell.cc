@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "geometry/loc_key.h"
 #include "geometry/polygon.h"
@@ -26,6 +24,17 @@ std::vector<LrClient::Item> QueryByDistance(LrClient* client, const Vec2& q) {
                      });
   }
   return items;
+}
+
+// Adds `key` to the sorted key set `keys`; false when it was there already.
+// The refinement loop only asks "seen before?" of its sets and never
+// iterates them, and they stay small, so a sorted vector serves without a
+// hash node per insert.
+bool InsertKey(std::vector<LocKey>& keys, const LocKey& key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it != keys.end() && *it == key) return false;
+  keys.insert(it, key);
+  return true;
 }
 
 }  // namespace
@@ -72,13 +81,11 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
   // Deduplicated by quantized position: history seeds carry no id, so the
   // position is the identity that matters for the bisectors.
   std::vector<Vec2> known;
-  std::unordered_set<LocKey, LocKeyHash> known_keys;
+  std::vector<LocKey> known_keys;
   auto add_known = [&](const Vec2& p) {
-    if (known_keys.insert(MakeLocKey(p, grid)).second) {
-      known.push_back(p);
-      return true;
-    }
-    return false;
+    if (!InsertKey(known_keys, MakeLocKey(p, grid))) return false;
+    known.push_back(p);
+    return true;
   };
 
   // §3.2.2: seed from history.
@@ -116,7 +123,7 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
 
   for (const Vec2& p : seed_positions) add_known(p);
 
-  std::unordered_map<LocKey, bool, LocKeyHash> queried;  // value: t in top-h
+  std::vector<LocKey> queried;
   double prev_area = std::numeric_limits<double>::infinity();
 
   while (true) {
@@ -141,8 +148,7 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
 
     bool new_tuple = false;
     for (const Vec2& v : region.BoundaryVertices()) {
-      const LocKey key = MakeLocKey(v, grid);
-      if (queried.count(key)) continue;
+      if (!InsertKey(queried, MakeLocKey(v, grid))) continue;
       const std::vector<LrClient::Item> items = QueryByDistance(client_, v);
       ++out.queries;
       bool t_in_top_h = false;
@@ -155,7 +161,6 @@ LrCellComputer::LoopOutcome LrCellComputer::RefineCell(int id, const Vec2& pos,
         }
         if (add_known(item.location)) new_tuple = true;
       }
-      queried.emplace(key, t_in_top_h);
       if (t_in_top_h) out.confirmed_in_cell.push_back(v);
     }
 

@@ -2,6 +2,7 @@
 #define LBSAGG_GEOMETRY_LOC_KEY_H_
 
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <cstddef>
 
@@ -18,6 +19,7 @@ struct LocKey {
   int64_t x = 0;
   int64_t y = 0;
   bool operator==(const LocKey&) const = default;
+  auto operator<=>(const LocKey&) const = default;
 };
 
 // splitmix64 finalizer — full-avalanche 64-bit mix.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -39,12 +38,6 @@ struct EdgeKeyHash {
   }
 };
 
-struct PointKeyHash {
-  size_t operator()(const PointKey& k) const {
-    return EdgeKeyHash()(EdgeKey{k, k});
-  }
-};
-
 PointKey Quantize(const Vec2& p, double grid) {
   return {static_cast<int64_t>(std::llround(p.x / grid)),
           static_cast<int64_t>(std::llround(p.y / grid))};
@@ -64,14 +57,23 @@ struct LevelPiece {
 
 // Applies one oriented line to the piece set: pieces fully on the negative
 // side pass through, pieces fully on the positive side gain a closer-count
-// (and die at k), straddling pieces split. The survivors are built in
-// `scratch` and swapped in, so one pair of buffers serves every line of a
-// clip loop. Returns true if any piece changed (split, count bump, or
-// drop) — i.e. if the live bounding box may have shrunk.
+// (and die at k), straddling pieces split. A straddling piece at the last
+// level (closer_count + 1 == k) would see its positive half die at once, so
+// only its negative half is built: Split's first clip, bit for bit, without
+// the second clip and its Area(). Every split of a k = 1 region takes this
+// path. Halves no larger than `area_eps` are dropped. The survivors are
+// built in `scratch` and swapped in, so one pair of buffers serves every
+// line of a clip loop. Returns true if any piece changed (split, count
+// bump, or drop) — i.e. if the live bounding box may have shrunk.
 bool ApplyLine(std::vector<LevelPiece>& pieces,
                std::vector<LevelPiece>& scratch, const Line& line, int k,
                double area_eps) {
   scratch.clear();
+  const auto keep = [&](ConvexPolygon&& poly, int closer_count) {
+    if (!poly.IsEmpty() && poly.Area() > area_eps) {
+      scratch.push_back({std::move(poly), closer_count});
+    }
+  };
   bool changed = false;
   for (LevelPiece& piece : pieces) {
     bool any_neg = false;
@@ -92,14 +94,13 @@ bool ApplyLine(std::vector<LevelPiece>& pieces,
       if (piece.closer_count < k) scratch.push_back(std::move(piece));
       continue;
     }
+    if (piece.closer_count + 1 >= k) {
+      keep(piece.poly.Clip(HalfPlane(line)), piece.closer_count);
+      continue;
+    }
     auto [neg, pos] = piece.poly.Split(line);
-    if (!neg.IsEmpty() && neg.Area() > area_eps) {
-      scratch.push_back({std::move(neg), piece.closer_count});
-    }
-    if (!pos.IsEmpty() && pos.Area() > area_eps &&
-        piece.closer_count + 1 < k) {
-      scratch.push_back({std::move(pos), piece.closer_count + 1});
-    }
+    keep(std::move(neg), piece.closer_count);
+    keep(std::move(pos), piece.closer_count + 1);
   }
   pieces.swap(scratch);
   return changed;
@@ -284,11 +285,18 @@ std::vector<Vec2> TopkRegion::BoundaryVertices() const {
                       std::abs(s.b.x), std::abs(s.b.y)});
   }
   const double grid = scale * 1e-9;
-  std::unordered_set<PointKey, PointKeyHash> seen;
+  // A boundary has about as many vertices as edges, so a linear scan of the
+  // keys seen so far is cheaper than a hash set.
+  std::vector<PointKey> seen;
   std::vector<Vec2> vertices;
+  seen.reserve(boundary_edges.size());
+  vertices.reserve(boundary_edges.size());
   for (const Segment& s : boundary_edges) {
     for (const Vec2& p : {s.a, s.b}) {
-      if (seen.insert(Quantize(p, grid)).second) vertices.push_back(p);
+      const PointKey key = Quantize(p, grid);
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      seen.push_back(key);
+      vertices.push_back(p);
     }
   }
   return vertices;
@@ -359,23 +367,35 @@ namespace {
 // Bisectors of (focal, others), nearest first, with each line's distance to
 // the focal point (half the point distance) alongside. Near bisectors prune
 // pieces earliest and keep the live piece count small; the ascending
-// half-distances feed the early break in LevelRegionPruned.
+// half-distances feed the early break in LevelRegionPruned. Each point's d²
+// to the focal point is computed once and kept as its sort key. std::sort's
+// permutation, the order of exact ties included, is a function of its
+// comparison outcomes alone, so it is that of comparing d² (and the tie
+// order is pinned by topk_region_test: a stable sort or a merge into a
+// kept list would change it). The half-distance 0.5·√d² is
+// 0.5·Distance(focal, o) bit for bit: focal − o is the exact negation of
+// o − focal.
 void SortedBisectors(const Vec2& focal, const std::vector<Vec2>& others,
                      std::vector<Line>& lines,
                      std::vector<double>& half_dists) {
-  std::vector<Vec2> sorted;
+  struct Keyed {
+    double d2;
+    Vec2 p;
+  };
+  std::vector<Keyed> sorted;
   sorted.reserve(others.size());
   for (const Vec2& o : others) {
-    if (SquaredDistance(o, focal) > 0.0) sorted.push_back(o);
+    const double d2 = SquaredDistance(o, focal);
+    if (d2 > 0.0) sorted.push_back({d2, o});
   }
-  const auto nearer = [&](const Vec2& a, const Vec2& b) {
-    return SquaredDistance(a, focal) < SquaredDistance(b, focal);
+  const auto nearer = [](const Keyed& a, const Keyed& b) {
+    return a.d2 < b.d2;
   };
   // History seeds arrive nearest first, and a strictly ascending input is
   // the only order any sort can return. So only an input with an inversion
   // or a tie is sorted, exactly as before.
   if (std::adjacent_find(sorted.begin(), sorted.end(),
-                         [&](const Vec2& a, const Vec2& b) {
+                         [&](const Keyed& a, const Keyed& b) {
                            return !nearer(a, b);
                          }) != sorted.end()) {
     std::sort(sorted.begin(), sorted.end(), nearer);
@@ -383,9 +403,9 @@ void SortedBisectors(const Vec2& focal, const std::vector<Vec2>& others,
 
   lines.reserve(sorted.size());
   half_dists.reserve(sorted.size());
-  for (const Vec2& o : sorted) {
-    lines.push_back(Line::Bisector(focal, o));  // Side < 0 <=> closer to t
-    half_dists.push_back(0.5 * Distance(focal, o));
+  for (const Keyed& o : sorted) {
+    lines.push_back(Line::Bisector(focal, o.p));  // Side < 0 <=> closer to t
+    half_dists.push_back(0.5 * std::sqrt(o.d2));
   }
 }
 

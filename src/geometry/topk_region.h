@@ -40,8 +40,9 @@ struct TopkRegion {
 
   bool IsEmpty() const { return pieces.empty(); }
 
-  // Deduplicated endpoints of the boundary edges — the vertices used for the
-  // Theorem-1 test loop.
+  // Deduplicated endpoints of the boundary edges in boundary_edges order, the
+  // first occurrence of each kept — the vertices used for the Theorem-1 test
+  // loop, which probes them in this order.
   std::vector<Vec2> BoundaryVertices() const;
 
   // Uniform random point inside the region.

@@ -13,6 +13,7 @@
 #include "core/runner.h"
 #include "core/sampler.h"
 #include "engine/engine.h"
+#include "engine/lnr_resolver.h"
 #include "engine/lr_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
@@ -109,6 +110,67 @@ TEST(EngineRegression, LrMultiLevelTraceFingerprintIsBitIdentical) {
   // Captured before the adaptive-h bound was made area-only and
   // demand-gated: both changes must leave every estimate bit-identical.
   EXPECT_EQ(hash, 0x66acbd10b6239cf8ull);
+}
+
+// LNR's cell inference runs the same clip step as LR (level regions over
+// inferred bisectors) and probes the same BoundaryVertices(), and no other
+// case pins its bits. Two legs over a small WeChat-like scenario at the
+// aggregate-grade precision of the benchmark: COUNT(*) beside an AVG behind
+// a position condition, so §4.3 localization runs; and top-k cells (k = 2),
+// whose level regions split at the inner level and clip once at the last.
+// Each leg folds (queries, estimate-bits) of every trace point and the
+// resolver's cell counts into one hash.
+TEST(EngineRegression, LnrTraceFingerprintIsBitIdentical) {
+  ChinaOptions copts;
+  copts.num_users = 1500;
+  const ChinaScenario china = BuildChinaScenario(copts);
+  LbsServer server(china.dataset.get(), {.max_k = 5});
+  CensusSampler sampler(&china.census);
+  const double mid_x = china.dataset->box().Center().x;
+  AggregateSpec west_avg =
+      AggregateSpec::Avg(china.columns.male_indicator, "AVG(male|west)");
+  west_avg.position_condition = [mid_x](const Vec2& p) { return p.x < mid_x; };
+
+  LnrAggOptions base;
+  base.cell.search.delta_fraction = 1e-6;
+  base.cell.search.delta_prime_fraction = 1e-4;
+  base.localize.cell.search = base.cell.search;
+
+  struct Leg {
+    int k;
+    bool topk_cells;
+    uint64_t seed;
+    uint64_t budget;
+    std::vector<AggregateSpec> specs;
+  };
+  const Leg legs[] = {
+      {5, false, 61, 30000, {AggregateSpec::Count(), west_avg}},
+      {2, true, 62, 6000, {AggregateSpec::Count()}},
+  };
+  uint64_t hash = 0;
+  for (const Leg& leg : legs) {
+    LnrClient client(&server, {.k = leg.k, .budget = leg.budget});
+    LnrAggOptions opts = base;
+    opts.use_topk_cells = leg.topk_cells;
+    opts.seed = leg.seed;
+    engine::LnrCellResolver resolver(&client, &sampler, opts);
+    engine::EstimationEngine eng(&resolver);
+    for (const AggregateSpec& spec : leg.specs) eng.AddAggregate(spec);
+    RunEngine(&eng, {.budget = leg.budget});
+    for (const RunResult& r : EngineResults(eng)) {
+      for (const TracePoint& tp : r.trace) {
+        uint64_t bits;
+        std::memcpy(&bits, &tp.estimate, sizeof bits);
+        hash = Mix(hash, tp.queries);
+        hash = Mix(hash, bits);
+      }
+    }
+    hash = Mix(hash, resolver.diagnostics().cells_inferred);
+    hash = Mix(hash, resolver.diagnostics().cache_hits);
+  }
+  // Captured before the clip step stopped building the positive half of a
+  // last-level split and BoundaryVertices() stopped hashing its keys.
+  EXPECT_EQ(hash, 0x870c49fc01a6b0b4ull) << std::hex << hash;
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,6 +328,87 @@ TEST(TopkRegionPruning, PrunedMatchesUnprunedBitExact) {
       }
     }
   }
+}
+
+uint64_t MixBits(uint64_t h, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  h ^= bits + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+uint64_t MixPoint(uint64_t h, const Vec2& p) {
+  return MixBits(MixBits(h, p.x), p.y);
+}
+
+// The region's output bits in the order callers see them: the area, each
+// piece's vertices, the boundary edges, the probe vertices in probe order,
+// and the area-only path. PrunedMatchesUnprunedBitExact runs both of its
+// sides through the same clip step and compares vertices sorted, so it
+// sees neither a change shared by both sides nor a change of probe order;
+// this case pins both against fixed values. Inputs: points at integer
+// offsets from an integer focal point with exactly tied distances (so the
+// bisector sort meets ties), in three input orders; clustered points with
+// copies 1e-7 apart; and the clustered points with the focal point on a
+// box edge and in a box corner.
+TEST(TopkRegionPruning, OutputBitsPinnedInOrder) {
+  struct Case {
+    Vec2 focal;
+    std::vector<Vec2> others;
+  };
+  std::vector<Case> cases;
+
+  const Vec2 center{50, 40};
+  // Pythagorean offsets: 12 points each at distance 5, 10, 13, 17 and 25.
+  const int offsets[][2] = {{3, 4},  {4, 3},  {5, 0},  {0, 5},  {6, 8},
+                            {8, 6},  {10, 0}, {0, 10}, {5, 12}, {12, 5},
+                            {13, 0}, {0, 13}, {8, 15}, {15, 8}, {17, 0},
+                            {0, 17}, {7, 24}, {24, 7}, {25, 0}, {0, 25}};
+  std::vector<Vec2> tied;
+  for (const auto& off : offsets) {
+    for (const int sx : {1, -1}) {
+      for (const int sy : {1, -1}) {
+        if ((off[0] == 0 && sx < 0) || (off[1] == 0 && sy < 0)) continue;
+        tied.push_back(center + Vec2{static_cast<double>(sx * off[0]),
+                                     static_cast<double>(sy * off[1])});
+      }
+    }
+  }
+  cases.push_back({center, tied});
+  cases.push_back({center, {tied.rbegin(), tied.rend()}});
+  Rng shuffle_rng(41);
+  for (size_t i = tied.size(); i > 1; --i) {
+    std::swap(tied[i - 1], tied[shuffle_rng.UniformInt(i)]);
+  }
+  cases.push_back({center, tied});
+
+  for (const uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    std::vector<Vec2> pts = ClusteredPoints(60, rng);
+    for (size_t i = 0; i < 60; i += 6) pts.push_back(pts[i] + Vec2{1e-7, 0});
+    const std::vector<Vec2> others = OthersOf(pts, 0);
+    for (const Vec2& focal : {pts[0], Vec2{kBox.lo.x, pts[0].y},
+                              Vec2{kBox.hi.x, kBox.lo.y}}) {
+      cases.push_back({focal, others});
+    }
+  }
+
+  uint64_t hash = 0;
+  for (const Case& c : cases) {
+    for (int h = 1; h <= 5; ++h) {
+      const TopkRegion r = ComputeTopkRegion(c.focal, c.others, kBox, h);
+      hash = MixBits(hash, r.area);
+      for (const ConvexPolygon& piece : r.pieces) {
+        for (const Vec2& v : piece.vertices()) hash = MixPoint(hash, v);
+      }
+      for (const Segment& s : r.boundary_edges) {
+        hash = MixPoint(MixPoint(hash, s.a), s.b);
+      }
+      for (const Vec2& v : r.BoundaryVertices()) hash = MixPoint(hash, v);
+      hash = MixBits(hash, ComputeTopkRegionArea(c.focal, c.others, kBox, h));
+    }
+  }
+  EXPECT_EQ(hash, 0xfd8d5b9862672639ull) << std::hex << hash;
 }
 
 TEST(TopkRegionPruning, LevelRegionFromLinesMatchesUnpruned) {
