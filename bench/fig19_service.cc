@@ -282,15 +282,15 @@ int main(int argc, char** argv) {
 
   const double saved_fraction =
       with_dedup.dedup.lookups > 0
-          ? static_cast<double>(with_dedup.dedup.saved_attempts) /
+          ? static_cast<double>(with_dedup.dedup.hits) /
                 static_cast<double>(with_dedup.dedup.lookups)
           : 0.0;
   std::printf("\ndedup: %llu interface queries, %llu reached the backend, "
               "%llu saved (%.2f%%)\n",
               static_cast<unsigned long long>(with_dedup.dedup.lookups),
               static_cast<unsigned long long>(with_dedup.dedup.lookups -
-                                              with_dedup.dedup.saved_attempts),
-              static_cast<unsigned long long>(with_dedup.dedup.saved_attempts),
+                                              with_dedup.dedup.hits),
+              static_cast<unsigned long long>(with_dedup.dedup.hits),
               100.0 * saved_fraction);
 
   LoadResult no_dedup;
@@ -319,10 +319,10 @@ int main(int argc, char** argv) {
   json += ",\n \"dedup\": {";
   json += "\"interface_queries\": " + std::to_string(with_dedup.dedup.lookups);
   json += ", \"backend_queries\": " +
-          std::to_string(with_dedup.dedup.lookups -
-                         with_dedup.dedup.saved_attempts);
-  json += ", \"saved_queries\": " +
-          std::to_string(with_dedup.dedup.saved_attempts);
+          std::to_string(with_dedup.dedup.lookups - with_dedup.dedup.hits);
+  // Every hit is one query the backend never saw; the key keeps its name
+  // so BENCH_service.json stays comparable.
+  json += ", \"saved_queries\": " + std::to_string(with_dedup.dedup.hits);
   {
     // %.3f would round 0.99994 to an untrue-looking 1.000.
     char frac[32];

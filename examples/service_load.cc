@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   const service::DedupStats dedup = svc.dedup()->Stats();
   std::printf("\ndedup: %llu of %llu interface queries answered from the "
               "shared cache\n",
-              static_cast<unsigned long long>(dedup.saved_attempts),
+              static_cast<unsigned long long>(dedup.hits),
               static_cast<unsigned long long>(dedup.lookups));
   std::printf("simulated %.1f s of service time\n\n",
               svc.NowMs() / 1000.0);

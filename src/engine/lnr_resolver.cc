@@ -39,8 +39,6 @@ LnrCellResolver::LnrCellResolver(LnrClient* client, const QuerySampler* sampler,
       cell_computer_(client, PropagateRegistry(options.cell, options.registry)),
       localizer_(client, PropagateRegistry(options.localize, options.registry)),
       rng_(options.seed),
-      rounds_counter_(
-          obs::GetCounter(options.registry, "estimator.lnr.rounds")),
       cells_inferred_counter_(
           obs::GetCounter(options.registry, "estimator.lnr.cells_inferred")),
       cache_hits_counter_(
@@ -154,7 +152,6 @@ void LnrCellResolver::ResolveRound(const EvidenceDemand& demand,
   }
 
   ++diagnostics_.rounds;
-  rounds_counter_.Add(1);
   store->EndRound(client_->queries_used());
 }
 

@@ -105,7 +105,6 @@ class LnrCellResolver final : public CellResolver {
   std::unordered_map<int, double> topk_probability_cache_;
   Rng rng_;
   LnrAggDiagnostics diagnostics_;
-  obs::CounterRef rounds_counter_;
   obs::CounterRef cells_inferred_counter_;
   obs::CounterRef cache_hits_counter_;
   obs::HistogramRef ht_weight_hist_;

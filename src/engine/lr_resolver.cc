@@ -31,7 +31,6 @@ LrCellResolver::LrCellResolver(LrClient* client, const QuerySampler* sampler,
       cell_computer_(client, &history_, sampler,
                      PropagateRegistry(options.cell, options.registry)),
       rng_(options.seed),
-      rounds_counter_(obs::GetCounter(options.registry, "estimator.lr.rounds")),
       cells_exact_counter_(
           obs::GetCounter(options.registry, "estimator.lr.cells_exact")),
       cells_mc_counter_(
@@ -140,7 +139,6 @@ void LrCellResolver::ResolveRound(const EvidenceDemand& demand,
   }
 
   ++diagnostics_.rounds;
-  rounds_counter_.Add(1);
   store->EndRound(client_->queries_used());
 }
 

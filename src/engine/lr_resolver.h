@@ -101,7 +101,6 @@ class LrCellResolver final : public CellResolver {
   LrCellComputer cell_computer_;
   Rng rng_;
   LrAggDiagnostics diagnostics_;
-  obs::CounterRef rounds_counter_;
   obs::CounterRef cells_exact_counter_;
   obs::CounterRef cells_mc_counter_;
   obs::HistogramRef ht_weight_hist_;

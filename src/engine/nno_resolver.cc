@@ -15,7 +15,6 @@ NnoProbeResolver::NnoProbeResolver(LrClient* client, NnoOptions options)
     : client_(client),
       options_(options),
       rng_(options.seed),
-      rounds_counter_(obs::GetCounter(options.registry, "estimator.nno.rounds")),
       growth_rounds_counter_(
           obs::GetCounter(options.registry, "estimator.nno.growth_rounds")),
       mc_probes_counter_(
@@ -107,7 +106,6 @@ void NnoProbeResolver::ResolveRound(const EvidenceDemand& demand,
                                     EvidenceStore* store) {
   obs::ScopedSpan round_span(tracer_, "estimator.round", "estimator");
   ++diagnostics_.rounds;
-  rounds_counter_.Add(1);
   const Box& box = client_->region();
   const Vec2 q = box.SamplePoint(rng_);
   store->BeginRound(q);

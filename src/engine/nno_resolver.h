@@ -31,7 +31,7 @@ struct NnoOptions {
   int max_growth_rounds = 12;
   uint64_t seed = 7;
 
-  // Metric plane for the estimator.nno.* counters (rounds, growth_rounds,
+  // Metric plane for the estimator.nno.* counters (growth_rounds,
   // mc_probes, mc_hits); null lands on obs::MetricsRegistry::Default().
   obs::MetricsRegistry* registry = nullptr;
 
@@ -80,7 +80,6 @@ class NnoProbeResolver final : public CellResolver {
   NnoOptions options_;
   Rng rng_;
   NnoDiagnostics diagnostics_;
-  obs::CounterRef rounds_counter_;
   obs::CounterRef growth_rounds_counter_;
   obs::CounterRef mc_probes_counter_;
   obs::CounterRef mc_hits_counter_;

@@ -2,26 +2,9 @@
 
 #include <sstream>
 
-#include "util/json_writer.h"
-
 namespace lbsagg {
 namespace obs {
 namespace introspect {
-
-std::string FlightRecordJson(const FlightRecord& record) {
-  std::string out = "{\"kind\":\"";
-  out += record.kind == FlightRecord::Kind::kSpan ? "span" : "event";
-  out += "\",\"name\":\"";
-  JsonWriter::AppendEscaped(&out, record.name);
-  // Full round-trip precision, as in Tracer::ToChromeTraceJson.
-  out += "\",\"ts_us\":";
-  JsonWriter::AppendShortestDouble(&out, record.ts_us);
-  out += ",\"dur_us\":";
-  JsonWriter::AppendShortestDouble(&out, record.dur_us);
-  out += ",\"a\":" + std::to_string(record.a) +
-         ",\"b\":" + std::to_string(record.b) + "}";
-  return out;
-}
 
 #ifndef LBSAGG_OBS_DISABLED
 

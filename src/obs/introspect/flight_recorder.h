@@ -58,9 +58,6 @@ struct FlightRecord {
   bool operator==(const FlightRecord&) const = default;
 };
 
-// {"kind":"span","name":...,"ts_us":...,"dur_us":...,"a":...,"b":...}
-std::string FlightRecordJson(const FlightRecord& record);
-
 #ifndef LBSAGG_OBS_DISABLED
 
 class FlightRecorder {

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/json_writer.h"
+
 namespace lbsagg {
 namespace obs {
 namespace introspect {
@@ -36,7 +38,7 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot,
   for (const GaugeSample& g : snapshot.gauges) {
     const std::string name = PrometheusName(g.name, prefix);
     os << "# TYPE " << name << " gauge\n";
-    os << name << " " << g.value << "\n";
+    os << name << " " << JsonWriter::Shortest(g.value) << "\n";
   }
   for (const HistogramSample& h : snapshot.histograms) {
     const std::string name = PrometheusName(h.name, prefix);
@@ -44,11 +46,11 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot,
     uint64_t cumulative = 0;
     for (size_t i = 0; i < h.bounds.size() && i < h.buckets.size(); ++i) {
       cumulative += h.buckets[i];
-      os << name << "_bucket{le=\"" << h.bounds[i] << "\"} "
-         << cumulative << "\n";
+      os << name << "_bucket{le=\"" << JsonWriter::Shortest(h.bounds[i])
+         << "\"} " << cumulative << "\n";
     }
     os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << name << "_sum " << h.sum << "\n";
+    os << name << "_sum " << JsonWriter::Shortest(h.sum) << "\n";
     os << name << "_count " << h.count << "\n";
   }
   return os.str();

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
+
+#include "util/json_writer.h"
 
 namespace lbsagg {
 namespace obs {
@@ -143,42 +144,35 @@ void TimeSeriesSampler::CutWindow(double now_ms) {
 }
 
 std::string TimeSeriesSampler::ToJson() const {
-  std::ostringstream os;
-  os << "{\"period_ms\":" << options_.period_ms
-     << ",\"windows_cut\":" << windows_cut_ << ",\"windows\":[";
-  bool first_window = true;
-  for (const SampleWindow& w : windows_) {
-    if (!first_window) os << ",";
-    first_window = false;
-    os << "{\"t0_ms\":" << w.t0_ms
-       << ",\"t1_ms\":" << w.t1_ms << ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, delta] : w.counters) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << name << "\":" << delta;
+  JsonWriter w;
+  w.BeginObject()
+      .KV("period_ms", options_.period_ms)
+      .KV("windows_cut", windows_cut_)
+      .Key("windows")
+      .BeginArray();
+  for (const SampleWindow& window : windows_) {
+    w.BeginObject()
+        .KV("t0_ms", window.t0_ms)
+        .KV("t1_ms", window.t1_ms)
+        .Key("counters")
+        .BeginObject();
+    for (const auto& [name, delta] : window.counters) w.KV(name, delta);
+    w.EndObject().Key("gauges").BeginObject();
+    for (const auto& [name, value] : window.gauges) w.KV(name, value);
+    w.EndObject().Key("histograms").BeginObject();
+    for (const auto& [name, h] : window.histograms) {
+      w.Key(name)
+          .BeginObject()
+          .KV("count", h.count)
+          .KV("sum", h.sum)
+          .KV("p50", h.p50)
+          .KV("p99", h.p99)
+          .EndObject();
     }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : w.gauges) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << name << "\":" << value;
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, h] : w.histograms) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << name << "\":{\"count\":" << h.count
-         << ",\"sum\":" << h.sum
-         << ",\"p50\":" << h.p50
-         << ",\"p99\":" << h.p99 << "}";
-    }
-    os << "}}";
+    w.EndObject().EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.TakeString();
 }
 
 #endif  // LBSAGG_OBS_DISABLED

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json_writer.h"
 
 namespace lbsagg {
 namespace obs {
@@ -142,18 +143,18 @@ std::string MetricsSnapshot::ToJson(int indent) const {
   os << in << "\"gauges\": {";
   for (size_t i = 0; i < gauges.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << in2 << '"' << gauges[i].name
-       << "\": " << gauges[i].value;
+       << "\": " << JsonWriter::Shortest(gauges[i].value);
   }
   os << (gauges.empty() ? "" : "\n" + in) << "},\n";
   os << in << "\"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& h = histograms[i];
     os << (i == 0 ? "\n" : ",\n") << in2 << '"' << h.name
-       << "\": {\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"bounds\":[";
+       << "\": {\"count\":" << h.count
+       << ",\"sum\":" << JsonWriter::Shortest(h.sum) << ",\"bounds\":[";
     for (size_t j = 0; j < h.bounds.size(); ++j) {
       if (j > 0) os << ',';
-      os << h.bounds[j];
+      os << JsonWriter::Shortest(h.bounds[j]);
     }
     os << "],\"buckets\":[";
     for (size_t j = 0; j < h.buckets.size(); ++j) {
@@ -174,25 +175,6 @@ std::string ShardMetricName(const std::string& prefix, int shard,
   os << prefix << ".shard" << (shard < 10 ? "0" : "") << shard << '.'
      << metric;
   return os.str();
-}
-
-Table MetricsSnapshot::ToTable() const {
-  Table table({"metric", "value"});
-  for (const CounterSample& c : counters) {
-    table.AddRow({c.name, Table::Int(static_cast<long long>(c.value))});
-  }
-  for (const GaugeSample& g : gauges) {
-    table.AddRow({g.name, Table::Num(g.value, 3)});
-  }
-  for (const HistogramSample& h : histograms) {
-    table.AddRow({h.name + ".count",
-                  Table::Int(static_cast<long long>(h.count))});
-    table.AddRow({h.name + ".mean",
-                  Table::Num(h.count == 0 ? 0.0
-                                          : h.sum / static_cast<double>(h.count),
-                             3)});
-  }
-  return table;
 }
 
 }  // namespace obs

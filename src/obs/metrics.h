@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "util/table.h"
-
 namespace lbsagg {
 namespace obs {
 
@@ -22,8 +20,8 @@ namespace obs {
 // increment; the registry lock guards only name registration and snapshots.
 //
 // Naming scheme (DESIGN.md §4.8): `<layer>.<component>.<metric>`, e.g.
-// `spatial.kdtree.nodes_visited`, `client.queries`, `estimator.lr.rounds`,
-// `transport.attempts`.
+// `spatial.kdtree.nodes_visited`, `client.queries`,
+// `estimator.lr.cells_exact`, `transport.attempts`.
 //
 // Accounting-period contract: SnapshotAndReset() drains every cell with an
 // atomic exchange, so each concurrent increment lands in exactly one
@@ -111,8 +109,6 @@ struct MetricsSnapshot {
 
   // `{"counters":{...},"gauges":{...},"histograms":{...}}`, keys sorted.
   std::string ToJson(int indent = 0) const;
-  // Counters and gauges as a two-column table (histograms summarized).
-  Table ToTable() const;
 
   bool operator==(const MetricsSnapshot&) const = default;
 };

@@ -61,7 +61,7 @@ std::string RunReport::ToJson(int indent) const {
   }
   for (const auto& [key, value] : meta_num_) {
     os << (first ? "\n" : ",\n") << in2 << JsonWriter::Quoted(key)
-       << ": " << value;
+       << ": " << JsonWriter::Shortest(value);
     first = false;
   }
   os << (first ? "" : "\n" + in) << "},\n";
@@ -87,36 +87,6 @@ std::string RunReport::ToJson(int indent) const {
   os << (first ? "" : "\n" + in) << "}\n";
   os << pad << "}";
   return os.str();
-}
-
-Table RunReport::ToTable() const {
-  Table table({"key", "value"});
-  for (const auto& [key, value] : meta_) table.AddRow({"meta." + key, value});
-  for (const auto& [key, value] : meta_num_) {
-    table.AddRow({"meta." + key, Table::Num(value, 3)});
-  }
-  for (const auto& [name, stats] : stats_) {
-    table.AddRow({"stats." + name + ".count",
-                  Table::Int(static_cast<long long>(stats.count()))});
-    table.AddRow({"stats." + name + ".mean", Table::Num(stats.mean(), 3)});
-    table.AddRow({"stats." + name + ".ci95",
-                  Table::Num(stats.ConfidenceHalfWidth(), 3)});
-  }
-  for (const obs::CounterSample& c : snapshot_.counters) {
-    table.AddRow({c.name, Table::Int(static_cast<long long>(c.value))});
-  }
-  for (const obs::GaugeSample& g : snapshot_.gauges) {
-    table.AddRow({g.name, Table::Num(g.value, 3)});
-  }
-  for (const obs::HistogramSample& h : snapshot_.histograms) {
-    table.AddRow({h.name + ".count",
-                  Table::Int(static_cast<long long>(h.count))});
-    table.AddRow(
-        {h.name + ".mean",
-         Table::Num(h.count == 0 ? 0.0 : h.sum / static_cast<double>(h.count),
-                    3)});
-  }
-  return table;
 }
 
 }  // namespace obs

@@ -1,21 +1,22 @@
 #ifndef LBSAGG_OBS_REPORT_H_
 #define LBSAGG_OBS_REPORT_H_
 
-// RunReport: one JSON/table artifact per run merging everything the layers
+// RunReport: the one JSON report document. It merges everything the layers
 // observed — estimator RunningStats (mean/CI), the metric plane's counters,
 // gauges and histograms (client queries, kd-tree visits, HT weight
 // histogram, ...), and raw JSON sections from subsystems with their own
-// serialization (TransportMetrics). Emitted by core/runner's
-// BuildRunReport, every bench/fig* target (LBSAGG_RUN_REPORT=path), and
-// examples/flaky_service --report. Validated against
-// tools/report_schema.json by tools/validate_report.py.
+// serialization (TransportMetrics, the service's diagnostics). Emitted by
+// core/runner's BuildRunReport, every bench/fig* target
+// (LBSAGG_RUN_REPORT=path), examples/flaky_service --report, and as statusz
+// (ServiceIntrospector::BuildStatusz, lbsagg_cli --statusz). Every double
+// prints at shortest round-trip precision (JsonWriter::Shortest). Validated
+// against tools/report_schema.json by tools/validate_report.py.
 
 #include <map>
 #include <string>
 
 #include "obs/metrics.h"
 #include "util/stats.h"
-#include "util/table.h"
 
 namespace lbsagg {
 namespace obs {
@@ -40,7 +41,6 @@ class RunReport {
   void AddJsonSection(const std::string& name, const std::string& raw_json);
 
   std::string ToJson(int indent = 0) const;
-  Table ToTable() const;
 
  private:
   std::map<std::string, std::string> meta_;

@@ -129,9 +129,9 @@ std::string Tracer::ToChromeTraceJson() const {
     out += "\",\"cat\":\"";
     JsonWriter::AppendEscaped(&out, e.category);
     out += "\",\"ph\":\"X\",\"ts\":";
-    JsonWriter::AppendShortestDouble(&out, e.ts_us);
+    out += JsonWriter::Shortest(e.ts_us);
     out += ",\"dur\":";
-    JsonWriter::AppendShortestDouble(&out, e.dur_us);
+    out += JsonWriter::Shortest(e.dur_us);
     out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid) + "}";
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}";

@@ -11,21 +11,18 @@ namespace lbsagg {
 namespace service {
 
 QueryDedupRegistry::QueryDedupRegistry(obs::MetricsRegistry* registry)
-    : hits_counter_(obs::GetCounter(registry, "service.dedup.hits")),
-      saved_counter_(
-          obs::GetCounter(registry, "service.dedup.saved_queries")) {}
+    : hits_counter_(obs::GetCounter(registry, "service.dedup.hits")) {}
 
 DedupStats QueryDedupRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {lookups_, hits_, saved_attempts_, entries_.size()};
+  return {lookups_, hits_, entries_.size()};
 }
 
 std::string QueryDedupRegistry::ToJson() const {
   const DedupStats stats = Stats();
   std::ostringstream out;
   out << "{\"entries\":" << stats.entries << ",\"lookups\":" << stats.lookups
-      << ",\"hits\":" << stats.hits
-      << ",\"saved_queries\":" << stats.saved_attempts << "}";
+      << ",\"hits\":" << stats.hits << "}";
   return out.str();
 }
 
@@ -57,12 +54,10 @@ TransportPlan DedupTransport::Prepare(const Vec2& q, int k) {
     // clean wire's charge — one attempt, zero latency — and never touch the
     // inner transport. That is the whole saving.
     ++reg.hits_;
-    ++reg.saved_attempts_;
     reg.hits_counter_.Add(1);
-    reg.saved_counter_.Add(1);
     if (reg.hit_sink_ != nullptr) ++*reg.hit_sink_;
     reg.pending_[ticket] =
-        QueryDedupRegistry::Pending{it->second.get(), /*owner=*/false, {}};
+        QueryDedupRegistry::Pending{&it->second, /*owner=*/false, {}};
     TransportPlan plan;
     plan.ticket = ticket;
     plan.attempts = 1;
@@ -79,9 +74,7 @@ TransportPlan DedupTransport::Prepare(const Vec2& q, int k) {
   if (inner.outcome == TransportOutcome::kOk) {
     // Only clean full pages are shareable; anything else passes through
     // uncached so a faulty wire degrades to "no dedup", never wrong pages.
-    auto entry = std::make_unique<QueryDedupRegistry::Entry>();
-    pending.entry = entry.get();
-    reg.entries_.emplace(key, std::move(entry));
+    pending.entry = &reg.entries_.try_emplace(key).first->second;
   }
   reg.pending_[ticket] = std::move(pending);
 

@@ -15,9 +15,9 @@
 // interface attempt — exactly what a clean wire would have charged it — so
 // each session's counted-query trace, budget loop, and estimates stay
 // bit-identical to running that session alone. The saving is real but
-// backend-side: fewer inner Prepare/Fulfill calls, fewer rate-limiter
-// tokens, and the registry counts them as saved_attempts ("queries saved by
-// dedup" in BENCH_service.json).
+// backend-side: every hit is one interface attempt the inner wire (and its
+// rate limiter) never sees, so the registry's `hits` is also the count of
+// backend queries saved ("saved_queries" in BENCH_service.json).
 //
 // Determinism and single-flight: the hit/miss/owner decision is made in
 // Prepare(), which the transport contract already serializes in submission
@@ -39,7 +39,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -52,10 +51,10 @@ namespace lbsagg {
 namespace service {
 
 struct DedupStats {
-  uint64_t lookups = 0;         // Prepare() calls routed through the registry
-  uint64_t hits = 0;            // answered (or to be answered) from the cache
-  uint64_t saved_attempts = 0;  // interface attempts the backend never saw
-  size_t entries = 0;           // cached pages (incl. in-flight)
+  uint64_t lookups = 0;  // Prepare() calls routed through the registry
+  uint64_t hits = 0;     // answered (or to be answered) from the cache:
+                         // attempts the backend never saw
+  size_t entries = 0;    // cached pages (incl. in-flight)
 };
 
 // The shared cross-session cache. One per backend; shared by every
@@ -68,12 +67,12 @@ class QueryDedupRegistry {
   // other's page would silently corrupt the borrowing session's estimate
   // (the refinement loops' LocKey grid only merges a cell computation's own
   // vertices; a cross-session cache never may). `registry` feeds the
-  // service.dedup.{hits,saved_queries} counters; null = Default().
+  // service.dedup.hits counter; null = Default().
   explicit QueryDedupRegistry(obs::MetricsRegistry* registry = nullptr);
 
   DedupStats Stats() const;
 
-  // {"entries":N,"lookups":L,"hits":H,"saved_queries":S}
+  // {"entries":N,"lookups":L,"hits":H}
   std::string ToJson() const;
 
   // Per-session hit attribution: when set, every Prepare() hit increments
@@ -115,15 +114,15 @@ class QueryDedupRegistry {
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
-  std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> entries_;
+  // Entries live in the map's nodes, which never move (not even on a
+  // rehash) and are never erased, so Pending::entry stays valid.
+  std::unordered_map<Key, Entry, KeyHash> entries_;
   std::unordered_map<uint64_t, Pending> pending_;
   uint64_t next_ticket_ = 1;
   uint64_t lookups_ = 0;
   uint64_t hits_ = 0;
-  uint64_t saved_attempts_ = 0;
   uint64_t* hit_sink_ = nullptr;
   obs::CounterRef hits_counter_;
-  obs::CounterRef saved_counter_;
 };
 
 // The wire wrapper. Stateless itself — every decision lives in the shared

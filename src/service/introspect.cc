@@ -57,20 +57,15 @@ ServiceIntrospector::ServiceIntrospector(IntrospectorOptions options)
   }
 }
 
-obs::introspect::Statusz ServiceIntrospector::BuildStatusz() const {
-  obs::introspect::Statusz status;
+obs::RunReport ServiceIntrospector::BuildStatusz() const {
+  obs::RunReport status;
 #ifndef LBSAGG_OBS_DISABLED
   const EstimationService& svc = *options_.service;
   status.SetMetaNum("now_ms", svc.NowMs());
-  status.SetMetaNum("queued", static_cast<double>(svc.queued()));
-  status.SetMetaNum("active", static_cast<double>(svc.active()));
-  status.SetMetaNum("submitted", static_cast<double>(svc.submitted()));
-  status.SetMetaNum("completed", static_cast<double>(svc.completed()));
-  status.SetMetaNum("rejected", static_cast<double>(svc.rejected()));
   status.SetMetaNum("backends", static_cast<double>(svc.num_backends()));
   status.SetSnapshot(options_.registry->Snapshot());
 
-  // Scheduler / admission / dedup view (the run-report "service" section).
+  // Scheduler depths, session tallies, admission and dedup.
   status.AddJsonSection("service", svc.diagnostics_json());
 
   // Per-session burn-down and convergence trajectories.
@@ -90,7 +85,8 @@ obs::introspect::Statusz ServiceIntrospector::BuildStatusz() const {
   if (options_.sharded != nullptr) {
     std::ostringstream os;
     os << "{\"num_shards\":" << options_.sharded->num_shards()
-       << ",\"virtual_now_ms\":" << options_.sharded->VirtualNowMs()
+       << ",\"virtual_now_ms\":"
+       << JsonWriter::Shortest(options_.sharded->VirtualNowMs())
        << ",\"aggregate\":" << options_.sharded->Metrics().ToJson()
        << ",\"lanes\":[";
     for (int shard = 0; shard < options_.sharded->num_shards(); ++shard) {

@@ -4,10 +4,10 @@
 // Service-side statusz assembly (DESIGN.md §4.13): the glue that turns one
 // EstimationService (plus whatever else the host wires in — a sharded
 // wire's per-lane metrics, a time-series sampler, a flight recorder) into
-// the one-call introspection snapshot. The generic pieces live in
-// obs/introspect/ and know nothing about the service; this header is where
-// the layering inverts, exactly like TransportMetrics riding RunReport's
-// AddJsonSection.
+// the one-call introspection snapshot. Statusz is a run report
+// (obs::RunReport) taken mid-flight: the generic pieces live in obs/ and
+// know nothing about the service; this header is where the layering
+// inverts, exactly like TransportMetrics riding RunReport's AddJsonSection.
 //
 //   ServiceIntrospector intro({.service = &svc, .sharded = &wire,
 //                              .sampler = &sampler, .recorder = &recorder});
@@ -15,15 +15,15 @@
 //   std::cout << intro.PrometheusText();             // scrape page
 //
 // Everything here is pure observation: building a snapshot perturbs no
-// schedule, estimate, or metric. Under -DLBSAGG_OBS_DISABLED the builders
-// degrade to the obs stubs (valid-but-empty JSON), so --statusz flags keep
-// working against a disabled build.
+// schedule, estimate, or metric. Under -DLBSAGG_OBS_DISABLED BuildStatusz
+// returns an empty report and the scrape page is empty, so --statusz flags
+// keep writing valid JSON from a disabled build.
 
 #include <string>
 
 #include "obs/introspect/flight_recorder.h"
 #include "obs/introspect/sampler.h"
-#include "obs/introspect/statusz.h"
+#include "obs/report.h"
 #include "service/service.h"
 #include "transport/sharded_transport.h"
 
@@ -57,11 +57,11 @@ class ServiceIntrospector {
  public:
   explicit ServiceIntrospector(IntrospectorOptions options);
 
-  // One full statusz: meta (clock, scheduler depths, tallies), the metrics
-  // snapshot, and sections "service" (diagnostics), "sessions"
-  // (introspection rows), plus "shards" / "timeseries" / "flight_recorder"
-  // when wired.
-  obs::introspect::Statusz BuildStatusz() const;
+  // One full statusz: meta (the service clock `now_ms` and `backends`), the
+  // metrics snapshot, and sections "service" (diagnostics: queue depths and
+  // session tallies), "sessions" (introspection rows), plus "shards" /
+  // "timeseries" / "flight_recorder" when wired.
+  obs::RunReport BuildStatusz() const;
 
   // The Prometheus text-format page over the same registry.
   std::string PrometheusText() const;

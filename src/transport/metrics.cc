@@ -6,16 +6,6 @@
 
 namespace lbsagg {
 
-namespace {
-
-std::string Shortest(double v) {
-  std::string out;
-  JsonWriter::AppendShortestDouble(&out, v);
-  return out;
-}
-
-}  // namespace
-
 void TransportMetrics::RecordAttemptsForRequest(int attempts_used) {
   const size_t idx = static_cast<size_t>(attempts_used - 1);
   if (attempts_histogram.size() <= idx) attempts_histogram.resize(idx + 1);
@@ -41,8 +31,10 @@ std::string TransportMetrics::ToJson(int indent) const {
      << ",\n";
   os << in << "\"attempt_timeouts\": " << attempt_timeouts << ",\n";
   os << in << "\"throttle_events\": " << throttle_events << ",\n";
-  os << in << "\"throttle_wait_ms\": " << Shortest(throttle_wait_ms) << ",\n";
-  os << in << "\"latency_ms\": " << Shortest(latency_ms) << ",\n";
+  os << in << "\"throttle_wait_ms\": "
+     << JsonWriter::Shortest(throttle_wait_ms) << ",\n";
+  os << in << "\"latency_ms\": " << JsonWriter::Shortest(latency_ms)
+     << ",\n";
   os << in << "\"attempts_per_request\": [";
   for (size_t i = 0; i < attempts_histogram.size(); ++i) {
     if (i > 0) os << ',';

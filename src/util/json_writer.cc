@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -47,10 +46,10 @@ std::string JsonWriter::Quoted(std::string_view s) {
   return out;
 }
 
-void JsonWriter::AppendShortestDouble(std::string* out, double v) {
+std::string JsonWriter::Shortest(double v) {
   char buf[32];  // the longest shortest form: -1.7976931348623157e+308
   const std::to_chars_result result = std::to_chars(buf, buf + sizeof(buf), v);
-  out->append(buf, result.ptr);
+  return std::string(buf, result.ptr);
 }
 
 void JsonWriter::BeforeValue() {
@@ -124,11 +123,7 @@ JsonWriter& JsonWriter::Value(bool v) {
 
 JsonWriter& JsonWriter::Value(double v) {
   BeforeValue();
-  // Matches the legacy emitters' `ostream << double` (6 significant digits),
-  // so swapping them for the writer is byte-identical output.
-  std::ostringstream os;
-  os << v;
-  out_ += os.str();
+  out_ += Shortest(v);
   return *this;
 }
 

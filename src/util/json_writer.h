@@ -9,11 +9,9 @@
 //
 // The writer is strictly append-only and comma-managing: Key()/Value()
 // calls emit separators automatically based on a small nesting stack.
-// Numbers print exactly like the legacy emitters did (integers in decimal,
-// doubles via `ostream << double`, i.e. 6 significant digits), so swapping
-// a hand-built emitter for JsonWriter is byte-identical output. Values that
-// need every digit, such as trace timestamps, go through
-// AppendShortestDouble instead.
+// Integers print in decimal and doubles in their shortest round-trip form
+// (Shortest), the one number format of every JSON and Prometheus artifact:
+// a double read back from any of them has the bits it was printed from.
 
 #include <cstdint>
 #include <string>
@@ -65,9 +63,8 @@ class JsonWriter {
   // `s` as a JSON string literal: escaped, in double quotes.
   static std::string Quoted(std::string_view s);
 
-  // Appends the shortest text that parses back to exactly `v`
-  // (std::to_chars), for numbers that 6 significant digits would round.
-  static void AppendShortestDouble(std::string* out, double v);
+  // The shortest text that parses back to exactly `v` (std::to_chars).
+  static std::string Shortest(double v);
 
  private:
   void BeforeValue();

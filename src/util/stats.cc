@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
+#include "util/json_writer.h"
 
 namespace lbsagg {
 
@@ -52,13 +52,17 @@ double RunningStats::ConfidenceHalfWidth(double z) const {
 }
 
 std::string RunningStats::ToJson() const {
-  std::ostringstream os;
-  os << "{\"count\":" << count_ << ",\"mean\":" << mean_
-     << ",\"stddev\":" << std::sqrt(SampleVariance())
-     << ",\"se\":" << StandardError()
-     << ",\"ci95_half_width\":" << ConfidenceHalfWidth()
-     << ",\"min\":" << min_ << ",\"max\":" << max_ << "}";
-  return os.str();
+  JsonWriter w;
+  w.BeginObject()
+      .KV("count", static_cast<uint64_t>(count_))
+      .KV("mean", mean_)
+      .KV("stddev", std::sqrt(SampleVariance()))
+      .KV("se", StandardError())
+      .KV("ci95_half_width", ConfidenceHalfWidth())
+      .KV("min", min_)
+      .KV("max", max_)
+      .EndObject();
+  return w.TakeString();
 }
 
 namespace {

@@ -24,9 +24,9 @@
 #include "obs/introspect/flight_recorder.h"
 #include "obs/introspect/prometheus.h"
 #include "obs/introspect/sampler.h"
-#include "obs/introspect/statusz.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "service/introspect.h"
 #include "service/service.h"
@@ -148,8 +148,6 @@ TEST(FlightRecorder, NameTruncatesSafely) {
   FlightRecord r;
   r.SetName("a.very.long.span.name.that.exceeds.the.fixed.record.capacity");
   EXPECT_EQ(std::strlen(r.name), FlightRecord::kNameCapacity - 1);
-  const std::string json = FlightRecordJson(r);
-  EXPECT_NE(json.find("\"kind\":\"span\""), std::string::npos);
 }
 
 TEST(FlightRecorder, ConcurrentPublishersAndDrainerAccountExactly) {
@@ -381,40 +379,6 @@ TEST(Prometheus, ExportsCountersGaugesAndCumulativeHistograms) {
             std::string::npos);
   EXPECT_NE(text.find("lbsagg_lat_sum 11\n"), std::string::npos);
   EXPECT_NE(text.find("lbsagg_lat_count 3\n"), std::string::npos);
-}
-
-// --- Statusz builder --------------------------------------------------------
-
-TEST(Statusz, RendersMetaMetricsAndSections) {
-  obs::introspect::Statusz status;
-  status.SetMeta("mode", "test");
-  status.SetMetaNum("active", 3);
-  obs::MetricsRegistry registry;
-  registry.GetCounter("c")->Add(1);
-  status.SetSnapshot(registry.Snapshot());
-  status.AddJsonSection("custom", "{\"x\":1}");
-  // User strings arrive escaped.
-  status.SetMeta("note", "say \"hi\"\\");
-  status.AddJsonSection("odd\"name", "1");
-
-  const std::string json = status.ToJson();
-  if (!obs::kObsEnabled) {
-    // The stub renders a valid, empty page and drops everything set.
-    EXPECT_NE(json.find("\"statusz_version\":1"), std::string::npos);
-    EXPECT_EQ(json.find("mode"), std::string::npos);
-    EXPECT_EQ(status.ToText(), "statusz: observability disabled\n");
-    return;
-  }
-  EXPECT_NE(json.find("\"statusz_version\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"mode\": \"test\""), std::string::npos);
-  EXPECT_NE(json.find("\"active\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"custom\": {\"x\":1}"), std::string::npos);
-  EXPECT_NE(json.find(R"("note": "say \"hi\"\\")"), std::string::npos);
-  EXPECT_NE(json.find(R"("odd\"name": 1)"), std::string::npos);
-
-  const std::string text = status.ToText();
-  EXPECT_NE(text.find("mode: test"), std::string::npos);
-  EXPECT_NE(text.find("--- custom ---"), std::string::npos);
 }
 
 // --- Tracer open-span lifecycle ---------------------------------------------
@@ -676,9 +640,9 @@ TEST(Introspection, StatuszSnapshotsTheWholeStack) {
                                       .registry = &registry});
   const std::string json = intro.BuildStatusz().ToJson();
   if (!obs::kObsEnabled) {
-    // BuildStatusz and PrometheusText degrade to the stubs: an empty page
-    // and an empty scrape.
-    EXPECT_EQ(json, obs::introspect::Statusz().ToJson());
+    // BuildStatusz and PrometheusText degrade to an empty report and an
+    // empty scrape.
+    EXPECT_EQ(json, obs::RunReport().ToJson());
     EXPECT_EQ(intro.PrometheusText(), obs::introspect::ToPrometheusText(
                                           obs::MetricsRegistry().Snapshot()));
     return;
@@ -694,6 +658,86 @@ TEST(Introspection, StatuszSnapshotsTheWholeStack) {
   const std::string prom = intro.PrometheusText();
   EXPECT_NE(prom.find("lbsagg_service_sessions_submitted 1"),
             std::string::npos);
+}
+
+// Statusz is a run report taken mid-flight: the report's schema, a meta
+// block that repeats nothing the "service" section carries, one dedup hit
+// tally, and one round tally on the metric plane.
+TEST(Introspection, StatuszIsARunReport) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  obs::MetricsRegistry registry;
+  ServiceOptions sopts;
+  sopts.registry = &registry;
+  EstimationService svc({{.meta = &server}}, sopts);
+
+  // One session per resolver family, plus an NNO twin whose queries are
+  // all dedup hits.
+  std::vector<SessionSpec> specs(4);
+  specs[0].family = EstimatorFamily::kLr;
+  specs[1].family = EstimatorFamily::kLnr;
+  specs[2].family = EstimatorFamily::kNno;
+  specs[3].family = EstimatorFamily::kNno;
+  std::vector<SessionId> ids;
+  for (SessionSpec& spec : specs) {
+    spec.budget = 120;
+    spec.seed = 5;
+    ids.push_back(svc.Submit(spec));
+  }
+  svc.RunUntilIdle();
+
+  service::ServiceIntrospector intro({.service = &svc, .registry = &registry});
+  const std::string json = intro.BuildStatusz().ToJson();
+  if (!obs::kObsEnabled) {
+    EXPECT_EQ(json, obs::RunReport().ToJson());
+    return;
+  }
+  EXPECT_NE(json.find("\"schema_version\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"stats\": {},"), std::string::npos) << json;
+  EXPECT_EQ(json.find("statusz_version"), std::string::npos);
+
+  // Meta holds exactly the clock and the backend count.
+  const size_t meta_begin = json.find("\"meta\": {");
+  ASSERT_NE(meta_begin, std::string::npos) << json;
+  const std::string meta =
+      json.substr(meta_begin, json.find('}', meta_begin) - meta_begin);
+  EXPECT_EQ(CountOccurrences(meta, "\": "), 3u) << meta;
+  EXPECT_NE(meta.find("\"backends\": 1,"), std::string::npos) << meta;
+  EXPECT_NE(meta.find("\"now_ms\": "), std::string::npos) << meta;
+
+  // The service section's dedup entry counts hits once.
+  const DedupStats dedup = svc.dedup()->Stats();
+  EXPECT_GT(dedup.hits, 0u);
+  EXPECT_NE(json.find("\"dedup\":[{\"entries\":" +
+                      std::to_string(dedup.entries) +
+                      ",\"lookups\":" + std::to_string(dedup.lookups) +
+                      ",\"hits\":" + std::to_string(dedup.hits) + "}]"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("saved_queries"), std::string::npos);
+
+  // Rounds are counted by the engine alone.
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  uint64_t engine_rounds = 0;
+  bool has_engine_rounds = false;
+  for (const obs::CounterSample& c : snapshot.counters) {
+    EXPECT_FALSE(c.name.starts_with("estimator.") &&
+                 c.name.ends_with(".rounds"))
+        << c.name;
+    if (c.name == "engine.rounds") {
+      engine_rounds = c.value;
+      has_engine_rounds = true;
+    }
+  }
+  uint64_t session_rounds = 0;
+  for (SessionId id : ids) {
+    const SessionStatus status = svc.Poll(id);
+    EXPECT_EQ(status.state, SessionState::kCompleted);
+    session_rounds += status.rounds;
+  }
+  ASSERT_TRUE(has_engine_rounds);
+  EXPECT_GT(session_rounds, 0u);
+  EXPECT_EQ(engine_rounds, session_rounds);
 }
 
 // --- SLO watchdog ------------------------------------------------------------
@@ -724,10 +768,11 @@ TEST(Introspection, SessionRowEscapesUserStrings) {
       R"json("family":"lr","budget":500,"queries_used":120,"rounds":9,)json"
       R"json("dedup_hits":4,"submit_ms":1.5,"start_ms":2.25,"end_ms":-1,)json"
       R"json("deadline_ms":1000,"deadline_slack_ms":996.75,"aggregates":[)json"
-      R"json({"name":"COUNT(\"all\")","estimate":1234.57,)json"
-      R"json("half_width":12.3457,"trajectory":[)json"
+      R"json({"name":"COUNT(\"all\")","estimate":1234.5678,)json"
+      R"json("half_width":12.345678,"trajectory":[)json"
       R"json({"queries":60,"estimate":1200.1,"half_width":30.5},)json"
-      R"json({"queries":120,"estimate":1234.57,"half_width":12.3457}]}]})json");
+      R"json({"queries":120,"estimate":1234.5678,)json"
+      R"json("half_width":12.345678}]}]})json");
 }
 
 TEST(SloWatchdog, FiresDeadlineAtRiskOnceWhenSlackRunsOut) {

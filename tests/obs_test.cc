@@ -5,6 +5,8 @@
 // the tracer's Chrome trace_event serialization, and RunReport assembly.
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -15,7 +17,6 @@
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
-#include "obs/introspect/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -241,12 +242,6 @@ TEST(Tracer, TimestampsResolveMicrosecondsAtLongUptime) {
   ASSERT_EQ(ts.size(), 2u) << json;
   EXPECT_EQ(ts[0], 3.6e9) << json;
   EXPECT_EQ(ts[1], 3.6e9 + 1.0) << json;
-
-  obs::introspect::FlightRecord record;
-  record.ts_us = 3.6e9 + 1.0;
-  EXPECT_NE(obs::introspect::FlightRecordJson(record).find(
-                "\"ts_us\":3600000001,"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +271,49 @@ TEST(RunReport, MergesMetaStatsSnapshotAndSections) {
   EXPECT_NE(json.find("\"requests\": 7"), std::string::npos);
 
   EXPECT_EQ(report.snapshot().counters.size(), 1u);
-  EXPECT_FALSE(report.ToTable().ToString().empty());
+}
+
+// Every double in a report prints at shortest round-trip precision, so a
+// number read back from the JSON text has the bits it was printed from.
+// Six significant digits would print 1202947.1235315264 as 1.20295e+06,
+// 0.1 + 0.2 as 0.3 and a million queries as 1.23457e+06.
+TEST(RunReport, DoublesReadBackBitExact) {
+  const double wide = 1202947.1235315264;
+  const double sum = 0.1 + 0.2;
+  MetricsRegistry registry;
+  registry.GetGauge("transport.throttle_ms")->Set(sum);
+  registry.GetHistogram("transport.latency_ms", {sum, 1e6})->Observe(wide);
+  RunningStats stats;
+  for (double v : {0.1, 0.2, wide}) stats.Add(v);
+
+  obs::RunReport report;
+  report.SetMetaNum("virtual_time_ms", wide);
+  report.SetMetaNum("queries", 1234567);
+  report.AddStats("running_estimate", stats);
+  report.SetSnapshot(registry.Snapshot());
+  const std::string json = report.ToJson();
+
+  const auto read_back = [&json](const std::string& key) {
+    const size_t pos = json.find(key);
+    EXPECT_NE(pos, std::string::npos) << key << " in " << json;
+    return pos == std::string::npos
+               ? 0.0
+               : std::strtod(json.c_str() + pos + key.size(), nullptr);
+  };
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(read_back("\"virtual_time_ms\": ")), bits(wide)) << json;
+  EXPECT_NE(json.find("\"queries\": 1234567,"), std::string::npos) << json;
+  EXPECT_EQ(bits(read_back("\"transport.throttle_ms\": ")), bits(sum));
+  EXPECT_EQ(bits(read_back("\"sum\":")), bits(wide));
+  EXPECT_EQ(bits(read_back("\"bounds\":[")), bits(sum));
+  EXPECT_EQ(bits(read_back("\"mean\":")), bits(stats.mean()));
+  EXPECT_EQ(bits(read_back("\"stddev\":")),
+            bits(std::sqrt(stats.SampleVariance())));
+  EXPECT_EQ(bits(read_back("\"se\":")), bits(stats.StandardError()));
+  EXPECT_EQ(bits(read_back("\"ci95_half_width\":")),
+            bits(stats.ConfidenceHalfWidth()));
+  EXPECT_EQ(bits(read_back("\"min\":")), bits(0.1));
+  EXPECT_EQ(bits(read_back("\"max\":")), bits(wide));
 }
 
 // Meta strings route through JsonWriter::AppendEscaped, so a value carrying
@@ -291,6 +328,10 @@ TEST(RunReport, EscapesMetaStringsAndKeys) {
   // The raw forms must not appear: embedded newlines or bare quotes would
   // break any consumer that actually parses the report.
   EXPECT_EQ(json.find("\"6k\"\n"), std::string::npos);
+
+  // Section names are user strings too (statusz mounts sections by name).
+  report.AddJsonSection("odd\"name", "1");
+  EXPECT_NE(report.ToJson().find(R"("odd\"name": 1)"), std::string::npos);
 }
 
 }  // namespace

@@ -242,7 +242,6 @@ TEST(ServiceDedup, ConcurrentSessionsMatchSoloRunsAndSaveQueries) {
   const DedupStats stats = svc.dedup()->Stats();
   // The twin session's queries are all registry hits.
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(stats.saved_attempts, stats.hits);
   EXPECT_EQ(session_hits, stats.hits);
   EXPECT_EQ(stats.lookups, stats.hits + stats.entries);
 }
@@ -344,7 +343,6 @@ TEST(ServiceDedup, TransportUnitMirrorCharging) {
   const DedupStats stats = registry.Stats();
   EXPECT_EQ(stats.lookups, 3u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.saved_attempts, 1u);
   EXPECT_EQ(stats.entries, 2u);
 }
 
@@ -700,7 +698,11 @@ TEST(ServiceDiagnostics, JsonCarriesTalliesAndDedup) {
   EXPECT_NE(json.find("\"submitted\":2"), std::string::npos);
   EXPECT_NE(json.find("\"completed\":2"), std::string::npos);
   EXPECT_NE(json.find("\"policy\":\"fifo\""), std::string::npos);
-  EXPECT_NE(json.find("\"saved_queries\""), std::string::npos);
+  // A hit is counted once: the dedup entry carries `hits` and no second
+  // tally of the same number.
+  EXPECT_NE(json.find("\"dedup\":[{\"entries\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"hits\":"), std::string::npos);
+  EXPECT_EQ(json.find("saved"), std::string::npos);
 }
 
 }  // namespace

@@ -465,7 +465,6 @@ void ExpectServiceRunsIdentical(const ServiceRun& a, const ServiceRun& b) {
   }
   EXPECT_EQ(a.dedup.lookups, b.dedup.lookups);
   EXPECT_EQ(a.dedup.hits, b.dedup.hits);
-  EXPECT_EQ(a.dedup.saved_attempts, b.dedup.saved_attempts);
   EXPECT_EQ(a.dedup.entries, b.dedup.entries);
 }
 

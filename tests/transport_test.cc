@@ -305,7 +305,7 @@ TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
 // ---------------------------------------------------------------------------
 // Metrics
 
-TEST(TransportMetrics, JsonAndTableRender) {
+TEST(TransportMetrics, JsonRenders) {
   const Dataset dataset = MakeDataset(100, 16);
   const LbsServer server(&dataset, {.max_k = 10});
   obs::MetricsRegistry registry;
@@ -342,12 +342,15 @@ TEST(TransportMetrics, JsonAndTableRender) {
   EXPECT_NE(wide_json.find("\"latency_ms\": 1202947.12,"), std::string::npos);
 
   // The latency distribution lives on the metric plane: one observation
-  // per logical query, rendered by the registry's table.
+  // per logical query, rendered in the snapshot's JSON.
   if (obs::kObsEnabled) {
     EXPECT_EQ(registry.GetHistogram("transport.latency_ms", {})->count(),
               m.requests);
-    const std::string table = registry.Snapshot().ToTable().ToString();
-    EXPECT_NE(table.find("transport.latency_ms.count"), std::string::npos);
+    const std::string plane = registry.Snapshot().ToJson();
+    EXPECT_NE(plane.find("\"transport.latency_ms\": {\"count\":" +
+                         std::to_string(m.requests) + ","),
+              std::string::npos)
+        << plane;
   }
 }
 

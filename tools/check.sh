@@ -2,9 +2,9 @@
 # Full local gate: sanitizer builds + tier-1 tests + perf smoke.
 #
 #   tools/check.sh            # everything (ASAN/UBSAN ctest, TSAN transport
-#                             # tests, then perf smoke, the transport and
-#                             # introspection suites with obs compiled out,
-#                             # and the obs gate)
+#                             # tests, then perf smoke, the transport, obs,
+#                             # service and introspection suites with obs
+#                             # compiled out, and the obs gate)
 #   tools/check.sh --fast     # sanitizer tests only, skip the rest
 #
 # The sanitizer builds live in build-asan/ and build-tsan/ so they never
@@ -86,13 +86,15 @@ if [[ "$FAST" == "0" ]]; then
   cmake --build build -j "$(nproc)" --target micro_hotpath
   ./build/bench/micro_hotpath --benchmark_min_time=0.01
 
-  echo "==> LBSAGG_OBS_DISABLED build + transport and introspection suites"
+  echo "==> LBSAGG_OBS_DISABLED build + transport, obs, service and introspection suites"
   # The wire's own accounting (TransportMetrics) must stay exact with every
-  # metric-plane cell compiled out, and the introspection plane's stubs must
-  # keep their contract (nothing recorded, estimates unchanged).
+  # metric-plane cell compiled out, the report document and the service's
+  # tallies (its dedup registry, its sections) must work without the
+  # counters, and the introspection plane's stubs must keep their contract
+  # (nothing recorded, estimates unchanged, statusz an empty report).
   NOOBS_TARGETS=(micro_hotpath transport_test transport_determinism_test
                  sharded_transport_test sweep_determinism_test
-                 introspect_test)
+                 obs_test service_test introspect_test)
   cmake -B build-noobs -S . -DLBSAGG_OBS_DISABLED=ON > /dev/null
   cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}" \
     -- --quiet 2>/dev/null \
@@ -101,6 +103,8 @@ if [[ "$FAST" == "0" ]]; then
   ./build-noobs/tests/transport_determinism_test
   ./build-noobs/tests/sharded_transport_test
   ./build-noobs/tests/sweep_determinism_test
+  ./build-noobs/tests/obs_test
+  ./build-noobs/tests/service_test
   ./build-noobs/tests/introspect_test
 
   echo "==> observability overhead gate (instrumented vs LBSAGG_OBS_DISABLED)"

@@ -599,7 +599,7 @@ int Run(const FlagParser& flags) {
       const service::DedupStats d = svc.dedup()->Stats();
       std::printf("dedup         : %llu of %llu interface queries answered "
                   "from the shared cache\n",
-                  static_cast<unsigned long long>(d.saved_attempts),
+                  static_cast<unsigned long long>(d.hits),
                   static_cast<unsigned long long>(d.lookups));
     }
 

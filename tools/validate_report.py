@@ -4,17 +4,20 @@
 Usage:
     tools/validate_report.py report.json [--require-layers client,spatial,estimator,transport]
 
-Implements the schema contract with the standard library only (the
-container has no jsonschema package); tools/report_schema.json is the
+Implements the schema contract with the standard library only (no
+jsonschema package is needed); tools/report_schema.json is the
 authoritative statement of the same contract — keep the two in sync.
+
+Every run report validates here, statusz (`lbsagg_cli --statusz`) included:
+statusz is a RunReport taken mid-flight, with an empty `stats` object.
 
 With --require-layers, additionally checks that the metric plane covers the
 named layers: each layer must contribute at least one `<layer>.` counter,
 except `transport`, `engine`, `service`, `timeseries`, and `introspection`,
 which may instead appear as the matching sections.<layer> block (the
 subsystems' JSON side-channels). This is what the CI observability job runs
-against examples/flaky_service --report, examples/multi_aggregate --report,
-and the fig19_service run report.
+against examples/flaky_service --report, examples/service_load --report,
+the fig19_service run report, and statusz.json.
 """
 
 import argparse
@@ -233,7 +236,7 @@ def validate_service_section(errors, service):
                 if not isinstance(entry, dict):
                     fail(errors, entry_path, "expected an object")
                     continue
-                for key in ["entries", "lookups", "hits", "saved_queries"]:
+                for key in ["entries", "lookups", "hits"]:
                     if key not in entry:
                         fail(errors, entry_path, f"missing field '{key}'")
                     else:
