@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <tuple>
 #include <utility>
 
 #include "spatial/backend.h"
@@ -108,22 +107,53 @@ double ShardMinDist2(const Box& b, const Vec2& q) {
 // sqrt, and the id tie-break would then disagree with the index's d2 order.
 struct Ranked {
   double key = 0.0;
-  int id = -1;            // global tuple id
-  double distance = 0.0;  // what the ServerHit carries
+  ServerHit hit;  // global tuple id and the distance the page carries
 };
 
-// Top-k under the total order (key, id): input order is irrelevant, so any
-// permutation (shard arrival order, worker interleaving) ranks the same.
-std::vector<ServerHit> TopK(std::vector<Ranked> ranked, int k) {
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    return a.key < b.key || (a.key == b.key && a.id < b.id);
-  });
-  if (ranked.size() > static_cast<size_t>(k)) ranked.resize(k);
-  std::vector<ServerHit> hits;
-  hits.reserve(ranked.size());
-  for (const Ranked& r : ranked) hits.push_back({r.id, r.distance});
-  return hits;
+bool RanksBefore(const Ranked& a, const Ranked& b) {
+  return a.key < b.key ||
+         (a.key == b.key && a.hit.tuple_id < b.hit.tuple_id);
 }
+
+// The best `want` candidates offered so far, ascending in (key, id), in one
+// buffer reserved up front. (key, id) is a total order on distinct tuples,
+// so the result does not depend on the order candidates arrive in (shard
+// arrival order, worker interleaving), and trimming as they arrive is
+// exact: a candidate outside the best `want` of a subset is outside the
+// best `want` of the whole set.
+class RunningTopK {
+ public:
+  explicit RunningTopK(int want) : want_(static_cast<size_t>(want)) {
+    best_.reserve(want_);
+  }
+
+  // The `want`-th best key, +inf until `want` candidates are in.
+  double Bound() const {
+    return best_.size() < want_ ? std::numeric_limits<double>::infinity()
+                                : best_.back().key;
+  }
+
+  void Offer(double key, const ServerHit& hit) {
+    const Ranked r{key, hit};
+    if (best_.size() == want_) {
+      if (!RanksBefore(r, best_.back())) return;
+      best_.pop_back();
+    }
+    best_.insert(std::upper_bound(best_.begin(), best_.end(), r, RanksBefore),
+                 r);
+  }
+
+  std::vector<ServerHit> Hits() const {
+    std::vector<ServerHit> hits;
+    hits.reserve(best_.size());
+    for (const Ranked& r : best_) hits.push_back(r.hit);
+    return hits;
+  }
+
+ private:
+  size_t want_;
+  std::vector<Ranked> best_;
+};
 
 }  // namespace
 
@@ -183,49 +213,54 @@ LbsServer::LbsServer(const Dataset* dataset, ServerOptions options,
 std::vector<ServerHit> LbsServer::Query(const Vec2& q, int k,
                                         const TupleFilter& filter) const {
   if (num_shards() == 1) return QueryShard(0, q, k, filter);
-  std::vector<GatherLane> lanes;
-  for (int s : ReachableShards(q)) lanes.push_back({s});
-  return GatherShards(q, k, filter, lanes);
+  return GatherShards(q, k, filter);
 }
 
 std::vector<ServerHit> LbsServer::GatherShards(
     const Vec2& q, int k, const TupleFilter& filter,
-    const std::vector<GatherLane>& lanes, const Truncation& truncate) const {
+    const Truncation& truncation) const {
   LBSAGG_CHECK_GE(k, 1);
-  const size_t want = static_cast<size_t>(std::min(k, options_.max_k));
   constexpr double kNoCap = std::numeric_limits<double>::infinity();
-  std::vector<std::tuple<double, int, size_t>> order;  // bbox d2, shard, lane
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    const int s = lanes[i].shard;
-    LBSAGG_CHECK(s >= 0 && s < num_shards()) << "shard " << s;
-    order.emplace_back(ShardMinDist2(shards_[s].bbox, q), s, i);
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<std::vector<ServerHit>> pages;
-  // The `want` smallest d2 gathered, ranked as MergeShardPages ranks them.
+  const bool capped_ranking = options_.ranking == RankingMode::kDistance;
   // A global top-k hit has d2 <= the k-th d2 of any k gathered hits, so
   // the inclusive cap keeps it (DESIGN.md §4.11).
-  std::vector<double> best;
-  double cap = kNoCap;
-  for (const auto& [bbox_d2, shard, lane] : order) {
-    const bool capped = options_.ranking == RankingMode::kDistance &&
-                        !lanes[lane].truncated;
-    const double lane_cap = capped ? cap : kNoCap;
+  RunningTopK best(std::min(k, options_.max_k));
+  // Lanes nearest-first, in ascending (bbox d2, shard id): each pass picks
+  // the smallest pair above the previous lane's, so no order is stored.
+  double last_d2 = -kNoCap;
+  int last = -1;
+  for (;;) {
+    int shard = -1;
+    double bbox_d2 = kNoCap;
+    for (int s = 0; s < num_shards(); ++s) {
+      const double d2 = ShardMinDist2(shards_[s].bbox, q);
+      const bool after_last = d2 > last_d2 || (d2 == last_d2 && s > last);
+      if (!after_last || !Reachable(s, d2)) continue;
+      if (shard < 0 || d2 < bbox_d2) {
+        shard = s;
+        bbox_d2 = d2;
+      }
+    }
+    if (shard < 0) break;
+    last_d2 = bbox_d2;
+    last = shard;
+    const auto cut = std::lower_bound(truncation.shards.begin(),
+                                      truncation.shards.end(), shard);
+    const bool truncated = cut != truncation.shards.end() && *cut == shard;
+    const double lane_cap =
+        capped_ranking && !truncated ? best.Bound() : kNoCap;
     // Monotone rounding puts every point of the shard at d2 >= bbox_d2.
-    if (bbox_d2 > lane_cap) continue;
+    if (bbox_d2 > lane_cap) {
+      // Every later lane lies as far or farther under a cap no higher, so
+      // only an uncapped (truncated) lane could still answer.
+      if (truncation.shards.empty()) break;
+      continue;
+    }
     std::vector<ServerHit> page = QueryShard(shard, q, k, filter, lane_cap);
-    if (lanes[lane].truncated) truncate(lane, &page);
-    for (const ServerHit& h : page) {
-      best.push_back(SquaredDistance(q, effective_pos_[h.tuple_id]));
-    }
-    if (best.size() >= want) {
-      std::nth_element(best.begin(), best.begin() + (want - 1), best.end());
-      best.resize(want);
-      cap = best.back();
-    }
-    pages.push_back(std::move(page));
+    if (truncated) truncation.cut(cut - truncation.shards.begin(), &page);
+    for (const ServerHit& h : page) best.Offer(RankKey(q, h), h);
   }
-  return MergeShardPages(q, pages, k);
+  return best.Hits();
 }
 
 std::vector<int> LbsServer::ReachableShards(const Vec2& q) const {
@@ -237,13 +272,14 @@ std::vector<int> LbsServer::ReachableShards(const Vec2& q) const {
   std::vector<int> reachable;
   reachable.reserve(shards_.size());
   for (int s = 0; s < num_shards(); ++s) {
-    if (shards_[s].ids.empty()) continue;
-    if (std::sqrt(ShardMinDist2(shards_[s].bbox, q)) > options_.max_radius) {
-      continue;
-    }
-    reachable.push_back(s);
+    if (Reachable(s, ShardMinDist2(shards_[s].bbox, q))) reachable.push_back(s);
   }
   return reachable;
+}
+
+bool LbsServer::Reachable(int shard, double bbox_d2) const {
+  return !shards_[shard].ids.empty() &&
+         !(std::sqrt(bbox_d2) > options_.max_radius);
 }
 
 std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
@@ -260,15 +296,13 @@ std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
     // Everything in coverage, filtered, scored, re-ranked by (score, global
     // id). The shard's top-k page is enough for an exact global merge: any
     // global winner ranks at least as high within its own shard.
-    std::vector<Ranked> scored;
+    RunningTopK best(k);
     for (const Neighbor& n : sh.index->WithinRadius(q, options_.max_radius)) {
-      const int id = sh.ids[n.index];
-      if (filter && !filter(dataset_->tuple(id))) continue;
-      scored.push_back(
-          {n.distance - options_.prominence_weight * prominence_[id], id,
-           n.distance});
+      const ServerHit hit{sh.ids[n.index], n.distance};
+      if (filter && !filter(dataset_->tuple(hit.tuple_id))) continue;
+      best.Offer(RankKey(q, hit), hit);
     }
-    return TopK(std::move(scored), k);
+    return best.Hits();
   }
 
   IndexFilter index_filter;
@@ -292,19 +326,18 @@ std::vector<ServerHit> LbsServer::MergeShardPages(
     const Vec2& q, const std::vector<std::vector<ServerHit>>& pages,
     int k) const {
   LBSAGG_CHECK_GE(k, 1);
-  k = std::min(k, options_.max_k);
-  const bool prominence = options_.ranking == RankingMode::kProminence;
-  std::vector<Ranked> candidates;
+  RunningTopK best(std::min(k, options_.max_k));
   for (const auto& page : pages) {
-    for (const ServerHit& h : page) {
-      const double key =
-          prominence ? h.distance - options_.prominence_weight *
-                                        prominence_[h.tuple_id]
-                     : SquaredDistance(q, effective_pos_[h.tuple_id]);
-      candidates.push_back({key, h.tuple_id, h.distance});
-    }
+    for (const ServerHit& h : page) best.Offer(RankKey(q, h), h);
   }
-  return TopK(std::move(candidates), k);
+  return best.Hits();
+}
+
+double LbsServer::RankKey(const Vec2& q, const ServerHit& hit) const {
+  return options_.ranking == RankingMode::kProminence
+             ? hit.distance -
+                   options_.prominence_weight * prominence_[hit.tuple_id]
+             : SquaredDistance(q, effective_pos_[hit.tuple_id]);
 }
 
 const std::vector<int>& LbsServer::shard_ids(int shard) const {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,9 +94,9 @@ struct ShardBuildStats {
 // A server built from ServerOptions alone has one shard holding every
 // tuple; ShardedLbsServer (lbs/sharded_server.h) builds N. The shard count
 // is invisible through the interface, exactly like the index backend: a
-// query scatters to the ReachableShards, GatherShards asks each for its
-// QueryShard page nearest-first under the running k-th best d2, and
-// MergeShardPages folds the pages by (d2, id), so every answer is
+// query scatters to the ReachableShards, and GatherShards asks each for its
+// QueryShard page nearest-first under the running k-th best d2 and folds
+// the hits by (d2, id) into one running top-k, so every answer is
 // bit-identical to the one-shard server's (DESIGN.md §4.11).
 //
 // Thread-safety: construction is internally parallel; afterwards the object
@@ -122,31 +123,31 @@ class LbsServer {
       int shard, const Vec2& q, int k, const TupleFilter& filter = nullptr,
       double max_d2 = std::numeric_limits<double>::infinity()) const;
 
-  // A lane of GatherShards. A truncated lane's wire keeps a prefix of its
-  // page whose length depends on the page's size, so it is searched
-  // uncapped, and `Truncation` cuts its page (`lane` indexes the lanes).
-  struct GatherLane {
-    int shard = 0;
-    bool truncated = false;
+  // The lanes a wire delivered truncated: `shards` ascending, and `cut`
+  // cuts the page of shards[i]. A truncated lane's wire keeps a prefix of
+  // its page whose length depends on the page's size, so it is searched
+  // uncapped.
+  struct Truncation {
+    std::span<const int> shards;
+    std::function<void(size_t i, std::vector<ServerHit>* page)> cut;
   };
-  using Truncation =
-      std::function<void(size_t lane, std::vector<ServerHit>* page)>;
 
   // The N-shard gather of Query and ShardedTransport::Fulfill. It visits
-  // `lanes` in ascending (bbox d2, shard id) and searches each under the
-  // running cap: the min(k, max_k)-th smallest d2 among the hits gathered
-  // so far, +inf until that many are in. A lane whose bbox lies beyond its
-  // cap is not searched; truncated lanes and kProminence run uncapped. The
-  // result is exactly the merge of every lane's uncapped page (DESIGN.md
-  // §4.11).
-  std::vector<ServerHit> GatherShards(
-      const Vec2& q, int k, const TupleFilter& filter,
-      const std::vector<GatherLane>& lanes,
-      const Truncation& truncate = nullptr) const;
+  // the ReachableShards in ascending (bbox d2, shard id) and searches each
+  // under the running cap: the min(k, max_k)-th smallest d2 among the hits
+  // gathered so far, +inf until that many are in. A lane whose bbox lies
+  // beyond its cap is not searched; truncated lanes and kProminence run
+  // uncapped. The hits fold into one running top-min(k, max_k) buffer,
+  // ranked by MergeShardPages' key and order, so the result is exactly the
+  // merge of every lane's uncapped page (DESIGN.md §4.11).
+  std::vector<ServerHit> GatherShards(const Vec2& q, int k,
+                                      const TupleFilter& filter,
+                                      const Truncation& truncation = {}) const;
 
   // Gathers per-shard pages into the final top-k: the (d2, id) fold under
   // kDistance, the (score, id) fold under kProminence. Pure and
-  // deterministic — page order and page-internal order are irrelevant.
+  // deterministic — page order and page-internal order are irrelevant. The
+  // tests' oracle for GatherShards, which folds its lanes the same way.
   std::vector<ServerHit> MergeShardPages(
       const Vec2& q, const std::vector<std::vector<ServerHit>>& pages,
       int k) const;
@@ -182,6 +183,14 @@ class LbsServer {
     std::unique_ptr<SpatialIndex> index;
     Box bbox;  // of the shard's effective positions; valid iff !ids.empty()
   };
+
+  // What a hit ranks by, ties broken by id: its prominence score under
+  // kProminence, else the exact d2 from q to its effective position.
+  double RankKey(const Vec2& q, const ServerHit& hit) const;
+
+  // Whether a non-empty shard at squared bbox distance `bbox_d2` from the
+  // query lies within the coverage radius.
+  bool Reachable(int shard, double bbox_d2) const;
 
   const Dataset* dataset_;
   ServerOptions options_;

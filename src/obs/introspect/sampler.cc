@@ -9,16 +9,6 @@ namespace lbsagg {
 namespace obs {
 namespace introspect {
 
-namespace {
-
-double SteadyNowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 double QuantileFromBuckets(const std::vector<double>& bounds,
                            const std::vector<uint64_t>& buckets, double q) {
   uint64_t total = 0;
@@ -47,6 +37,16 @@ double QuantileFromBuckets(const std::vector<double>& bounds,
 }
 
 #ifndef LBSAGG_OBS_DISABLED
+
+namespace {
+
+double SteadyNowMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(TimeSeriesSamplerOptions options)
     : options_(std::move(options)) {

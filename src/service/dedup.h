@@ -36,15 +36,26 @@
 // All sessions sharing a registry must use the same pass-through filter
 // (the service layer sets none): the key cannot see the filter, which is
 // only available at Fulfill time.
+//
+// Layout: a query that saves nothing should cost almost nothing, so no
+// query allocates here beyond the amortized doubling of four vectors.
+// Entries sit in one vector in first-Prepare order, found through a
+// power-of-two open-addressing index of entry numbers over KeyHash;
+// published pages are appended back to back to one pooled hit vector; and
+// each ticket's Prepare-time decision waits in a ticket ring. Nothing is
+// erased, so the registry grows for the service's life (DESIGN.md §4.12).
+// Entries and pages can reallocate while a follower waits, so the follower
+// holds its entry's number across the wait, never a reference.
 
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "geometry/loc_key.h"
 #include "obs/obs.h"
+#include "transport/ticket_ring.h"
 #include "transport/transport.h"
 
 namespace lbsagg {
@@ -101,24 +112,34 @@ class QueryDedupRegistry {
       return static_cast<size_t>(fold(h, static_cast<uint64_t>(key.k)));
     }
   };
+  // One distinct question. Once its owner publishes, its page is
+  // pages_[first, first + size); size is -1 while the owner is in flight.
   struct Entry {
-    bool ready = false;
-    std::vector<ServerHit> hits;
+    Key key;
+    int size = -1;
+    size_t first = 0;
   };
+  static constexpr size_t kNoEntry = ~size_t{0};
   // The Prepare()-time decision for one outer ticket, consumed by Fulfill().
   struct Pending {
-    Entry* entry = nullptr;  // null: uncacheable plan, plain pass-through
+    size_t entry = kNoEntry;  // kNoEntry: uncacheable plan, plain pass-through
     bool owner = false;
     TransportPlan inner_plan;
   };
 
+  // The index slot holding key's entry, or the empty slot where it belongs.
+  size_t Probe(const Key& key) const;
+  // Appends key's entry, to be published later, at `slot` from Probe().
+  size_t Insert(const Key& key, size_t slot);
+
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
-  // Entries live in the map's nodes, which never move (not even on a
-  // rehash) and are never erased, so Pending::entry stays valid.
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::unordered_map<uint64_t, Pending> pending_;
-  uint64_t next_ticket_ = 1;
+  std::vector<Entry> entries_;
+  // Entry number + 1 per slot, 0 when empty; a power of two in size, and
+  // at most half full.
+  std::vector<uint32_t> index_;
+  std::vector<ServerHit> pages_;  // every published page, back to back
+  TicketRing<Pending> pending_{1};
   uint64_t lookups_ = 0;
   uint64_t hits_ = 0;
   uint64_t* hit_sink_ = nullptr;

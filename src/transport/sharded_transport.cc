@@ -49,7 +49,7 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
 
   std::lock_guard<std::mutex> lock(mu_);
   TransportPlan plan;
-  plan.ticket = next_ticket_++;
+  plan.ticket = pending_.next();
   ++metrics_.requests;
   requests_counter_.Add(1);
   fanout_counter_.Add(targets.size());
@@ -58,8 +58,7 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   double done = depart;
   double dispatch = depart;
   int max_attempts = 0;
-  Fanout fanout;
-  fanout.reserve(targets.size());
+  TruncatedLanes truncated;
   // When lanes disagree, the lowest-shard-id undelivered lane wins
   // outright; among delivered lanes, kTruncated wins over kOk.
   TransportOutcome first_failure = TransportOutcome::kOk;
@@ -76,8 +75,9 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
     }
     if (lane.outcome == TransportOutcome::kTruncated) {
       worst_delivered = TransportOutcome::kTruncated;
+      truncated.shards.push_back(s);
+      truncated.truncate_u.push_back(lane.truncate_u);
     }
-    fanout.emplace_back(s, lane);
   }
 
   // A query beyond every shard's coverage never leaves the client's NIC in
@@ -104,7 +104,9 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
   latency_histogram_.Observe(plan.latency_ms);
   metrics_.RecordAttemptsForRequest(plan.attempts);
 
-  pending_.emplace(plan.ticket, std::move(fanout));
+  // Only a kTruncated plan's Fulfill reads its lanes' cuts.
+  if (plan.outcome != TransportOutcome::kTruncated) truncated = {};
+  pending_.Push(std::move(truncated));
   return plan;
 }
 
@@ -112,14 +114,12 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
                                          const Vec2& q, int k,
                                          const TupleFilter& filter) const {
   fulfills_counter_.Add(1);
-  Fanout fanout;
+  TruncatedLanes truncated;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = pending_.find(plan.ticket);
-    LBSAGG_CHECK(it != pending_.end())
-        << "plan fulfilled twice or never prepared";
-    fanout = std::move(it->second);
-    pending_.erase(it);
+    const bool prepared = pending_.Take(plan.ticket, &truncated);
+    LBSAGG_CHECK(prepared) << "plan fulfilled twice or never prepared, ticket "
+                           << plan.ticket;
   }
 
   TransportReply reply;
@@ -128,16 +128,12 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
   reply.latency_ms = plan.latency_ms;
   if (!Delivered(plan.outcome)) return reply;  // typed failure, empty page
 
-  std::vector<LbsServer::GatherLane> lanes;
-  lanes.reserve(fanout.size());
-  for (const auto& [shard, lane] : fanout) {
-    lanes.push_back({shard, lane.outcome == TransportOutcome::kTruncated});
-  }
   reply.hits = server_->GatherShards(
-      q, k, filter, lanes, [&fanout](size_t i, std::vector<ServerHit>* page) {
-        const LaneDecision& lane = fanout[i].second;
-        TruncatePage(lane.outcome, lane.truncate_u, page);
-      });
+      q, k, filter,
+      {truncated.shards, [&truncated](size_t i, std::vector<ServerHit>* page) {
+         TruncatePage(TransportOutcome::kTruncated, truncated.truncate_u[i],
+                      page);
+       }});
   return reply;
 }
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "lbs/server.h"
@@ -12,6 +10,7 @@
 #include "obs/trace.h"
 #include "transport/metrics.h"
 #include "transport/policies.h"
+#include "transport/ticket_ring.h"
 #include "transport/transport.h"
 
 namespace lbsagg {
@@ -74,16 +73,23 @@ struct ShardedTransportOptions {
 // order inside sequential Prepare() calls, and every draw is a pure
 // function of (lane seed, ticket, attempt).
 //
-// Fulfill() is the pure gather, LbsServer::GatherShards: delivered lanes
-// answer nearest-first, each kOk lane searched under the running k-th best
-// d2 of the pages already gathered, and a lane whose shard lies wholly
-// beyond that cap answers an empty page without a search. A kTruncated
-// lane is searched uncapped and keeps a strict prefix of its page. The
-// pages fold through LbsServer::MergeShardPages — the (d2, id) merge — so
-// with every lane delivered the reply is bit-identical to the one-shard
-// server for any shard count, worker count, and arrival order. The cap
-// only shrinks far pages: Prepare still contacts every targeted lane, so
-// attempts, fault draws and latency do not depend on it.
+// Fulfill() is the pure gather, LbsServer::GatherShards over the same
+// reachable shards: delivered lanes answer nearest-first, each kOk lane
+// searched under the running k-th best d2 of the hits already gathered,
+// and a lane whose shard lies wholly beyond that cap answers an empty page
+// without a search. A kTruncated lane is searched uncapped and keeps a
+// strict prefix of its page. The hits fold by (d2, id) into one running
+// top-k, so with every lane delivered the reply is bit-identical to the
+// one-shard server for any shard count, worker count, and arrival order.
+// The cap only shrinks far pages: Prepare still contacts every targeted
+// lane, so attempts, fault draws and latency do not depend on it.
+//
+// Between the two phases a plan's state waits in a ticket ring. Only a
+// kTruncated plan stores anything there, its truncated lanes and their
+// cuts: a kOk plan's lanes are every reachable shard, all kOk, and an
+// undelivered plan answers an empty page. So the wire's own share of a
+// clean query's allocations is Prepare's list of reachable shards; the
+// rest is the gather's (DESIGN.md §4.11).
 //
 // Partial failure is *typed*, never silent: if any targeted lane fails its
 // sub-request (kTransientError / kTimeout / kFatal after the lane's
@@ -101,8 +107,9 @@ class ShardedTransport final : public LbsTransport {
   // Stateful scatter; serialize calls in submission order.
   TransportPlan Prepare(const Vec2& q, int k) override;
 
-  // Pure gather; thread-safe. Each plan may be fulfilled at most once
-  // (AsyncDispatcher and the synchronous Query() path both guarantee it).
+  // Pure gather; thread-safe. Each plan must be fulfilled exactly once
+  // (AsyncDispatcher and the synchronous Query() path both guarantee it);
+  // a second Fulfill, or one for a ticket never prepared, dies.
   TransportReply Fulfill(const TransportPlan& plan, const Vec2& q, int k,
                          const TupleFilter& filter) const override;
 
@@ -120,8 +127,12 @@ class ShardedTransport final : public LbsTransport {
   double VirtualNowMs() const;
 
  private:
-  // Each shard one prepared ticket targets, with its lane's decision.
-  using Fanout = std::vector<std::pair<int, LaneDecision>>;
+  // The lanes of a kTruncated plan that the wire cut short, ascending by
+  // shard, with the uniform that decides how much of each page survives.
+  struct TruncatedLanes {
+    std::vector<int> shards;
+    std::vector<double> truncate_u;
+  };
 
   const LbsServer* server_;
   ShardedTransportOptions options_;
@@ -129,10 +140,9 @@ class ShardedTransport final : public LbsTransport {
 
   mutable std::mutex mu_;
   std::vector<PolicyLane> lanes_;
-  uint64_t next_ticket_ = 0;
   double virtual_now_ms_ = 0.0;
   TransportMetrics metrics_;  // client-facing aggregate
-  mutable std::unordered_map<uint64_t, Fanout> pending_;
+  mutable TicketRing<TruncatedLanes> pending_;  // empty but for kTruncated
   obs::CounterRef requests_counter_;
   obs::CounterRef fanout_counter_;
   obs::CounterRef partial_failure_counter_;

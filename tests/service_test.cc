@@ -6,9 +6,12 @@
 
 #include "service/service.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 #include "service/dedup.h"
 #include "service/event.h"
 #include "transport/simulated_transport.h"
+#include "transport/ticket_ring.h"
+#include "util/rng.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -344,6 +349,110 @@ TEST(ServiceDedup, TransportUnitMirrorCharging) {
   EXPECT_EQ(stats.lookups, 3u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 2u);
+}
+
+void ExpectSameReply(const TransportReply& a, const TransportReply& b,
+                     size_t i) {
+  EXPECT_EQ(a.outcome, b.outcome) << "reply " << i;
+  EXPECT_EQ(a.attempts, b.attempts) << "reply " << i;
+  EXPECT_EQ(a.latency_ms, b.latency_ms) << "reply " << i;
+  ASSERT_EQ(a.hits.size(), b.hits.size()) << "reply " << i;
+  for (size_t j = 0; j < a.hits.size(); ++j) {
+    EXPECT_EQ(a.hits[j].tuple_id, b.hits[j].tuple_id) << "reply " << i;
+    EXPECT_EQ(a.hits[j].distance, b.hits[j].distance) << "reply " << i;
+  }
+}
+
+// More plans in flight than the ticket ring's first capacity, fulfilled
+// newest first: every reply, and the registry's tallies, match a second
+// wire that fulfils each plan as soon as it is prepared. Half the plans are
+// hits on pages published earlier, so follower decisions ride the ring too.
+TEST(ServiceDedup, TicketRingFulfilsOutOfOrder) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  const size_t n = 3 * TicketRing<int>::kFirstCapacity;
+  Rng rng(71);
+  std::vector<Vec2> published;
+  std::vector<Vec2> queries;
+  for (size_t i = 0; i < n; ++i) {
+    published.push_back(usa.dataset->box().SamplePoint(rng));
+    queries.push_back(published.back());
+    queries.push_back(usa.dataset->box().SamplePoint(rng));
+  }
+
+  CountingTransport in_order_inner(&server);
+  QueryDedupRegistry in_order_registry;
+  DedupTransport in_order(&in_order_inner, &in_order_registry);
+  CountingTransport reversed_inner(&server);
+  QueryDedupRegistry reversed_registry;
+  DedupTransport reversed(&reversed_inner, &reversed_registry);
+  for (const Vec2& q : published) {
+    (void)in_order.Query(q, 3, nullptr);
+    (void)reversed.Query(q, 3, nullptr);
+  }
+
+  std::vector<TransportReply> expected;
+  for (const Vec2& q : queries) {
+    expected.push_back(in_order.Query(q, 3, nullptr));
+  }
+  std::vector<TransportPlan> plans;
+  for (const Vec2& q : queries) plans.push_back(reversed.Prepare(q, 3));
+  for (size_t i = queries.size(); i-- > 0;) {
+    ExpectSameReply(reversed.Fulfill(plans[i], queries[i], 3, nullptr),
+                    expected[i], i);
+  }
+  const DedupStats a = in_order_registry.Stats();
+  const DedupStats b = reversed_registry.Stats();
+  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(b.hits, n);
+  EXPECT_EQ(reversed_inner.fulfills, static_cast<int>(2 * n));
+}
+
+TEST(ServiceDedup, FulfilTwiceOrUnpreparedDies) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  CountingTransport inner(&server);
+  QueryDedupRegistry registry;
+  DedupTransport wire(&inner, &registry);
+  const Vec2 q{1000.0, 800.0};
+  const TransportPlan plan = wire.Prepare(q, 3);
+  (void)wire.Fulfill(plan, q, 3, nullptr);
+  EXPECT_DEATH((void)wire.Fulfill(plan, q, 3, nullptr),
+               "Fulfill without \\(or after\\) a matching Prepare");
+  TransportPlan never;
+  never.ticket = plan.ticket + 1;
+  EXPECT_DEATH((void)wire.Fulfill(never, q, 3, nullptr),
+               "Fulfill without \\(or after\\) a matching Prepare");
+}
+
+// A follower fulfilled on another thread before its owner blocks until the
+// owner publishes, then answers the owner's page.
+TEST(ServiceDedup, FollowerFulfilledFirstWaitsForOwnersPage) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  CountingTransport inner(&server);
+  QueryDedupRegistry registry;
+  DedupTransport wire(&inner, &registry);
+  const Vec2 q{1000.0, 800.0};
+  const TransportPlan owner = wire.Prepare(q, 3);
+  const TransportPlan follower = wire.Prepare(q, 3);
+
+  std::atomic<bool> answered{false};
+  TransportReply followed;
+  std::thread thread([&] {
+    followed = wire.Fulfill(follower, q, 3, nullptr);
+    answered = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(answered.load()) << "the follower answered before its owner";
+  const TransportReply owned = wire.Fulfill(owner, q, 3, nullptr);
+  thread.join();
+  EXPECT_TRUE(answered.load());
+  EXPECT_EQ(inner.fulfills, 1);
+  EXPECT_FALSE(owned.hits.empty());
+  ExpectSameReply(followed, owned, 0);
 }
 
 // --- Admission control ------------------------------------------------------

@@ -6,7 +6,8 @@
 // an empty page, never a silently truncated top-k; (4) per-lane metrics
 // and the obs counters account truthfully; (5) lanes searched under the
 // running k-th best d2 keep exact-tie hits, and their k-d tree work is
-// pinned below the uncapped scatter's.
+// pinned below the uncapped scatter's; (6) plans fulfilled in any order
+// answer as in order, and a plan fulfilled twice or never prepared dies.
 
 #include <limits>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "obs/obs.h"
 #include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
+#include "transport/ticket_ring.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -343,6 +345,56 @@ TEST(ShardedTransport, CappedLaneWorkPinnedBelowUncappedScatter) {
   EXPECT_EQ(value(uncapped_stats, "spatial.kdtree.searches"), 1200u);
   EXPECT_LT(searches, value(uncapped_stats, "spatial.kdtree.searches"));
   EXPECT_LT(points, value(uncapped_stats, "spatial.kdtree.points_tested"));
+}
+
+// More plans in flight than the ticket ring's first capacity, over lanes
+// that truncate and fail, fulfilled newest first: every reply matches the
+// same wire's in-order reply, truncated lanes' cuts included.
+TEST(ShardedTransport, TicketRingFulfilsOutOfOrder) {
+  const Dataset d = MakeDataset(1000, 61);
+  const ShardedLbsServer server(&d, {.num_shards = 4});
+  ShardedTransportOptions topts;
+  topts.faults.transient_error_rate = 0.1;
+  topts.faults.truncate_rate = 0.2;
+  topts.retry.max_attempts = 2;
+  ShardedTransport in_order(&server, topts);
+  ShardedTransport reversed(&server, topts);
+  const std::vector<Vec2> queries =
+      MakeQueries(3 * TicketRing<int>::kFirstCapacity, 67);
+
+  std::vector<TransportReply> expected;
+  for (const Vec2& q : queries) {
+    expected.push_back(in_order.Query(q, 5, nullptr));
+  }
+  std::vector<TransportPlan> plans;
+  for (const Vec2& q : queries) plans.push_back(reversed.Prepare(q, 5));
+  int truncated = 0;
+  for (size_t i = queries.size(); i-- > 0;) {
+    const TransportReply reply =
+        reversed.Fulfill(plans[i], queries[i], 5, nullptr);
+    EXPECT_EQ(reply.outcome, expected[i].outcome) << "reply " << i;
+    EXPECT_EQ(reply.attempts, expected[i].attempts) << "reply " << i;
+    EXPECT_EQ(reply.latency_ms, expected[i].latency_ms) << "reply " << i;
+    ExpectHitsEqual(reply.hits, expected[i].hits, "reversed");
+    truncated += reply.outcome == TransportOutcome::kTruncated;
+  }
+  EXPECT_GT(truncated, 0);
+  EXPECT_EQ(reversed.Metrics(), in_order.Metrics());
+}
+
+TEST(ShardedTransport, FulfilTwiceOrUnpreparedDies) {
+  const Dataset d = MakeDataset(300, 73);
+  const ShardedLbsServer server(&d, {.num_shards = 4});
+  ShardedTransport transport(&server);
+  const Vec2 q{400.0, 250.0};
+  const TransportPlan plan = transport.Prepare(q, 5);
+  (void)transport.Fulfill(plan, q, 5, nullptr);
+  EXPECT_DEATH((void)transport.Fulfill(plan, q, 5, nullptr),
+               "plan fulfilled twice or never prepared");
+  TransportPlan never;
+  never.ticket = plan.ticket + 1;
+  EXPECT_DEATH((void)transport.Fulfill(never, q, 5, nullptr),
+               "plan fulfilled twice or never prepared");
 }
 
 TEST(ShardedTransport, CoverageRadiusPrunesFanOut) {

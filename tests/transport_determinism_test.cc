@@ -277,5 +277,38 @@ TEST(TransportDeterminism, PipelineFingerprintPinned) {
   EXPECT_EQ(h, 0x73fa8f531088d25eull) << std::hex << h;
 }
 
+// The gather's uncapped branches, pinned the same way: a 4-shard server
+// ranking by prominence, so no lane is capped, behind a wire whose lanes
+// truncate pages and retry transient errors.
+TEST(TransportDeterminism, ProminenceGatherFingerprintPinned) {
+  const Dataset dataset = MakeDataset(400, 10);
+  const std::vector<Vec2> points = RandomPoints(1000, 11);
+
+  const ShardedLbsServer sharded(
+      &dataset, {.num_shards = 4,
+                 .server = {.max_k = 10,
+                            .max_radius = 30.0,
+                            .ranking = RankingMode::kProminence,
+                            .prominence_column = "score",
+                            .prominence_weight = 4.0}});
+  ShardedTransportOptions topts;
+  topts.faults = {.transient_error_rate = 0.05, .truncate_rate = 0.15};
+  topts.retry.max_attempts = 3;
+  topts.seed = 8765;
+  ShardedTransport transport(&sharded, topts);
+  uint64_t h = 0;
+  for (const Vec2& q : points) {
+    const TransportPlan plan = transport.Prepare(q, 5);
+    const TransportReply reply = transport.Fulfill(plan, q, 5, nullptr);
+    h = HashReply(h, plan, reply);
+    for (const ServerHit& hit : reply.hits) h = Mix(h, Bits(hit.distance));
+  }
+  h = HashMetrics(h, transport.Metrics());
+  for (int s = 0; s < transport.num_shards(); ++s) {
+    h = HashMetrics(h, transport.ShardMetrics(s));
+  }
+  EXPECT_EQ(h, 0x846b06c44aa9eae8ull) << std::hex << h;
+}
+
 }  // namespace
 }  // namespace lbsagg
