@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <thread>
 
-#include "geometry/loc_key.h"  // SplitMix64
 #include "obs/report.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -182,70 +179,6 @@ EstimatorSpec MakeNnoSpec(const std::string& name, LbsServer* server,
           }};
 }
 
-namespace {
-
-// Guards every metrics sink passed to the transport spec builders; sweep
-// runs execute on SweepEstimators' worker threads.
-std::mutex metrics_sink_mu;
-
-void MergeMetrics(TransportMetrics* sink, const TransportMetrics& run) {
-  if (sink == nullptr) return;
-  std::lock_guard<std::mutex> lock(metrics_sink_mu);
-  sink->Merge(run);
-}
-
-SimulatedTransportOptions PerRunOptions(SimulatedTransportOptions topts,
-                                        uint64_t seed) {
-  topts.seed = SplitMix64(topts.seed ^ SplitMix64(seed));
-  return topts;
-}
-
-}  // namespace
-
-EstimatorSpec MakeLrTransportSpec(const std::string& name, LbsServer* server,
-                                  const QuerySampler* sampler,
-                                  AggregateSpec aggregate, int k,
-                                  SimulatedTransportOptions topts,
-                                  LrAggOptions options,
-                                  TransportMetrics* metrics_sink) {
-  return {name, [=](uint64_t seed, uint64_t budget) {
-            SimulatedTransport transport(server, PerRunOptions(topts, seed));
-            LrClient client(server, {.k = k, .budget = budget}, &transport);
-            LrAggOptions opts = options;
-            opts.seed = seed;
-            engine::LrCellResolver resolver(&client, sampler, opts);
-            RunResult result = RunToBudget(&resolver, aggregate, budget,
-                                           {opts.registry, opts.tracer});
-            MergeMetrics(metrics_sink, transport.Metrics());
-            return result;
-          }};
-}
-
-EstimatorSpec MakeNnoTransportSpec(const std::string& name, LbsServer* server,
-                                   AggregateSpec aggregate, int k,
-                                   SimulatedTransportOptions topts,
-                                   NnoOptions options,
-                                   TransportMetrics* metrics_sink,
-                                   unsigned dispatcher_workers) {
-  return {name, [=](uint64_t seed, uint64_t budget) {
-            SimulatedTransport transport(server, PerRunOptions(topts, seed));
-            std::unique_ptr<AsyncDispatcher> dispatcher;
-            if (dispatcher_workers > 0) {
-              dispatcher = std::make_unique<AsyncDispatcher>(
-                  &transport, DispatcherOptions{dispatcher_workers, 64});
-            }
-            LrClient client(server, {.k = k, .budget = budget}, &transport,
-                            dispatcher.get());
-            NnoOptions opts = options;
-            opts.seed = seed;
-            engine::NnoProbeResolver resolver(&client, opts);
-            RunResult result = RunToBudget(&resolver, aggregate, budget,
-                                           {opts.registry, opts.tracer});
-            MergeMetrics(metrics_sink, transport.Metrics());
-            return result;
-          }};
-}
-
 LnrAggOptions DefaultLnrBenchOptions() {
   LnrAggOptions options;
   options.cell.search.delta_fraction = 1e-6;
@@ -255,8 +188,7 @@ LnrAggOptions DefaultLnrBenchOptions() {
 
 void MaybeWriteRunReport(
     const std::string& bench_name,
-    const std::map<std::string, std::vector<RunResult>>& traces,
-    const TransportMetrics* transport) {
+    const std::map<std::string, std::vector<RunResult>>& traces) {
   const char* path = std::getenv("LBSAGG_RUN_REPORT");
   if (path == nullptr || path[0] == '\0') return;
 
@@ -273,9 +205,6 @@ void MaybeWriteRunReport(
     report.AddStats(name + ".queries", queries);
   }
   report.SetSnapshot(obs::MetricsRegistry::Default().Snapshot());
-  if (transport != nullptr) {
-    report.AddJsonSection("transport", transport->ToJson(2));
-  }
 
   std::ofstream out(path);
   if (!out) {

@@ -22,9 +22,6 @@
 #include "engine/nno_resolver.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
-#include "transport/async_dispatcher.h"
-#include "transport/metrics.h"
-#include "transport/simulated_transport.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -97,46 +94,21 @@ EstimatorSpec MakeNnoSpec(const std::string& name, LbsServer* server,
                           AggregateSpec aggregate, int k,
                           NnoOptions options = {});
 
-// Like MakeLrSpec / MakeNnoSpec, but every interface query crosses a fresh
-// per-run SimulatedTransport configured by `topts` (its seed is mixed with
-// the run seed, so repetitions see independent fault streams while the
-// whole sweep stays reproducible). When `metrics_sink` is non-null each
-// run's TransportMetrics are merged into it under an internal lock —
-// SweepEstimators fans runs out across threads — giving the harness a
-// sweep-level service-side picture to dump next to the error tables. The
-// NNO variant additionally pipelines its Monte-Carlo membership probes
-// through an AsyncDispatcher with `dispatcher_workers` workers (0 = no
-// dispatcher, sequential batches).
-EstimatorSpec MakeLrTransportSpec(const std::string& name, LbsServer* server,
-                                  const QuerySampler* sampler,
-                                  AggregateSpec aggregate, int k,
-                                  SimulatedTransportOptions topts,
-                                  LrAggOptions options = {},
-                                  TransportMetrics* metrics_sink = nullptr);
-EstimatorSpec MakeNnoTransportSpec(const std::string& name, LbsServer* server,
-                                   AggregateSpec aggregate, int k,
-                                   SimulatedTransportOptions topts,
-                                   NnoOptions options = {},
-                                   TransportMetrics* metrics_sink = nullptr,
-                                   unsigned dispatcher_workers = 0);
-
 // LNR benchmarks use aggregate-grade search precision (§4: the bias is
 // O(ε); meter-scale edges would burn the budget on one sample).
 LnrAggOptions DefaultLnrBenchOptions();
 
 // Env-gated run-report emission (DESIGN.md §4.8): when LBSAGG_RUN_REPORT
 // names a path, writes one RunReport JSON artifact there — per-family
-// RunningStats over the runs' final estimates and query costs, a snapshot
-// of the process-wide metric plane (the benchmark clients and estimators
-// publish to obs::MetricsRegistry::Default()), and, when `transport` is
-// non-null, the sweep's merged TransportMetrics as a "transport" section.
-// Every bench/fig*/table*/ablation* target calls this after printing its
-// tables; without the env var it is a no-op, so default benchmark runs are
+// RunningStats over the runs' final estimates and query costs, and a
+// snapshot of the process-wide metric plane (the benchmark clients and
+// estimators publish to obs::MetricsRegistry::Default()). Every
+// bench/fig*/table*/ablation* target calls this after printing its tables;
+// without the env var it is a no-op, so default benchmark runs are
 // byte-identical to before.
 void MaybeWriteRunReport(
     const std::string& bench_name,
-    const std::map<std::string, std::vector<RunResult>>& traces,
-    const TransportMetrics* transport = nullptr);
+    const std::map<std::string, std::vector<RunResult>>& traces);
 
 }  // namespace bench
 }  // namespace lbsagg

@@ -1,6 +1,7 @@
 // Estimation-as-a-service under load: a virtual-time harness driving up to
 // 10^6 simulated sessions through the EstimationService against one
-// rate-limited SimulatedTransport backend. Tracked in BENCH_service.json:
+// rate-limited backend, a one-shard ShardedTransport. Tracked in
+// BENCH_service.json:
 //
 //   * session latency p50/p90/p99 on the transport's virtual clock — the
 //     queueing story: every session is submitted at t=0, so the latency
@@ -33,7 +34,7 @@
 #include "obs/report.h"
 #include "service/service.h"
 #include "service/watchdog.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/flags.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -90,10 +91,10 @@ struct LoadResult {
 LoadResult RunLoad(const LbsServer& server, const LoadConfig& cfg) {
   // The backend wire: fixed-latency, token-bucket rate limited — the §2.1
   // service quota made explicit. Virtual time, so the harness never sleeps.
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.latency.fixed_ms = 5.0;
   topts.rate_limit = {.capacity = 32.0, .refill_per_sec = 200.0};
-  SimulatedTransport wire(&server, topts);
+  ShardedTransport wire(&server, topts);
 
   service::ServiceOptions options;
   options.admission.queue_capacity = cfg.sessions + 1;

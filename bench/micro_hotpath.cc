@@ -2,8 +2,7 @@
 // query exercises — kd-tree kNN search, top-k region refinement, and the
 // end-to-end LR cell computation. These are the numbers tracked in
 // BENCH_hotpath.json (regenerate with
-//   ./build/bench/micro_hotpath --benchmark_format=json \
-//       > BENCH_hotpath.json
+//   ./build/bench/micro_hotpath --benchmark_format=json > BENCH_hotpath.json
 // on a quiet machine; see DESIGN.md "Hot path & complexity").
 
 #include <cstdint>

@@ -33,7 +33,7 @@ void BM_CounterAdd(benchmark::State& state) {
 BENCHMARK(BM_CounterAdd);
 
 // The same ref shared by several threads: contended cache line, the
-// worst case for dispatcher workers hammering transport.fulfills.
+// worst case for dispatcher workers hammering transport.sharded.fulfills.
 void BM_CounterAddContended(benchmark::State& state) {
   static obs::MetricsRegistry registry;
   const obs::CounterRef counter =

@@ -1,9 +1,8 @@
 // Transport-layer micro-benchmarks: the direct in-process wire, the cost
-// of the simulated policy pipeline, and dispatcher batch throughput at
-// 1/2/4/8 workers. These are the numbers tracked in BENCH_transport.json
-// (regenerate with
-//   ./build/bench/micro_transport --benchmark_format=json \
-//       > BENCH_transport.json
+// of the simulated wire's policy pipeline (a one-shard ShardedTransport),
+// and dispatcher batch throughput at 1/2/4/8 workers. These are the
+// numbers tracked in BENCH_transport.json (regenerate with
+//   build/bench/micro_transport --benchmark_format=json > BENCH_transport.json
 // on a quiet machine; see DESIGN.md "Transport & fault model").
 
 #include <vector>
@@ -15,7 +14,7 @@
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "transport/async_dispatcher.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 
@@ -36,8 +35,8 @@ Fixture* SharedFixture() {
   return fixture;
 }
 
-SimulatedTransportOptions FlakyOptions() {
-  SimulatedTransportOptions topts;
+ShardedTransportOptions FlakyOptions() {
+  ShardedTransportOptions topts;
   topts.latency.kind = LatencyOptions::Kind::kLognormal;
   topts.faults.transient_error_rate = 0.05;
   topts.faults.timeout_rate = 0.02;
@@ -62,13 +61,24 @@ void BM_ClientDirectTransport(benchmark::State& state) {
 BENCHMARK(BM_ClientDirectTransport);
 
 // Policy pipeline alone (token bucket + fault/latency/backoff draws +
-// metrics), no backend work.
+// metrics), no backend work. The wire holds every plan's state until it is
+// fulfilled, so the plans are fulfilled 256 at a time outside the timed
+// region.
 void BM_SimulatedPrepare(benchmark::State& state) {
+  constexpr size_t kPending = 256;
   Fixture* fixture = SharedFixture();
-  SimulatedTransport transport(&fixture->server, FlakyOptions());
+  ShardedTransport transport(&fixture->server, FlakyOptions());
   const Vec2 q = fixture->usa.dataset->box().Center();
+  std::vector<TransportPlan> plans;
+  plans.reserve(kPending);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(transport.Prepare(q, 5));
+    plans.push_back(transport.Prepare(q, 5));
+    if (plans.size() == kPending) {
+      state.PauseTiming();
+      for (const TransportPlan& plan : plans) transport.Fulfill(plan, q, 5, {});
+      plans.clear();
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -77,7 +87,7 @@ BENCHMARK(BM_SimulatedPrepare);
 // Full simulated query: pipeline + backend kNN + truncation.
 void BM_SimulatedQuery(benchmark::State& state) {
   Fixture* fixture = SharedFixture();
-  SimulatedTransport transport(&fixture->server, FlakyOptions());
+  ShardedTransport transport(&fixture->server, FlakyOptions());
   Rng rng(3);
   const Box& box = fixture->usa.dataset->box();
   for (auto _ : state) {
@@ -93,7 +103,7 @@ BENCHMARK(BM_SimulatedQuery);
 void BM_DispatcherBatch(benchmark::State& state) {
   constexpr int kBatch = 256;
   Fixture* fixture = SharedFixture();
-  SimulatedTransport transport(&fixture->server, FlakyOptions());
+  ShardedTransport transport(&fixture->server, FlakyOptions());
   AsyncDispatcher dispatcher(
       &transport,
       {.num_workers = static_cast<unsigned>(state.range(0)),

@@ -1,13 +1,14 @@
 // Estimating COUNT(restaurants) through a *flaky* service: the same
-// LR-LBS-AGG estimator, but every query crosses a SimulatedTransport with
-// lognormal latency, a token-bucket rate limit, transient errors, timeouts,
-// truncated result pages, and a capped-backoff retry policy. Independent
-// Monte-Carlo probes are pipelined through an AsyncDispatcher worker pool —
-// with no effect on the result: outcomes are deterministic for a fixed seed
-// regardless of worker count (see DESIGN.md "Transport & fault model").
+// LR-LBS-NNO baseline, but every query crosses a simulated wire (a
+// one-shard ShardedTransport) with lognormal latency, a token-bucket rate
+// limit, transient errors, timeouts, truncated result pages, and a
+// capped-backoff retry policy. Independent Monte-Carlo probes are
+// pipelined through an AsyncDispatcher worker pool — with no effect on the
+// result: outcomes are deterministic for a fixed seed regardless of worker
+// count (see DESIGN.md "Transport & fault model").
 //
-// Prints the clean-wire baseline next to the flaky run, then the
-// transport's metrics as JSON. This is also the reference wiring of the
+// Prints the clean-wire baseline next to the flaky run, then the metrics of
+// the wire's one lane as JSON. This is also the reference wiring of the
 // observability plane (DESIGN.md §4.8):
 //
 //   --trace=out.json   write the flaky run's span tree (estimator rounds,
@@ -17,8 +18,8 @@
 //                      (ui.perfetto.dev) or chrome://tracing.
 //   --report=out.json  write the merged RunReport: run meta + RunningStats,
 //                      every layer's counters/gauges/histograms, and the
-//                      TransportMetrics JSON as a "transport" section.
-//                      Validated by tools/validate_report.py.
+//                      lane's TransportMetrics JSON as a "transport"
+//                      section. Validated by tools/validate_report.py.
 
 #include <cstdio>
 #include <fstream>
@@ -34,7 +35,7 @@
 #include "obs/trace.h"
 #include "transport/async_dispatcher.h"
 #include "transport/metrics.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "workload/scenarios.h"
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Flaky wire: lossy, rate-limited, retrying.
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.latency.kind = LatencyOptions::Kind::kLognormal;
   topts.latency.lognormal_median_ms = 80.0;
   topts.rate_limit = {.capacity = 20.0, .refill_per_sec = 5.0};
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
   // estimator/client/transport timelines line up in Perfetto. The transport
   // is constructed after the tracer (its options carry the tracer pointer),
   // hence the indirection through a late-bound pointer.
-  SimulatedTransport* transport_ptr = nullptr;
+  ShardedTransport* transport_ptr = nullptr;
   obs::FunctionTraceClock virtual_clock([&transport_ptr] {
     return transport_ptr == nullptr ? 0.0
                                     : transport_ptr->VirtualNowMs() * 1000.0;
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
   obs::Tracer* trace_sink = trace_path.empty() ? nullptr : &tracer;
   topts.tracer = trace_sink;
 
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
   transport_ptr = &transport;
   AsyncDispatcher dispatcher(&transport, {.num_workers = 4});
   LrClient client(&server,
@@ -156,7 +157,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kBudget));
   table.Print();
 
-  const TransportMetrics metrics = transport.Metrics();
+  // The per-attempt accounting (faults, throttling) lives on the lane.
+  const TransportMetrics metrics = transport.ShardMetrics(0);
   std::printf("\nSimulated %.1f s of service time at 4 dispatcher workers "
               "(deterministic for\nany worker count under a fixed seed).\n",
               transport.VirtualNowMs() / 1000.0);

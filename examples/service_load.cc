@@ -32,7 +32,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "service/service.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "workload/scenarios.h"
@@ -78,11 +78,11 @@ int main(int argc, char** argv) {
 
   // The backend wire: 8 ms per query behind a token bucket — the service
   // quota every tenant shares. Virtual time; nothing sleeps.
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.latency.fixed_ms = 8.0;
   topts.rate_limit = {.capacity = 16.0, .refill_per_sec = 100.0};
   topts.registry = &registry;
-  SimulatedTransport wire(&server, topts);
+  ShardedTransport wire(&server, topts);
 
   // All spans share the wire's virtual clock, so session/engine/transport
   // timelines line up in Perfetto.

@@ -37,8 +37,8 @@ struct LnrAggOptions {
   // cell is used.
   bool use_topk_cells = false;
 
-  LnrCellOptions cell;
-  LocalizeOptions localize;
+  LnrCellOptions cell = {};
+  LocalizeOptions localize = {};
 
   // §3.2.2 adapted to LNR: cache each tuple's inferred cell probability
   // across samples (the service is static, so it never changes). Disable

@@ -49,7 +49,7 @@ struct DurableLogOptions {
   uint64_t checkpoint_every_rounds = 64;
   uint64_t segment_bytes = 4u << 20;
   FsyncMode fsync = FsyncMode::kRound;
-  WalFailPoint failpoint;
+  WalFailPoint failpoint = {};
 };
 
 // EvidenceSink that mirrors every committed protocol event into the WAL and

@@ -51,7 +51,7 @@ struct WalWriterOptions {
   // segment exceeds this size.
   uint64_t segment_bytes = 4u << 20;
   FsyncMode fsync = FsyncMode::kRound;
-  WalFailPoint failpoint;
+  WalFailPoint failpoint = {};
 };
 
 struct WalWriterStats {

@@ -48,7 +48,7 @@ struct LrAggOptions {
   double lambda0_fraction = 2e-5;
 
   // Cell computation flags (§3.2.1, §3.2.2, §3.2.4).
-  LrCellOptions cell;
+  LrCellOptions cell = {};
 
   uint64_t seed = 1;
 

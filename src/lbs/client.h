@@ -49,7 +49,7 @@ struct ClientOptions {
 class LbsClient {
  public:
   // Routes every query through `transport` (latency, rate limits, faults,
-  // retries — see transport/simulated_transport.h); without one, through a
+  // retries — see transport/sharded_transport.h); without one, through a
   // DirectTransport over `server` that the client owns. Each *interface
   // attempt* the transport makes counts against the query budget. An
   // optional `batch` executor (an AsyncDispatcher over the same transport)
@@ -140,7 +140,7 @@ class LbsClient {
   // backend work is pipelined across its workers; either way the pages,
   // accounting, and query log are identical to issuing the points through
   // RawQuery one at a time (transport metrics included — see the
-  // determinism contract in transport/simulated_transport.h).
+  // determinism contract in transport/sharded_transport.h).
   std::vector<std::vector<ServerHit>> RawQueryBatch(
       const std::vector<Vec2>& points);
 

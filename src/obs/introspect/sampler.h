@@ -10,7 +10,7 @@
 // totals.
 //
 // The clock is pluggable exactly like the Tracer's: bind `clock_ms` to
-// SimulatedTransport::VirtualNowMs (or EstimationService::NowMs) and the
+// ShardedTransport::VirtualNowMs (or EstimationService::NowMs) and the
 // windows are cut on deterministic virtual time; leave it null for a
 // steady wall clock. MaybeTick() is designed to sit inside a service drive
 // loop (`while (svc.RunSlice()) sampler.MaybeTick();`) — it costs one

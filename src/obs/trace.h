@@ -8,10 +8,11 @@
 // attempt (DESIGN.md §4.8 span taxonomy).
 //
 // The clock is pluggable: SteadyTraceClock for wall time, or a
-// FunctionTraceClock bound to SimulatedTransport::VirtualNowMs so the trace
+// FunctionTraceClock bound to ShardedTransport::VirtualNowMs so the trace
 // timeline is the transport's deterministic *virtual* service time. The
-// transport additionally emits its per-request spans with explicit virtual
-// timestamps (AddComplete), because it knows both endpoints exactly.
+// transport additionally emits its request, lane and attempt spans with
+// explicit virtual timestamps (AddComplete), because it knows both
+// endpoints exactly.
 //
 // Long-lived spans (a hosted session's lifetime) use the open/close API:
 // OpenSpan hands back a ticket, CloseSpan emits the complete event,

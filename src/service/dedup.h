@@ -23,9 +23,11 @@
 // Prepare(), which the transport contract already serializes in submission
 // order — so the decision stream is a pure function of the query sequence,
 // never of worker timing. An in-flight entry's followers block in Fulfill()
-// on a condvar until the owner publishes the page. Deadlock-free under the
-// AsyncDispatcher because its queue is FIFO and an owner is always submitted
-// (hence dequeued) before any of its followers.
+// on a condvar until the owner publishes the page. Deadlock-free: without a
+// dispatcher every query is fulfilled before the next is prepared, so no
+// entry is in flight when a follower asks; under the AsyncDispatcher the
+// queue is FIFO and an owner is always submitted (hence dequeued) before
+// any of its followers.
 //
 // Scope of the bit-identity guarantee: pages are shareable only when the
 // owner's plan is clean (kOk). Truncated or undelivered plans bypass the
@@ -152,7 +154,7 @@ class QueryDedupRegistry {
 class DedupTransport final : public LbsTransport {
  public:
   // Both pointers must outlive the transport. `inner` is the real wire
-  // (DirectTransport, SimulatedTransport, ShardedTransport, ...).
+  // (DirectTransport, ShardedTransport, ...).
   DedupTransport(LbsTransport* inner, QueryDedupRegistry* registry);
 
   // Serialized in submission order (transport contract): decides hit /

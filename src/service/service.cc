@@ -77,8 +77,8 @@ struct EstimationService::Session {
 };
 
 // Everything the service owns per backend: the effective wire (direct or
-// caller-provided, dedup-wrapped when enabled), its worker pool, and the
-// default query sampler.
+// caller-provided, dedup-wrapped when enabled), its worker pool (null
+// without dispatcher workers), and the default query sampler.
 struct EstimationService::BackendRuntime {
   std::unique_ptr<DirectTransport> direct;
   std::unique_ptr<QueryDedupRegistry> dedup;
@@ -123,9 +123,10 @@ EstimationService::EstimationService(std::vector<ServiceBackend> backends,
       wire = rt->dedup_wire.get();
     }
     rt->wire = wire;
-    DispatcherOptions dopts;
-    dopts.num_workers = options_.dispatcher_workers;
-    rt->dispatcher = std::make_unique<AsyncDispatcher>(wire, dopts);
+    if (options_.dispatcher_workers > 0) {
+      rt->dispatcher = std::make_unique<AsyncDispatcher>(
+          wire, DispatcherOptions{.num_workers = options_.dispatcher_workers});
+    }
     rt->sampler = std::make_unique<UniformSampler>(backend.meta->dataset().box());
     runtimes_.push_back(std::move(rt));
   }

@@ -4,7 +4,7 @@
 // Estimation-as-a-service (DESIGN.md §4.12): a long-running host for many
 // concurrent estimation sessions over one or several LBS backends.
 //
-//   EstimationService svc({{.meta = &server, .wire = &sim}}, options);
+//   EstimationService svc({{.meta = &server, .wire = &wire}}, options);
 //   SessionId a = svc.Submit({.family = EstimatorFamily::kLr, ...});
 //   SessionId b = svc.Submit({...});
 //   svc.RunUntilIdle();
@@ -14,8 +14,9 @@
 // the active set, giving each session `slice_rounds` engine rounds per turn
 // while its soft budget, round cap, and virtual-time deadline allow —
 // deterministic by construction. Parallelism lives where it always has in
-// this codebase: each backend owns an AsyncDispatcher whose workers fulfill
-// the prepared query plans, bit-identical for any worker count (the
+// this codebase: with dispatcher_workers > 0 each backend owns an
+// AsyncDispatcher whose workers fulfill the prepared query plans,
+// bit-identical for any worker count and to no dispatcher at all (the
 // transport contract), so session outcomes and dedup counters are pinned
 // across {0,1,4,8}-worker services by sweep_determinism_test.
 //
@@ -52,9 +53,9 @@ namespace service {
 
 // One hosted backend: the server (consulted for public knowledge — schema,
 // region, attribute reads — while search traffic goes down the wire) plus
-// the wire itself. For a sharded backend, `meta` is the ShardedLbsServer
-// and `wire` a ShardedTransport over it; for any server, `wire` may be null
-// and the service runs a DirectTransport over `meta`.
+// the wire itself, typically a ShardedTransport over `meta` (a one-shard
+// server or a ShardedLbsServer). `wire` may be null, and the service then
+// runs a DirectTransport over `meta`.
 struct ServiceBackend {
   const LbsServer* meta = nullptr;
   LbsTransport* wire = nullptr;  // null = direct in-process wire over `meta`
@@ -63,9 +64,10 @@ struct ServiceBackend {
 struct ServiceOptions {
   AdmissionOptions admission;
 
-  // Workers of each backend's AsyncDispatcher (0 = inline batches). Session
-  // outcomes are bit-identical for any value — this is the "scheduler worker
-  // count" knob the determinism suite sweeps.
+  // Workers of each backend's AsyncDispatcher; 0 builds no dispatcher, and
+  // the clients run their batches one query at a time. Session outcomes are
+  // bit-identical for any value — this is the "scheduler worker count" knob
+  // the determinism suite sweeps.
   unsigned dispatcher_workers = 0;
 
   // Engine rounds a session runs per scheduler turn.
@@ -79,7 +81,7 @@ struct ServiceOptions {
 
   // Service clock in ms for deadlines, latency accounting, and
   // service.session spans — bind it to the backend wire's virtual time,
-  // e.g. [&sim] { return sim.VirtualNowMs(); }. Null = the scheduler's own
+  // e.g. [&wire] { return wire.VirtualNowMs(); }. Null = the scheduler's own
   // tick counter (one ms per slice), which keeps everything deterministic
   // when no simulated wire is present.
   std::function<double()> clock_ms;

@@ -36,6 +36,7 @@ AsyncDispatcher::AsyncDispatcher(LbsTransport* transport,
       num_workers_(options.num_workers),
       queue_capacity_(options.queue_capacity) {
   LBSAGG_CHECK(transport_ != nullptr);
+  LBSAGG_CHECK_GT(num_workers_, 0u);
   LBSAGG_CHECK_GT(queue_capacity_, 0u);
   workers_.reserve(num_workers_);
   for (unsigned i = 0; i < num_workers_; ++i) {
@@ -52,19 +53,6 @@ AsyncDispatcher::~AsyncDispatcher() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void AsyncDispatcher::RunJob(LbsTransport* transport, const Job& job) {
-  *job.slot = transport->Fulfill(
-      job.plan, job.q, job.k, job.filter ? *job.filter : TupleFilter());
-  // Notify while holding the mutex: BatchState lives on the submitter's
-  // stack, and the submitter may destroy it the moment it observes
-  // remaining == 0 — which it cannot do before this lock is released, i.e.
-  // not until notify_one has returned. Signaling after unlock would race
-  // the condvar's destruction.
-  std::lock_guard<std::mutex> lock(job.batch->mu);
-  --job.batch->remaining;
-  job.batch->done.notify_one();
-}
-
 void AsyncDispatcher::WorkerLoop() {
   while (true) {
     Job job;
@@ -77,7 +65,16 @@ void AsyncDispatcher::WorkerLoop() {
       queue_.pop_front();
     }
     queue_not_full_.notify_one();
-    RunJob(transport_, job);
+    *job.slot = transport_->Fulfill(
+        job.plan, job.q, job.k, job.filter ? *job.filter : TupleFilter());
+    // Notify while holding the mutex: BatchState lives on the submitter's
+    // stack, and the submitter may destroy it the moment it observes
+    // remaining == 0 — which it cannot do before this lock is released,
+    // i.e. not until notify_one has returned. Signaling after unlock would
+    // race the condvar's destruction.
+    std::lock_guard<std::mutex> lock(job.batch->mu);
+    --job.batch->remaining;
+    job.batch->done.notify_one();
   }
 }
 
@@ -88,17 +85,6 @@ std::vector<TransportReply> AsyncDispatcher::QueryBatch(
 
   BatchState batch;
   batch.remaining = queries.size();
-
-  if (num_workers_ == 0) {
-    // Inline mode: same Prepare order, fulfillment on the calling thread.
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Job job{queries[i], k,        filter ? &filter : nullptr,
-              transport_->Prepare(queries[i], k), &replies[i], &batch};
-      RunJob(transport_, job);
-    }
-    return replies;
-  }
-
   for (size_t i = 0; i < queries.size(); ++i) {
     // Plans are made on this thread, in submission order — the transport's
     // stateful policy pipeline never sees worker-thread nondeterminism.

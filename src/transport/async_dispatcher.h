@@ -13,8 +13,9 @@
 namespace lbsagg {
 
 struct DispatcherOptions {
-  // Worker threads performing backend fulfillment. 0 = inline mode: the
-  // batch executes on the calling thread (handy as a determinism oracle).
+  // Worker threads performing backend fulfillment; at least 1. A client
+  // without a dispatcher runs its batches sequentially on the calling
+  // thread, which is the determinism oracle the worker counts match.
   unsigned num_workers = 4;
 
   // Bounded submission queue; QueryBatch blocks (backpressure) when full.
@@ -27,7 +28,7 @@ struct DispatcherOptions {
 // policy state evolves identically for any worker count), workers only run
 // the pure Fulfill step, and replies land in submission-order slots. Hence
 // the reply sequence — and the transport's metrics — are bit-identical
-// whether a batch runs inline, on 1 worker, or on 8
+// whether a batch runs on 1 worker, on 8, or with no dispatcher at all
 // (transport_determinism_test.cc).
 class AsyncDispatcher final : public BatchExecutor {
  public:
@@ -60,7 +61,6 @@ class AsyncDispatcher final : public BatchExecutor {
   };
 
   void WorkerLoop();
-  static void RunJob(LbsTransport* transport, const Job& job);
 
   LbsTransport* transport_;
   const unsigned num_workers_;

@@ -45,24 +45,4 @@ std::string TransportMetrics::ToJson(int indent) const {
   return os.str();
 }
 
-void TransportMetrics::Merge(const TransportMetrics& other) {
-  requests += other.requests;
-  attempts += other.attempts;
-  retries += other.retries;
-  for (int i = 0; i < kNumTransportOutcomes; ++i) {
-    outcomes[i] += other.outcomes[i];
-  }
-  attempt_transient_errors += other.attempt_transient_errors;
-  attempt_timeouts += other.attempt_timeouts;
-  throttle_events += other.throttle_events;
-  throttle_wait_ms += other.throttle_wait_ms;
-  latency_ms += other.latency_ms;
-  if (attempts_histogram.size() < other.attempts_histogram.size()) {
-    attempts_histogram.resize(other.attempts_histogram.size());
-  }
-  for (size_t i = 0; i < other.attempts_histogram.size(); ++i) {
-    attempts_histogram[i] += other.attempts_histogram[i];
-  }
-}
-
 }  // namespace lbsagg

@@ -42,7 +42,6 @@ struct TransportMetrics {
   // print at shortest round-trip precision.
   std::string ToJson(int indent = 0) const;
 
-  void Merge(const TransportMetrics& other);
   bool operator==(const TransportMetrics&) const = default;
 };
 

@@ -91,9 +91,8 @@ double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
   return capped * factor;
 }
 
-void TruncatePage(TransportOutcome outcome, double truncate_u,
-                  std::vector<ServerHit>* page) {
-  if (outcome != TransportOutcome::kTruncated || page->empty()) return;
+void TruncatePage(double truncate_u, std::vector<ServerHit>* page) {
+  if (page->empty()) return;
   const size_t size = page->size();
   page->resize(std::min(
       size - 1, static_cast<size_t>(truncate_u * static_cast<double>(size))));
@@ -117,7 +116,7 @@ PolicyLane::PolicyLane(const TokenBucketOptions& rate_limit,
 double PolicyLane::Run(uint64_t ticket, double depart_ms,
                        const LatencyModel& latency_model,
                        const RetryOptions& retry, obs::Tracer* tracer,
-                       const char* span_name, LaneDecision* decision) {
+                       LaneDecision* decision) {
   ++metrics_.requests;
   decision->attempts = 0;
   decision->dispatch_ms = depart_ms;
@@ -181,8 +180,8 @@ double PolicyLane::Run(uint64_t ticket, double depart_ms,
   }
 
   if (tracer != nullptr) {
-    tracer->AddComplete(span_name, "transport", depart_ms * 1000.0,
-                        (t - depart_ms) * 1000.0);
+    tracer->AddComplete("transport.shard.request", "transport",
+                        depart_ms * 1000.0, (t - depart_ms) * 1000.0);
   }
   ++metrics_.outcomes[static_cast<int>(decision->outcome)];
   metrics_.latency_ms += t - depart_ms;

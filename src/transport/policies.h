@@ -3,7 +3,8 @@
 
 // Pluggable policies — latency model, token-bucket rate limiter, seeded
 // fault injector, and retry policy — and the PolicyLane that composes them
-// into the per-attempt pipeline both simulated wires run.
+// into the per-attempt pipeline every lane of the simulated wire
+// (transport/sharded_transport.h) runs.
 //
 // Determinism contract: every random draw is a *pure function* of
 // (seed, ticket, attempt, salt) — a hash, not a shared generator stream —
@@ -157,11 +158,9 @@ double BackoffMs(const RetryOptions& options, uint64_t seed, uint64_t ticket,
 // ---------------------------------------------------------------------------
 // Policy lane
 
-// Cuts a kTruncated page to a strict prefix: at least 0, at most size-1
+// Cuts a truncated page to a strict prefix: at least 0, at most size-1
 // hits survive, the kept share set by the attempt's uniform `truncate_u`.
-// Any other outcome leaves the page whole.
-void TruncatePage(TransportOutcome outcome, double truncate_u,
-                  std::vector<ServerHit>* page);
+void TruncatePage(double truncate_u, std::vector<ServerHit>* page);
 
 // The request-latency histogram `name` on `registry` (null = the default
 // plane): power-of-two bounds from 1 ms to 2^16 ms, the last bucket open.
@@ -176,10 +175,10 @@ struct LaneDecision {
   double dispatch_ms = 0.0;  // when the final attempt entered service
 };
 
-// One metered lane of a simulated wire: a token bucket, a fault injector
+// One metered lane of the simulated wire: a token bucket, a fault injector
 // and a retry budget under one seed, plus the lane's own accounting.
-// SimulatedTransport owns one lane; ShardedTransport owns one per shard.
-// Run() is the per-attempt policy pipeline:
+// ShardedTransport owns one per shard. Run() is the per-attempt policy
+// pipeline:
 //
 //   for attempt = 1..retry.max_attempts:
 //     wait for a rate-limit token        (virtual clock advances)
@@ -196,13 +195,12 @@ class PolicyLane {
              obs::HistogramRef latency_histogram);
 
   // Runs the pipeline for `ticket`, departing at virtual `depart_ms`, and
-  // returns its completion time. With a `tracer`, emits one `span_name`
-  // span wrapping a "transport.attempt" span per attempt, stamped with the
-  // virtual-time endpoints (1 ms = 1000 ts units).
+  // returns its completion time. With a `tracer`, emits one
+  // "transport.shard.request" span wrapping a "transport.attempt" span per
+  // attempt, stamped with the virtual-time endpoints (1 ms = 1000 ts units).
   double Run(uint64_t ticket, double depart_ms,
              const LatencyModel& latency_model, const RetryOptions& retry,
-             obs::Tracer* tracer, const char* span_name,
-             LaneDecision* decision);
+             obs::Tracer* tracer, LaneDecision* decision);
 
   const TransportMetrics& metrics() const { return metrics_; }
   void ResetMetrics() { metrics_ = TransportMetrics{}; }

@@ -67,7 +67,7 @@ TransportPlan ShardedTransport::Prepare(const Vec2& q, int) {
     LaneDecision lane;
     done = std::max(done, lanes_[s].Run(plan.ticket, depart, latency_model_,
                                         options_.retry, options_.tracer,
-                                        "transport.shard.request", &lane));
+                                        &lane));
     dispatch = std::max(dispatch, lane.dispatch_ms);
     max_attempts = std::max(max_attempts, lane.attempts);
     if (!Delivered(lane.outcome) && first_failure == TransportOutcome::kOk) {
@@ -131,8 +131,7 @@ TransportReply ShardedTransport::Fulfill(const TransportPlan& plan,
   reply.hits = server_->GatherShards(
       q, k, filter,
       {truncated.shards, [&truncated](size_t i, std::vector<ServerHit>* page) {
-         TruncatePage(TransportOutcome::kTruncated, truncated.truncate_u[i],
-                      page);
+         TruncatePage(truncated.truncate_u[i], page);
        }});
   return reply;
 }

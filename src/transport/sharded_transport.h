@@ -31,17 +31,18 @@ struct ShardedTransportOptions {
   // Per-lane retry policy; retry_budget is also per lane.
   RetryOptions retry;
 
-  // Virtual-clock model. Default (false) mirrors SimulatedTransport's
-  // sequential client: the next logical query departs when the previous one
-  // *completes*, so end-to-end latency bounds throughput at every shard
-  // count. When true the clock models a pipelined (open-loop) client that
-  // keeps every lane's queue full: the next query departs as soon as the
-  // rate limiters grant the previous one's final attempt, so sustained
-  // throughput is set by the per-lane quotas — the regime where
-  // scatter-gather scales with shard count (bench/fig18_sharded.cc).
+  // Virtual-clock model. Default (false) models a sequential client: the
+  // next logical query departs when the previous one *completes*, so
+  // end-to-end latency bounds throughput at every shard count. When true
+  // the clock models a pipelined (open-loop) client that keeps every
+  // lane's queue full: the next query departs as soon as the rate limiters
+  // grant the previous one's final attempt, so sustained throughput is set
+  // by the per-lane quotas — the regime where scatter-gather scales with
+  // shard count (bench/fig18_sharded.cc).
   // Per-query latency_ms is unchanged; only inter-query spacing differs.
   bool pipelined_clock = false;
 
+  // Lane s draws from SplitMix64(seed ^ 0x9e3779b97f4a7c15 * (s + 1)).
   uint64_t seed = 0x5eed;
 
   // Metric plane for the live cells: transport.sharded.* counters and the
@@ -52,14 +53,27 @@ struct ShardedTransportOptions {
 
   // When set, each logical query emits one "transport.request" span
   // wrapping per-lane "transport.shard.request" spans and their
-  // "transport.attempt" children, stamped with virtual-time endpoints.
+  // "transport.attempt" children, stamped with virtual-time endpoints. Pair
+  // with a Tracer bound to a FunctionTraceClock on VirtualNowMs so
+  // estimator spans share the timeline (obs/trace.h).
   obs::Tracer* tracer = nullptr;
 };
 
-// The scatter-gather wire over a sharded LbsServer: one public kNN endpoint
-// backed by N per-shard PolicyLanes, each owning its own token bucket,
-// seeded fault injector, and retry budget (seeds are mixed per shard, so a
-// lane's fault stream is independent of its neighbors').
+// The simulated wire: a network and service quota between the client
+// interfaces and an LbsServer, one public kNN endpoint backed by one
+// PolicyLane per shard, each owning its own token bucket, seeded fault
+// injector, and retry budget (seeds are mixed per shard, so a lane's fault
+// stream is independent of its neighbors'). Over a one-shard server it is
+// the plain rate-limited, faulty service of §2.1: one lane, and
+// ShardMetrics(0) holds the per-attempt accounting.
+//
+// Time is *virtual*: nothing sleeps. Faults, latencies, and jitter are pure
+// functions of (lane seed, ticket, attempt), and tickets are assigned in
+// Prepare() submission order, so the outcome sequence and metrics are
+// bit-identical for any dispatcher thread count and across reruns with
+// the same seed (transport_determinism_test.cc). Undelivered queries
+// surface as an *empty page*, and every attempt still counts against the
+// client's §2.1 query budget.
 //
 // Prepare() is the stateful scatter: it picks the reachable shards for the
 // query (pure geometry — LbsServer::ReachableShards), then runs the
@@ -68,10 +82,11 @@ struct ShardedTransportOptions {
 // combined plan charges the *critical path*: attempts = max over lanes
 // (the §2.1 cost of one logical interface round, identical across shard
 // counts when no lane faults), latency = the slowest lane's completion.
-// Per-lane metrics keep the true per-lane accounting. Determinism is
-// inherited from the PR-3 contract: lanes are processed in ascending shard
-// order inside sequential Prepare() calls, and every draw is a pure
-// function of (lane seed, ticket, attempt).
+// Per-lane metrics keep the true per-lane accounting: the aggregate counts
+// requests, attempts, retries and outcomes, and only the lanes count
+// attempt-level faults and throttling. Lanes are processed in ascending
+// shard order inside sequential Prepare() calls. A query beyond every
+// shard's coverage (max_radius) contacts no lane and costs one attempt.
 //
 // Fulfill() is the pure gather, LbsServer::GatherShards over the same
 // reachable shards: delivered lanes answer nearest-first, each kOk lane

@@ -32,7 +32,7 @@ inline bool Delivered(TransportOutcome outcome) {
 }
 
 // The fully decided fate of one logical query, fixed *before* the backend
-// work runs. SimulatedTransport::Prepare computes plans sequentially in
+// work runs. ShardedTransport::Prepare computes plans sequentially in
 // submission order (that is the determinism contract: plans depend only on
 // the seed and the submission sequence, never on worker-thread timing);
 // Fulfill then performs the pure backend lookup on any thread.
@@ -40,7 +40,6 @@ struct TransportPlan {
   uint64_t ticket = 0;    // submission sequence number
   int attempts = 1;       // interface attempts consumed (>= 1)
   TransportOutcome outcome = TransportOutcome::kOk;
-  double truncate_u = 0;  // kTruncated: uniform deciding how much survives
   double latency_ms = 0;  // simulated latency incl. backoff + throttle waits
 };
 

@@ -175,7 +175,9 @@ TEST(ConvexPolygon, RepeatedClipsStayConsistent) {
     p = p.Clip(HalfPlane::Closer(focal, other));
     EXPECT_LE(p.Area(), prev_area + 1e-9);
     prev_area = p.Area();
-    if (!p.IsEmpty()) EXPECT_TRUE(p.Contains(focal, 1e-9));
+    if (!p.IsEmpty()) {
+      EXPECT_TRUE(p.Contains(focal, 1e-9));
+    }
   }
   EXPECT_FALSE(p.IsEmpty());  // the focal point's own cell never vanishes
 }

@@ -22,7 +22,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "transport/async_dispatcher.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -149,7 +149,9 @@ Dataset MakeDataset(int n, uint64_t seed) {
 TEST(DrainQueryCount, AtomicUnderDispatcher) {
   const Dataset dataset = MakeDataset(300, 1);
   const LbsServer server(&dataset, {.max_k = 5});
-  SimulatedTransport transport(&server, {.seed = 99});
+  ShardedTransportOptions topts;
+  topts.seed = 99;
+  ShardedTransport transport(&server, topts);
   AsyncDispatcher dispatcher(&transport, {.num_workers = 4});
   LrClient client(&server, {.k = 3}, &transport, &dispatcher);
 

@@ -24,7 +24,7 @@
 #include "service/admission.h"
 #include "service/dedup.h"
 #include "service/event.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "transport/ticket_ring.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
@@ -593,9 +593,9 @@ TEST(ServiceCancel, QueuedAndRunningSessions) {
 TEST(ServiceDeadline, VirtualClockDeadlineYieldsPartialResults) {
   const UsaScenario& usa = SmallUsa();
   LbsServer server(usa.dataset.get(), {.max_k = 5});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.latency.fixed_ms = 10.0;  // every backend query costs 10 virtual ms
-  SimulatedTransport wire(&server, topts);
+  ShardedTransport wire(&server, topts);
 
   ServiceOptions options;
   options.clock_ms = [&wire] { return wire.VirtualNowMs(); };
@@ -620,9 +620,9 @@ TEST(ServiceDeadline, VirtualClockDeadlineYieldsPartialResults) {
 TEST(ServiceDeadline, QueuedSessionCanExpireBeforeStarting) {
   const UsaScenario& usa = SmallUsa();
   LbsServer server(usa.dataset.get(), {.max_k = 5});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.latency.fixed_ms = 10.0;
-  SimulatedTransport wire(&server, topts);
+  ShardedTransport wire(&server, topts);
 
   ServiceOptions options;
   options.clock_ms = [&wire] { return wire.VirtualNowMs(); };

@@ -20,6 +20,8 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "service/service.h"
+#include "transport/async_dispatcher.h"
+#include "transport/metrics.h"
 #include "transport/sharded_transport.h"
 
 namespace lbsagg {
@@ -87,13 +89,13 @@ FlakyRun RunFlakyWithRegistry(unsigned dispatcher_workers, uint64_t seed) {
   LbsServer server(usa->dataset.get(),
                    {.max_k = 10, .stats_registry = &registry});
 
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 0.05;
   topts.faults.truncate_rate = 0.03;
   topts.retry.max_attempts = 3;
   topts.seed = seed;
   topts.registry = &registry;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   std::unique_ptr<AsyncDispatcher> dispatcher;
   if (dispatcher_workers > 0) {
@@ -106,7 +108,7 @@ FlakyRun RunFlakyWithRegistry(unsigned dispatcher_workers, uint64_t seed) {
                                     {.seed = seed, .registry = &registry});
   RunToBudget(&resolver, AggregateSpec::Count(), /*budget=*/300,
               {.registry = &registry});
-  return {registry.Snapshot(), transport.Metrics()};
+  return {registry.Snapshot(), transport.ShardMetrics(0)};
 }
 
 TEST(SweepDeterminism, MetricSnapshotsIdenticalAcrossWorkerCounts) {
@@ -176,13 +178,13 @@ EngineRun RunEngineFlaky(unsigned dispatcher_workers, uint64_t seed) {
   LbsServer server(usa->dataset.get(),
                    {.max_k = 10, .stats_registry = &registry});
 
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 0.05;
   topts.faults.truncate_rate = 0.03;
   topts.retry.max_attempts = 3;
   topts.seed = seed;
   topts.registry = &registry;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   std::unique_ptr<AsyncDispatcher> dispatcher;
   if (dispatcher_workers > 0) {
@@ -205,7 +207,7 @@ EngineRun RunEngineFlaky(unsigned dispatcher_workers, uint64_t seed) {
   run.count_trace = count->trace();
   run.sum_trace = sum->trace();
   run.snapshot = registry.Snapshot();
-  run.transport = transport.Metrics();
+  run.transport = transport.ShardMetrics(0);
   return run;
 }
 
@@ -244,11 +246,11 @@ TEST(SweepDeterminism, EngineEvidenceIdenticalAcrossRepeatedSeeds) {
 // With clean lanes, the evidence log and the consumer traces are a pure
 // function of the seed — invariant to the shard count (1/4/16), to the
 // dispatcher worker count (1/8), and identical to the monolithic server
-// behind a clean SimulatedTransport. The full metric snapshot is compared
-// only across worker counts: per-lane counters (transport.shardNN.*,
-// transport.sharded.fanout) legitimately depend on the shard count — that
-// per-lane accounting existing is the point, it just must never leak into
-// what the estimator sees.
+// queried with no simulated wire at all. The full metric snapshot is
+// compared only across worker counts: per-lane counters
+// (transport.shardNN.*, transport.sharded.fanout) legitimately depend on
+// the shard count — that per-lane accounting existing is the point, it
+// just must never leak into what the estimator sees.
 
 EngineRun RunEngineSharded(int num_shards, unsigned dispatcher_workers,
                            uint64_t seed) {
@@ -323,8 +325,9 @@ TEST(SweepDeterminism, ShardedEvidenceInvariantToShardAndWorkerCount) {
 }
 
 TEST(SweepDeterminism, ShardedEvidenceMatchesMonolithicStack) {
-  // The monolith anchor: same seed, same clean-wire cost model (one attempt
-  // per logical query), no shards at all.
+  // The monolith anchor: same seed, no shards and no simulated wire. The
+  // client's own DirectTransport charges one attempt per logical query, as
+  // the clean lanes do.
   UsaOptions usa_opts;
   usa_opts.num_pois = 400;
   static const UsaScenario* usa = new UsaScenario(BuildUsaScenario(usa_opts));
@@ -332,12 +335,7 @@ TEST(SweepDeterminism, ShardedEvidenceMatchesMonolithicStack) {
 
   obs::MetricsRegistry registry;
   LbsServer server(usa->dataset.get(), {.max_k = 10});
-  SimulatedTransportOptions topts;
-  topts.seed = 42;
-  topts.registry = &registry;
-  SimulatedTransport transport(&server, topts);
-  LrClient client(&server, {.k = 3, .budget = 300, .registry = &registry},
-                  &transport);
+  LrClient client(&server, {.k = 3, .budget = 300, .registry = &registry});
   engine::NnoProbeResolver resolver(&client, {.seed = 42});
   engine::EstimationEngine eng(&resolver, engine::EngineOptions{});
   auto* count = eng.AddAggregate(AggregateSpec::Count());

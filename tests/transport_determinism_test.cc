@@ -1,7 +1,8 @@
 // The transport determinism contract: same seed + same policy config ⇒
 // bit-identical outcome sequence, result pages, and metrics — whether the
-// queries run synchronously, through an inline dispatcher, or across 1..8
-// dispatcher worker threads, and across independent reruns.
+// queries run synchronously or across 1..8 dispatcher worker threads, and
+// across independent reruns. The one-shard wire's lane holds the
+// per-attempt accounting, so the comparisons read ShardMetrics(0).
 
 #include <cstring>
 #include <memory>
@@ -20,7 +21,6 @@
 #include "lbs/sharded_server.h"
 #include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
-#include "transport/simulated_transport.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -47,8 +47,8 @@ std::vector<Vec2> RandomPoints(int n, uint64_t seed) {
   return pts;
 }
 
-SimulatedTransportOptions FlakyOptions() {
-  SimulatedTransportOptions topts;
+ShardedTransportOptions FlakyOptions() {
+  ShardedTransportOptions topts;
   topts.latency.kind = LatencyOptions::Kind::kLognormal;
   topts.rate_limit = {.capacity = 50.0, .refill_per_sec = 200.0};
   topts.faults.transient_error_rate = 0.15;
@@ -80,20 +80,20 @@ TEST(TransportDeterminism, SameSeedSameSequenceAcrossWorkerCounts) {
   const std::vector<Vec2> points = RandomPoints(200, 2);
 
   // Reference: synchronous, no dispatcher at all.
-  SimulatedTransport reference(&server, FlakyOptions());
+  ShardedTransport reference(&server, FlakyOptions());
   std::vector<TransportReply> expected;
   expected.reserve(points.size());
   for (const Vec2& q : points) expected.push_back(reference.Query(q, 5, {}));
-  const TransportMetrics expected_metrics = reference.Metrics();
+  const TransportMetrics expected_metrics = reference.ShardMetrics(0);
 
-  for (unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
-    SimulatedTransport transport(&server, FlakyOptions());
+  for (unsigned workers : {1u, 2u, 4u, 8u}) {
+    ShardedTransport transport(&server, FlakyOptions());
     AsyncDispatcher dispatcher(
         &transport, {.num_workers = workers, .queue_capacity = 16});
     const std::vector<TransportReply> replies =
         dispatcher.QueryBatch(points, 5);
     ExpectRepliesEqual(expected, replies);
-    EXPECT_EQ(transport.Metrics(), expected_metrics)
+    EXPECT_EQ(transport.ShardMetrics(0), expected_metrics)
         << "metrics diverged at " << workers << " workers";
   }
 }
@@ -104,11 +104,11 @@ TEST(TransportDeterminism, MetricsIdenticalAcrossReruns) {
   const std::vector<Vec2> points = RandomPoints(500, 4);
 
   auto run = [&] {
-    SimulatedTransport transport(&server, FlakyOptions());
+    ShardedTransport transport(&server, FlakyOptions());
     AsyncDispatcher dispatcher(&transport,
                                {.num_workers = 4, .queue_capacity = 32});
     dispatcher.QueryBatch(points, 5);
-    return transport.Metrics();
+    return transport.ShardMetrics(0);
   };
   const TransportMetrics first = run();
   const TransportMetrics second = run();
@@ -124,7 +124,7 @@ TEST(TransportDeterminism, EstimatorTraceIdenticalAcrossWorkerCounts) {
   const LbsServer server(&dataset, {.max_k = 10});
 
   auto run = [&](unsigned workers) {
-    SimulatedTransport transport(&server, FlakyOptions());
+    ShardedTransport transport(&server, FlakyOptions());
     std::unique_ptr<AsyncDispatcher> dispatcher;
     if (workers > 0) {
       dispatcher = std::make_unique<AsyncDispatcher>(
@@ -137,7 +137,7 @@ TEST(TransportDeterminism, EstimatorTraceIdenticalAcrossWorkerCounts) {
     eng.AddAggregate(AggregateSpec::Count());
     RunEngine(&eng, {.budget = 1500});
     const RunResult result = EngineResults(eng)[0];
-    return std::make_pair(result, transport.Metrics());
+    return std::make_pair(result, transport.ShardMetrics(0));
   };
 
   const auto [reference, reference_metrics] = run(0);
@@ -163,13 +163,13 @@ TEST(TransportDeterminism, BatchMatchesSequentialQueries) {
   const LbsServer server(&dataset, {.max_k = 10});
   const std::vector<Vec2> points = RandomPoints(100, 7);
 
-  SimulatedTransport seq_transport(&server, FlakyOptions());
+  ShardedTransport seq_transport(&server, FlakyOptions());
   LrClient seq_client(&server, {.k = 5}, &seq_transport);
   std::vector<std::vector<LrClient::Item>> sequential;
   sequential.reserve(points.size());
   for (const Vec2& q : points) sequential.push_back(seq_client.Query(q));
 
-  SimulatedTransport batch_transport(&server, FlakyOptions());
+  ShardedTransport batch_transport(&server, FlakyOptions());
   AsyncDispatcher dispatcher(&batch_transport,
                              {.num_workers = 4, .queue_capacity = 16});
   LrClient batch_client(&server, {.k = 5}, &batch_transport, &dispatcher);
@@ -185,16 +185,16 @@ TEST(TransportDeterminism, BatchMatchesSequentialQueries) {
     }
   }
   EXPECT_EQ(seq_client.queries_used(), batch_client.queries_used());
-  EXPECT_EQ(seq_transport.Metrics(), batch_transport.Metrics());
+  EXPECT_EQ(seq_transport.ShardMetrics(0), batch_transport.ShardMetrics(0));
 }
 
 // The tests above compare runs with each other; this one pins what the
-// policy pipeline decides. It hashes every plan (outcome, attempts, latency
-// and truncation-uniform bits), every delivered page, and the final metrics
-// of a faulty, rate-limited, retry-budgeted SimulatedTransport and of a
-// 4-shard ShardedTransport with one hot lane on the pipelined clock, 1,000
-// tickets each. A change to draw order, clock arithmetic, truncation or
-// accounting moves a fingerprint.
+// policy pipeline decides. It hashes every plan (outcome, attempts and
+// latency bits), every delivered page, the final metrics of the wire and of
+// each lane, and the virtual clock, for a faulty, rate-limited,
+// retry-budgeted one-shard wire and for a 4-shard wire with one hot lane on
+// the pipelined clock, 1,000 tickets each. A change to draw order, clock
+// arithmetic, truncation or accounting moves a fingerprint.
 uint64_t Mix(uint64_t h, uint64_t v) { return SplitMix64(h ^ v); }
 
 uint64_t Bits(double d) {
@@ -209,7 +209,7 @@ uint64_t HashReply(uint64_t h, const TransportPlan& plan,
   h = Mix(h, static_cast<uint64_t>(plan.outcome));
   h = Mix(h, static_cast<uint64_t>(plan.attempts));
   h = Mix(h, Bits(plan.latency_ms));
-  h = Mix(h, Bits(plan.truncate_u));
+  h = Mix(h, 0);  // a reserved word; the pinned values include it
   h = Mix(h, reply.hits.size());
   for (const ServerHit& hit : reply.hits) {
     h = Mix(h, static_cast<uint64_t>(hit.tuple_id));
@@ -236,18 +236,21 @@ TEST(TransportDeterminism, PipelineFingerprintPinned) {
   const std::vector<Vec2> points = RandomPoints(1000, 9);
 
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions sopts = FlakyOptions();
+  ShardedTransportOptions sopts = FlakyOptions();
   sopts.rate_limit = {.capacity = 4.0, .refill_per_sec = 8.0};
   sopts.retry.retry_budget = 150;  // spent partway: later failures are fatal
-  SimulatedTransport simulated(&server, sopts);
+  ShardedTransport one_shard(&server, sopts);
   uint64_t h = 0;
   for (const Vec2& q : points) {
-    const TransportPlan plan = simulated.Prepare(q, 5);
-    h = HashReply(h, plan, simulated.Fulfill(plan, q, 5, nullptr));
+    const TransportPlan plan = one_shard.Prepare(q, 5);
+    h = HashReply(h, plan, one_shard.Fulfill(plan, q, 5, nullptr));
   }
-  h = HashMetrics(h, simulated.Metrics());
-  h = Mix(h, Bits(simulated.VirtualNowMs()));
-  EXPECT_EQ(h, 0xf45c47c5f1448342ull) << std::hex << h;
+  h = HashMetrics(h, one_shard.Metrics());
+  for (int s = 0; s < one_shard.num_shards(); ++s) {
+    h = HashMetrics(h, one_shard.ShardMetrics(s));
+  }
+  h = Mix(h, Bits(one_shard.VirtualNowMs()));
+  EXPECT_EQ(h, 0xf8a9eb8bc39648caull) << std::hex << h;
 
   const ShardedLbsServer sharded(&dataset, {.num_shards = 4,
                                             .server = {.max_k = 10}});

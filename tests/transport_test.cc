@@ -1,6 +1,7 @@
 // Behavior of the transport layer: the direct in-process wire, the
 // simulated policy pipeline (latency, token bucket, fault injection,
-// retries), per-attempt budget accounting (§2.1), and metrics.
+// retries) on a one-shard wire, per-attempt budget accounting (§2.1), and
+// metrics.
 
 #include <cmath>
 #include <string>
@@ -19,7 +20,7 @@
 #include "obs/obs.h"
 #include "transport/metrics.h"
 #include "transport/policies.h"
-#include "transport/simulated_transport.h"
+#include "transport/sharded_transport.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -125,12 +126,13 @@ TEST(LatencyModel, LognormalIsDeterministicAndClamped) {
 }
 
 // ---------------------------------------------------------------------------
-// SimulatedTransport
+// The simulated wire over a one-shard server: its one lane runs the whole
+// policy pipeline and holds the per-attempt accounting (ShardMetrics(0)).
 
-TEST(SimulatedTransport, CleanNetworkBehavesLikeDirect) {
+TEST(OneShardWire, CleanNetworkBehavesLikeDirect) {
   const Dataset dataset = MakeDataset(200, 5);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransport transport(&server, {});  // no faults, no rate limit
+  ShardedTransport transport(&server);  // no faults, no rate limit
   for (const Vec2& q : RandomPoints(30, 6)) {
     const TransportReply reply = transport.Query(q, 5, nullptr);
     EXPECT_EQ(reply.outcome, TransportOutcome::kOk);
@@ -149,13 +151,13 @@ TEST(SimulatedTransport, CleanNetworkBehavesLikeDirect) {
   EXPECT_EQ(m.outcomes[static_cast<int>(TransportOutcome::kOk)], 30u);
 }
 
-TEST(SimulatedTransport, AlwaysFailingGivesUpAfterMaxAttempts) {
+TEST(OneShardWire, AlwaysFailingGivesUpAfterMaxAttempts) {
   const Dataset dataset = MakeDataset(50, 7);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 1.0;
   topts.retry.max_attempts = 3;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   const TransportReply reply = transport.Query(kBox.Center(), 5, nullptr);
   EXPECT_EQ(reply.outcome, TransportOutcome::kTransientError);
@@ -163,21 +165,21 @@ TEST(SimulatedTransport, AlwaysFailingGivesUpAfterMaxAttempts) {
   EXPECT_TRUE(reply.hits.empty());  // undelivered → empty page
   EXPECT_FALSE(Delivered(reply.outcome));
 
-  const TransportMetrics m = transport.Metrics();
+  const TransportMetrics m = transport.ShardMetrics(0);
   EXPECT_EQ(m.requests, 1u);
   EXPECT_EQ(m.attempts, 3u);
   EXPECT_EQ(m.retries, 2u);
   EXPECT_EQ(m.attempt_transient_errors, 3u);
 }
 
-TEST(SimulatedTransport, RetryBudgetFailsFastOnceSpent) {
+TEST(OneShardWire, RetryBudgetFailsFastOnceSpent) {
   const Dataset dataset = MakeDataset(50, 8);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.timeout_rate = 1.0;
   topts.retry.max_attempts = 4;
   topts.retry.retry_budget = 5;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   // First queries burn the retry budget (3 retries each)...
   const TransportReply first = transport.Query(kBox.Center(), 5, nullptr);
@@ -192,12 +194,12 @@ TEST(SimulatedTransport, RetryBudgetFailsFastOnceSpent) {
   EXPECT_EQ(third.outcome, TransportOutcome::kFatal);
 }
 
-TEST(SimulatedTransport, TruncatedPageKeepsStrictPrefix) {
+TEST(OneShardWire, TruncatedPageKeepsStrictPrefix) {
   const Dataset dataset = MakeDataset(200, 9);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.truncate_rate = 1.0;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   for (const Vec2& q : RandomPoints(20, 10)) {
     const std::vector<ServerHit> full = server.Query(q, 5, nullptr);
@@ -211,17 +213,17 @@ TEST(SimulatedTransport, TruncatedPageKeepsStrictPrefix) {
   }
 }
 
-TEST(SimulatedTransport, TokenBucketThrottlesAndAdvancesVirtualClock) {
+TEST(OneShardWire, TokenBucketThrottlesAndAdvancesVirtualClock) {
   const Dataset dataset = MakeDataset(50, 11);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.rate_limit = {.capacity = 2.0, .refill_per_sec = 10.0};
   topts.latency.fixed_ms = 1.0;
   topts.latency.min_ms = 1.0;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   for (int i = 0; i < 20; ++i) transport.Query(kBox.Center(), 5, nullptr);
-  const TransportMetrics m = transport.Metrics();
+  const TransportMetrics m = transport.ShardMetrics(0);
   EXPECT_GT(m.throttle_events, 0u);
   EXPECT_GT(m.throttle_wait_ms, 0.0);
   // 20 attempts through a 10/s bucket with burst 2: >= ~1.5 s of quota time.
@@ -234,10 +236,10 @@ TEST(SimulatedTransport, TokenBucketThrottlesAndAdvancesVirtualClock) {
 TEST(TransportAccounting, ClientChargesOncePerAttempt) {
   const Dataset dataset = MakeDataset(200, 12);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 0.4;
   topts.retry.max_attempts = 4;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   LrClient client(&server, {.k = 5}, &transport);
   for (const Vec2& q : RandomPoints(100, 13)) client.Query(q);
@@ -277,10 +279,10 @@ class ProbeScheduleResolver : public engine::CellResolver {
 TEST(TransportAccounting, RunWithBudgetMetersAttempts) {
   const Dataset dataset = MakeDataset(200, 14);
   const LbsServer server(&dataset, {.max_k = 10});
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 0.5;
   topts.retry.max_attempts = 4;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
 
   constexpr uint64_t kBudget = 60;
   LrClient client(&server, {.k = 5, .budget = kBudget}, &transport);
@@ -309,11 +311,11 @@ TEST(TransportMetrics, JsonRenders) {
   const Dataset dataset = MakeDataset(100, 16);
   const LbsServer server(&dataset, {.max_k = 10});
   obs::MetricsRegistry registry;
-  SimulatedTransportOptions topts;
+  ShardedTransportOptions topts;
   topts.faults.transient_error_rate = 0.2;
   topts.faults.truncate_rate = 0.1;
   topts.registry = &registry;
-  SimulatedTransport transport(&server, topts);
+  ShardedTransport transport(&server, topts);
   for (const Vec2& q : RandomPoints(50, 17)) transport.Query(q, 5, nullptr);
 
   const TransportMetrics m = transport.Metrics();
@@ -344,36 +346,15 @@ TEST(TransportMetrics, JsonRenders) {
   // The latency distribution lives on the metric plane: one observation
   // per logical query, rendered in the snapshot's JSON.
   if (obs::kObsEnabled) {
-    EXPECT_EQ(registry.GetHistogram("transport.latency_ms", {})->count(),
-              m.requests);
+    EXPECT_EQ(
+        registry.GetHistogram("transport.sharded.latency_ms", {})->count(),
+        m.requests);
     const std::string plane = registry.Snapshot().ToJson();
-    EXPECT_NE(plane.find("\"transport.latency_ms\": {\"count\":" +
+    EXPECT_NE(plane.find("\"transport.sharded.latency_ms\": {\"count\":" +
                          std::to_string(m.requests) + ","),
               std::string::npos)
         << plane;
   }
-}
-
-TEST(TransportMetrics, MergeAddsEverything) {
-  TransportMetrics a;
-  a.requests = 2;
-  a.attempts = 3;
-  a.RecordAttemptsForRequest(1);
-  a.RecordAttemptsForRequest(2);
-  a.latency_ms = 10.0;
-  TransportMetrics b;
-  b.requests = 1;
-  b.attempts = 4;
-  b.RecordAttemptsForRequest(4);
-  b.latency_ms = 2000.0;
-
-  a.Merge(b);
-  EXPECT_EQ(a.requests, 3u);
-  EXPECT_EQ(a.attempts, 7u);
-  ASSERT_EQ(a.attempts_histogram.size(), 4u);
-  EXPECT_EQ(a.attempts_histogram[0], 1u);
-  EXPECT_EQ(a.attempts_histogram[3], 1u);
-  EXPECT_EQ(a.latency_ms, 2010.0);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // lbsagg_cli — run the paper's estimators against a simulated LBS from the
 // command line.
 //
-// Examples:
-//   lbsagg_cli --dataset=usa --n=20000 --algorithm=lr --aggregate=count \
+// Examples (each is one command line, wrapped here):
+//   lbsagg_cli --dataset=usa --n=20000 --algorithm=lr --aggregate=count
 //              --where=category=school --budget=10000 --runs=5
-//   lbsagg_cli --dataset=points.csv --algorithm=lnr --aggregate=avg \
+//   lbsagg_cli --dataset=points.csv --algorithm=lnr --aggregate=avg
 //              --column=rating --budget=20000
 //   lbsagg_cli --dataset=usa --n=5000 --export=usa.csv
 
