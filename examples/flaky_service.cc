@@ -123,11 +123,10 @@ int main(int argc, char** argv) {
   // is constructed after the tracer (its options carry the tracer pointer),
   // hence the indirection through a late-bound pointer.
   ShardedTransport* transport_ptr = nullptr;
-  obs::FunctionTraceClock virtual_clock([&transport_ptr] {
+  obs::Tracer tracer([&transport_ptr] {
     return transport_ptr == nullptr ? 0.0
                                     : transport_ptr->VirtualNowMs() * 1000.0;
   });
-  obs::Tracer tracer(&virtual_clock);
   obs::Tracer* trace_sink = trace_path.empty() ? nullptr : &tracer;
   topts.tracer = trace_sink;
 

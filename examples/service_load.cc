@@ -86,9 +86,7 @@ int main(int argc, char** argv) {
 
   // All spans share the wire's virtual clock, so session/engine/transport
   // timelines line up in Perfetto.
-  obs::FunctionTraceClock virtual_clock(
-      [&wire] { return wire.VirtualNowMs() * 1000.0; });
-  obs::Tracer tracer(&virtual_clock);
+  obs::Tracer tracer([&wire] { return wire.VirtualNowMs() * 1000.0; });
   obs::Tracer* trace_sink = trace_path.empty() ? nullptr : &tracer;
 
   service::ServiceOptions options;

@@ -123,7 +123,8 @@ void Lr3AggEstimator::Step() {
         client_->Value(top.id) * InverseProbability(top.id, top.position);
   }
   stats_.Add(contribution);
-  trace_.push_back({client_->queries_used(), Estimate()});
+  trace_.push_back(
+      {client_->queries_used(), Estimate(), ConfidenceHalfWidth()});
 }
 
 }  // namespace lbsagg

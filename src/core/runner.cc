@@ -56,6 +56,7 @@ std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine) {
     result.trace = query.trace();
     result.final_estimate = query.Estimate();
     result.queries = engine.queries_used();
+    result.name = query.spec().name;
     results.push_back(std::move(result));
   }
   return results;

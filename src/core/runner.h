@@ -20,6 +20,8 @@ struct RunResult {
   std::vector<TracePoint> trace;
   double final_estimate = 0.0;
   uint64_t queries = 0;
+  // The aggregate's report name (AggregateSpec::name); EngineResults sets it.
+  std::string name = {};
 };
 
 // When the run loop stops: at the soft budget, at a round cap, or — when

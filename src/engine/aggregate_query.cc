@@ -56,13 +56,7 @@ void AggregateQuery::ConsumeRound(const EvidenceRound& round,
   }
   numerator_.Add(round_numerator);
   denominator_.Add(round_denominator);
-  trace_.push_back({round.queries_after, Estimate()});
-#ifndef LBSAGG_OBS_DISABLED
-  // Convergence telemetry is pure observation (derived from the same state
-  // the trace captures); it compiles out with the rest of the plane.
-  convergence_.push_back(
-      {round.queries_after, trace_.back().estimate, ConfidenceHalfWidth()});
-#endif
+  trace_.push_back({round.queries_after, Estimate(), ConfidenceHalfWidth()});
 }
 
 double AggregateQuery::Estimate() const {

@@ -3,7 +3,8 @@
 
 // The aggregation layer (DESIGN.md §4.9): one AggregateQuery per
 // SELECT AGGR(t) WHERE Cond, folding the shared evidence stream into an
-// independent Horvitz–Thompson estimate, trace, and confidence half-width.
+// independent Horvitz–Thompson estimate and its trace, one TracePoint
+// (queries, estimate, confidence half-width) per committed round.
 // The observations are aggregate-agnostic — once p(t) is resolved, Q(t)/p(t)
 // is unbiased for every aggregate simultaneously (§2.3, §3.2) — so N
 // consumers ride one interface budget, and AVG = SUM/COUNT holds by
@@ -22,19 +23,6 @@
 namespace lbsagg {
 namespace engine {
 
-// One point of an aggregate's convergence trajectory: after `queries`
-// interface queries were charged, the estimate stood here with this CI
-// half-width. The introspection plane (DESIGN.md §4.13) plots half_width
-// against queries to judge whether an evidence stream is still worth
-// paying for; recording it is pure observation — the trajectory is derived
-// from the same state the trace already captures and perturbs nothing.
-struct ConvergencePoint {
-  uint64_t queries = 0;
-  double estimate = 0.0;
-  double half_width = 0.0;
-  bool operator==(const ConvergencePoint&) const = default;
-};
-
 class AggregateQuery {
  public:
   // `client` is the resolver's restricted client; attribute reads through it
@@ -42,7 +30,8 @@ class AggregateQuery {
   AggregateQuery(const AggregateSpec& spec, const LbsClient* client);
 
   // Folds one committed round's observation slice into the running
-  // estimate, then extends the trace at the round's query boundary.
+  // estimate, then extends the trace at the round's query boundary with the
+  // new estimate and half-width.
   void ConsumeRound(const EvidenceRound& round, const Observation* observations,
                     size_t num_observations);
 
@@ -55,13 +44,9 @@ class AggregateQuery {
 
   size_t rounds() const { return numerator_.count(); }
   const AggregateSpec& spec() const { return spec_; }
+  // One point per committed round: the estimate and its half-width vs
+  // interface queries (the statusz trajectory, DESIGN.md §4.13).
   const std::vector<TracePoint>& trace() const { return trace_; }
-
-  // CI half-width trajectory vs interface queries, one point per committed
-  // round (same boundaries as trace()).
-  const std::vector<ConvergencePoint>& convergence() const {
-    return convergence_;
-  }
 
   // Per-round means of the Horvitz–Thompson numerator and denominator.
   // Pooling these across independent runs gives a combined ratio estimator
@@ -81,7 +66,6 @@ class AggregateQuery {
   RunningStats numerator_;
   RunningStats denominator_;
   std::vector<TracePoint> trace_;
-  std::vector<ConvergencePoint> convergence_;
 };
 
 }  // namespace engine

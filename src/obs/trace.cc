@@ -19,16 +19,18 @@ int CurrentTid() {
   return tid;
 }
 
-}  // namespace
-
-double SteadyTraceClock::NowUs() const {
+double SteadyNowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-Tracer::Tracer(const TraceClock* clock)
-    : clock_(clock != nullptr ? clock : &default_clock_) {}
+}  // namespace
+
+Tracer::Tracer(std::function<double()> clock_us)
+    : clock_us_(clock_us ? std::move(clock_us) : SteadyNowUs) {}
+
+double Tracer::NowUs() const { return clock_us_(); }
 
 void Tracer::AddComplete(const std::string& name, const std::string& category,
                          double ts_us, double dur_us) {
@@ -48,61 +50,6 @@ void Tracer::AddComplete(const std::string& name, const std::string& category,
     record.a = static_cast<uint64_t>(tid);
     recorder->TryPublish(record);
   }
-}
-
-uint64_t Tracer::OpenSpan(const std::string& name, const std::string& category,
-                          double ts_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t ticket = next_ticket_++;
-  open_spans_[ticket] = {name, category, ts_us};
-  return ticket;
-}
-
-bool Tracer::ResolveSpan(uint64_t ticket, double end_ts_us, bool truncated) {
-  OpenSpanRecord span;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = open_spans_.find(ticket);
-    if (it == open_spans_.end()) return false;
-    span = std::move(it->second);
-    open_spans_.erase(it);
-  }
-  AddComplete(span.name,
-              truncated ? span.category + ".truncated" : span.category,
-              span.ts_us, end_ts_us - span.ts_us);
-  return true;
-}
-
-bool Tracer::CloseSpan(uint64_t ticket, double end_ts_us) {
-  return ResolveSpan(ticket, end_ts_us, /*truncated=*/false);
-}
-
-bool Tracer::CloseSpanTruncated(uint64_t ticket, double end_ts_us) {
-  return ResolveSpan(ticket, end_ts_us, /*truncated=*/true);
-}
-
-bool Tracer::DropSpan(uint64_t ticket) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return open_spans_.erase(ticket) > 0;
-}
-
-size_t Tracer::FlushOpenSpans(double end_ts_us) {
-  std::vector<uint64_t> tickets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tickets.reserve(open_spans_.size());
-    for (const auto& [ticket, span] : open_spans_) tickets.push_back(ticket);
-  }
-  size_t flushed = 0;
-  for (uint64_t ticket : tickets) {
-    if (ResolveSpan(ticket, end_ts_us, /*truncated=*/true)) ++flushed;
-  }
-  return flushed;
-}
-
-size_t Tracer::open_span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return open_spans_.size();
 }
 
 void Tracer::SetFlightRecorder(introspect::FlightRecorder* recorder) {

@@ -10,7 +10,7 @@
 namespace lbsagg {
 namespace service {
 
-std::string SessionIntrospectionJson(const SessionIntrospection& row) {
+std::string SessionStatusJson(const SessionStatus& row) {
   JsonWriter w;
   w.BeginObject()
       .KV("id", row.id)
@@ -24,19 +24,20 @@ std::string SessionIntrospectionJson(const SessionIntrospection& row) {
       .KV("submit_ms", row.submit_ms)
       .KV("start_ms", row.start_ms)
       .KV("end_ms", row.end_ms);
-  if (row.has_deadline) {
+  if (row.deadline_ms > 0) {
     w.KV("deadline_ms", row.deadline_ms)
         .KV("deadline_slack_ms", row.deadline_slack_ms);
   }
   w.Key("aggregates").BeginArray();
-  for (const AggregateIntrospection& agg : row.aggregates) {
+  for (const RunResult& result : row.results) {
     w.BeginObject()
-        .KV("name", agg.name)
-        .KV("estimate", agg.estimate)
-        .KV("half_width", agg.half_width)
+        .KV("name", result.name)
+        .KV("estimate", result.final_estimate)
+        .KV("half_width",
+            result.trace.empty() ? 0.0 : result.trace.back().half_width)
         .Key("trajectory")
         .BeginArray();
-    for (const engine::ConvergencePoint& p : agg.trajectory) {
+    for (const TracePoint& p : result.trace) {
       w.BeginObject()
           .KV("queries", p.queries)
           .KV("estimate", p.estimate)
@@ -73,10 +74,10 @@ obs::RunReport ServiceIntrospector::BuildStatusz() const {
     std::ostringstream os;
     os << "[";
     bool first = true;
-    for (const SessionIntrospection& row : svc.IntrospectSessions()) {
+    for (const SessionStatus& row : svc.IntrospectSessions()) {
       if (!first) os << ",";
       first = false;
-      os << SessionIntrospectionJson(row);
+      os << SessionStatusJson(row);
     }
     os << "]";
     status.AddJsonSection("sessions", os.str());

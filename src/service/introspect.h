@@ -30,14 +30,18 @@
 namespace lbsagg {
 namespace service {
 
-// JSON for one IntrospectSessions() row, trajectory included:
+// JSON for one session snapshot, one aggregate per result:
 // {"id":..,"state":"..","principal":"..","family":"..","budget":..,
 //  "queries_used":..,"rounds":..,"dedup_hits":..,"submit_ms":..,
 //  "start_ms":..,"end_ms":..,"deadline_ms":..,"deadline_slack_ms":..,
 //  "aggregates":[{"name":"..","estimate":..,"half_width":..,
 //                 "trajectory":[{"queries":..,"estimate":..,
 //                                "half_width":..},...]},...]}
-std::string SessionIntrospectionJson(const SessionIntrospection& row);
+// The deadline keys appear only when the session has a deadline. An
+// aggregate's estimate is its result's final_estimate, its half_width the
+// last trace point's (0 before the first round), and its trajectory the
+// trace.
+std::string SessionStatusJson(const SessionStatus& row);
 
 struct IntrospectorOptions {
   // Required; must outlive the introspector.
@@ -59,7 +63,7 @@ class ServiceIntrospector {
 
   // One full statusz: meta (the service clock `now_ms` and `backends`), the
   // metrics snapshot, and sections "service" (diagnostics: queue depths and
-  // session tallies), "sessions" (introspection rows), plus "shards" /
+  // session tallies), "sessions" (IntrospectSessions() rows), plus "shards" /
   // "timeseries" / "flight_recorder" when wired.
   obs::RunReport BuildStatusz() const;
 

@@ -40,13 +40,26 @@ const char* EstimatorFamilyName(EstimatorFamily family) {
   return "unknown";
 }
 
+namespace {
+
+// The one "service.session" span of a session that ran or waited, emitted
+// when it ends (DESIGN.md §4.13).
+void EmitSessionSpan(obs::Tracer* tracer, double submit_ms, double end_ms,
+                     bool truncated) {
+  const double ts_us = submit_ms * 1000.0;
+  tracer->AddComplete("service.session",
+                      truncated ? "service.truncated" : "service", ts_us,
+                      end_ms * 1000.0 - ts_us);
+}
+
+}  // namespace
+
 // The per-session engine stack, built at activation and torn down at
 // finalization, so only the active set pays for live engines.
 struct EstimationService::ActiveRun {
   std::unique_ptr<LbsClient> client;
   std::unique_ptr<engine::CellResolver> resolver;
   std::unique_ptr<engine::EstimationEngine> engine;
-  std::vector<engine::AggregateQuery*> aggregates;
   // Durable evidence log (spec.wal_dir); declared last so it detaches from
   // the engine and closes before the engine/client it reads are destroyed.
   std::unique_ptr<engine::DurableEvidenceLog> wal;
@@ -68,10 +81,6 @@ struct EstimationService::Session {
   // Frozen at finalization (live values come from `run` until then).
   uint64_t queries = 0;
   std::vector<RunResult> results;
-
-  // Open "service.session" span ticket; 0 when no tracer or already
-  // resolved (Finalize closes/drops it, the destructor flushes leftovers).
-  uint64_t span_ticket = 0;
 
   std::unique_ptr<ActiveRun> run;
 };
@@ -133,15 +142,14 @@ EstimationService::EstimationService(std::vector<ServiceBackend> backends,
 }
 
 EstimationService::~EstimationService() {
-  // Sessions still live at teardown have open "service.session" spans;
-  // truncate-close them so the trace file records the in-flight work
-  // instead of silently dropping it.
+  // Sessions still live at teardown emit their spans truncated here, so the
+  // trace file records the in-flight work instead of silently dropping it.
   if (options_.tracer != nullptr) {
-    const double end_us = NowMs() * 1000.0;
-    for (auto& [id, session] : sessions_) {
-      if (session->span_ticket != 0) {
-        options_.tracer->CloseSpanTruncated(session->span_ticket, end_us);
-        session->span_ticket = 0;
+    const double end_ms = NowMs();
+    for (const auto& [id, session] : sessions_) {
+      if (!IsTerminal(session->state)) {
+        EmitSessionSpan(options_.tracer, session->submit_ms, end_ms,
+                        /*truncated=*/true);
       }
     }
   }
@@ -174,12 +182,6 @@ SessionId EstimationService::Submit(SessionSpec spec) {
   session->id = id;
   session->spec = std::move(spec);
   session->submit_ms = NowMs();
-  if (options_.tracer != nullptr) {
-    // The session span opens now and resolves at finalization — Finalize
-    // closes it (truncated for Cancel/deadline), drops it for kRejected.
-    session->span_ticket = options_.tracer->OpenSpan(
-        "service.session", "service", session->submit_ms * 1000.0);
-  }
   sessions_.emplace(id, std::move(owned));
   ++submitted_;
   submitted_counter_.Add(1);
@@ -205,40 +207,46 @@ SessionId EstimationService::Submit(SessionSpec spec) {
   return id;
 }
 
-SessionStatus EstimationService::Poll(SessionId id) const {
+SessionStatus EstimationService::Status(const Session& session,
+                                        double now_ms) const {
   SessionStatus status;
+  status.id = session.id;
+  status.state = session.state;
+  status.principal = session.spec.principal;
+  status.family = session.spec.family;
+  status.budget = session.spec.budget;
+  status.rounds = session.rounds;
+  status.dedup_hits = session.dedup_hits;
+  if (session.run != nullptr) {
+    status.queries_used = session.run->engine->queries_used();
+    status.results = EngineResults(*session.run->engine);
+  } else {
+    status.queries_used = session.queries;
+    status.results = session.results;
+  }
+  status.submit_ms = session.submit_ms;
+  status.start_ms = session.start_ms;
+  status.end_ms = session.end_ms;
+  if (IsTerminal(session.state)) {
+    status.latency_ms = session.end_ms - session.submit_ms;
+  }
+  status.deadline_ms = session.spec.deadline_ms;
+  if (status.deadline_ms > 0) {
+    status.deadline_slack_ms =
+        session.submit_ms + session.spec.deadline_ms - now_ms;
+  }
+  status.detail = session.detail;
+  return status;
+}
+
+SessionStatus EstimationService::Poll(SessionId id) const {
   const Session* session = Find(id);
   if (session == nullptr) {
+    SessionStatus status;
     status.detail = "unknown session";
     return status;
   }
-  status.id = id;
-  status.state = session->state;
-  status.principal = session->spec.principal;
-  status.submit_ms = session->submit_ms;
-  status.start_ms = session->start_ms;
-  status.end_ms = session->end_ms;
-  status.dedup_hits = session->dedup_hits;
-  status.rounds = session->rounds;
-  status.detail = session->detail;
-  if (session->run != nullptr) {
-    status.queries_used = session->run->engine->queries_used();
-    status.estimates.reserve(session->run->aggregates.size());
-    for (const engine::AggregateQuery* agg : session->run->aggregates) {
-      status.estimates.push_back(agg->Estimate());
-    }
-  } else {
-    status.queries_used = session->queries;
-    status.estimates.reserve(session->results.size());
-    for (const RunResult& result : session->results) {
-      status.estimates.push_back(result.final_estimate);
-    }
-    status.results = session->results;
-  }
-  if (IsTerminal(session->state)) {
-    status.latency_ms = session->end_ms - session->submit_ms;
-  }
-  return status;
+  return Status(*session, NowMs());
 }
 
 bool EstimationService::Cancel(SessionId id) {
@@ -319,11 +327,10 @@ void EstimationService::Activate(Session* session) {
       run->resolver.get(),
       engine::EngineOptions{options_.registry, options_.tracer});
   if (session->spec.aggregates.empty()) {
-    run->aggregates.push_back(run->engine->AddAggregate(AggregateSpec::Count()));
+    run->engine->AddAggregate(AggregateSpec::Count());
   } else {
-    run->aggregates.reserve(session->spec.aggregates.size());
     for (const AggregateSpec& spec : session->spec.aggregates) {
-      run->aggregates.push_back(run->engine->AddAggregate(spec));
+      run->engine->AddAggregate(spec);
     }
   }
 
@@ -408,19 +415,12 @@ void EstimationService::Finalize(Session* session, SessionState state,
     default:
       break;
   }
-  if (options_.tracer != nullptr && session->span_ticket != 0) {
-    const double end_us = session->end_ms * 1000.0;
-    if (state == SessionState::kRejected) {
-      // Rejected sessions never ran; no span to show.
-      options_.tracer->DropSpan(session->span_ticket);
-    } else if (state == SessionState::kCompleted) {
-      options_.tracer->CloseSpan(session->span_ticket, end_us);
-    } else {
-      // Cancel / deadline: the span is real work cut short — emit it
-      // truncated instead of losing it.
-      options_.tracer->CloseSpanTruncated(session->span_ticket, end_us);
-    }
-    session->span_ticket = 0;
+  // Rejected sessions never ran and show no span; a cancelled or
+  // deadline-exceeded session's span is real work cut short, emitted
+  // truncated instead of lost.
+  if (options_.tracer != nullptr && state != SessionState::kRejected) {
+    EmitSessionSpan(options_.tracer, session->submit_ms, session->end_ms,
+                    /*truncated=*/state != SessionState::kCompleted);
   }
   FireEvent(state == SessionState::kRejected ? SessionEventKind::kRejected
                                              : SessionEventKind::kFinished,
@@ -528,58 +528,15 @@ void EstimationService::FireEvent(SessionEventKind kind,
   triggers_.Fire(event);
 }
 
-std::vector<SessionIntrospection> EstimationService::IntrospectSessions()
-    const {
-  std::vector<SessionIntrospection> rows;
+std::vector<SessionStatus> EstimationService::IntrospectSessions() const {
+  std::vector<SessionStatus> rows;
   rows.reserve(sessions_.size());
   const double now_ms = NowMs();
   for (const auto& [id, session] : sessions_) {
-    SessionIntrospection row;
-    row.id = id;
-    row.state = session->state;
-    row.principal = session->spec.principal;
-    row.family = session->spec.family;
-    row.budget = session->spec.budget;
-    row.rounds = session->rounds;
-    row.dedup_hits = session->dedup_hits;
-    row.submit_ms = session->submit_ms;
-    row.start_ms = session->start_ms;
-    row.end_ms = session->end_ms;
-    row.has_deadline = session->spec.deadline_ms > 0;
-    row.deadline_ms = session->spec.deadline_ms;
-    if (row.has_deadline) {
-      row.deadline_slack_ms =
-          session->submit_ms + session->spec.deadline_ms - now_ms;
-    }
-    if (session->run != nullptr) {
-      row.queries_used = session->run->engine->queries_used();
-      row.aggregates.reserve(session->run->aggregates.size());
-      for (const engine::AggregateQuery* agg : session->run->aggregates) {
-        AggregateIntrospection view;
-        view.name = agg->spec().name;
-        view.estimate = agg->Estimate();
-        view.half_width = agg->ConfidenceHalfWidth();
-        view.trajectory = agg->convergence();
-        row.aggregates.push_back(std::move(view));
-      }
-    } else {
-      row.queries_used = session->queries;
-      // Terminal (or still-queued) sessions have no live engine; frozen
-      // results carry the final estimates but no trajectory.
-      row.aggregates.reserve(session->results.size());
-      for (size_t i = 0; i < session->results.size(); ++i) {
-        AggregateIntrospection view;
-        view.name = i < session->spec.aggregates.size()
-                        ? session->spec.aggregates[i].name
-                        : "COUNT(*)";
-        view.estimate = session->results[i].final_estimate;
-        row.aggregates.push_back(std::move(view));
-      }
-    }
-    rows.push_back(std::move(row));
+    rows.push_back(Status(*session, now_ms));
   }
   std::sort(rows.begin(), rows.end(),
-            [](const SessionIntrospection& a, const SessionIntrospection& b) {
+            [](const SessionStatus& a, const SessionStatus& b) {
               return a.id < b.id;
             });
   return rows;

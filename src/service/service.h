@@ -90,12 +90,12 @@ struct ServiceOptions {
   // builds: clients, resolvers, engines); null = Default().
   obs::MetricsRegistry* registry = nullptr;
 
-  // When set, every session opens a "service.session" span at Submit and
-  // resolves it at finalization: completed sessions close normally,
-  // cancelled / deadline-exceeded sessions close with a ".truncated"
-  // category suffix, rejected sessions drop theirs, and sessions still live
-  // when the service is destroyed are flushed as truncated — a trace file
-  // never silently loses in-flight work (DESIGN.md §4.13).
+  // When set, every session that ran or waited emits one "service.session"
+  // span from its submit time to its end: category "service" when it
+  // completes, "service.truncated" when it is cancelled, misses its
+  // deadline, or is still live when the service is destroyed (the span then
+  // ends at teardown), so a trace file never silently loses in-flight work
+  // (DESIGN.md §4.13). Rejected sessions emit nothing.
   obs::Tracer* tracer = nullptr;
 
   // Live flight recorder (obs/introspect/flight_recorder.h). When set, the
@@ -123,7 +123,8 @@ class EstimationService {
   // id for the detail).
   SessionId Submit(SessionSpec spec);
 
-  // Snapshot of one session; unknown ids return id == kInvalidSessionId.
+  // Snapshot of one session (live while it runs, frozen once terminal);
+  // unknown ids return id == kInvalidSessionId.
   SessionStatus Poll(SessionId id) const;
 
   // Queued sessions cancel in place; running sessions finalize immediately
@@ -167,12 +168,10 @@ class EstimationService {
   // admission config, and per-backend dedup stats.
   std::string diagnostics_json() const;
 
-  // Statusz rows for every session the service still remembers, id-sorted:
-  // state, budget burn-down, deadline slack at NowMs(), and per-aggregate
-  // convergence trajectories (live engines read through; terminal sessions
-  // report their frozen results without trajectories). Pure observation —
-  // calling it perturbs no schedule, estimate, or counter.
-  std::vector<SessionIntrospection> IntrospectSessions() const;
+  // Statusz rows: the Poll() snapshot of every session the service still
+  // remembers, id-sorted, with deadline slack at one NowMs(). Pure
+  // observation — calling it perturbs no schedule, estimate, or counter.
+  std::vector<SessionStatus> IntrospectSessions() const;
 
  private:
   struct ActiveRun;
@@ -181,6 +180,7 @@ class EstimationService {
 
   Session* Find(SessionId id);
   const Session* Find(SessionId id) const;
+  SessionStatus Status(const Session& session, double now_ms) const;
   void Activate(Session* session);
   void Finalize(Session* session, SessionState state, std::string detail);
   void RemoveActive(Session* session);

@@ -2,7 +2,8 @@
 #define LBSAGG_SERVICE_SESSION_H_
 
 // Session types of the estimation service (DESIGN.md §4.12): what a caller
-// submits (SessionSpec), the typed lifecycle states, and what Poll() returns.
+// submits (SessionSpec), the typed lifecycle states, and the one snapshot
+// of a session (SessionStatus) that Poll() and IntrospectSessions() return.
 // A session is one estimation run — one resolver family, one seed, one
 // budget — hosted by the EstimationService scheduler alongside many others.
 
@@ -13,7 +14,6 @@
 #include "core/aggregate.h"
 #include "core/runner.h"
 #include "core/sampler.h"
-#include "engine/aggregate_query.h"
 #include "engine/lnr_resolver.h"
 #include "engine/lr_resolver.h"
 #include "engine/nno_resolver.h"
@@ -122,27 +122,32 @@ struct SessionSpec {
   NnoOptions nno;
 };
 
-// Snapshot of one session, returned by EstimationService::Poll(). For a
-// running session the progress fields read the live engine; for a terminal
-// session they are frozen at finalization.
+// Snapshot of one session: what EstimationService::Poll() returns, and one
+// row of IntrospectSessions() (statusz and the SLO watchdog read these).
+// While the session runs, the progress fields read its live engine; once it
+// is terminal they are frozen at finalization. All values are copies.
 struct SessionStatus {
   SessionId id = kInvalidSessionId;
   SessionState state = SessionState::kQueued;
   std::string principal;
+  EstimatorFamily family = EstimatorFamily::kNno;
 
-  // Interface attempts charged to this session so far (§2.1 cost).
+  // The spec's soft budget, and the interface attempts charged to this
+  // session so far (§2.1 cost).
+  uint64_t budget = 0;
   uint64_t queries_used = 0;
   // Sampling rounds committed.
   size_t rounds = 0;
-  // Current estimate per aggregate (empty until the session first runs).
-  std::vector<double> estimates;
 
   // Queries this session was charged for but the backend never saw because
   // the cross-session dedup registry answered them (see service/dedup.h).
   uint64_t dedup_hits = 0;
 
-  // Final per-aggregate results, filled when the session is terminal
-  // (partial for kCancelled / kDeadlineExceeded, empty for kRejected).
+  // One result per aggregate, in spec order: the live results while the
+  // session runs, frozen at finalization (partial for kCancelled /
+  // kDeadlineExceeded). Empty until the session first runs, and for
+  // kRejected. Each trace is the aggregate's trajectory: its estimate and
+  // CI half-width after every round.
   std::vector<RunResult> results;
 
   // Service-clock timeline in ms: submit always set; start < 0 until the
@@ -153,51 +158,13 @@ struct SessionStatus {
   // end - submit once terminal (the p50/p99 latency the bench reports).
   double latency_ms = 0;
 
-  // Human-readable detail for kRejected (shed reason) and Poll misses.
-  std::string detail;
-};
-
-// Live convergence view of one aggregate inside a session (DESIGN.md §4.13):
-// where its estimate stands and how its CI half-width has moved per
-// interface query charged. `trajectory` mirrors the aggregate's
-// per-round ConvergencePoints (engine/aggregate_query.h) — the curve the
-// SLO watchdog differentiates to decide whether the evidence stream is
-// still buying error reduction.
-struct AggregateIntrospection {
-  std::string name;
-  double estimate = 0.0;
-  double half_width = 0.0;
-  std::vector<engine::ConvergencePoint> trajectory;
-};
-
-// One row of EstimationService::IntrospectSessions(): the statusz view of a
-// session — lifecycle, budget burn-down, deadline slack, dedup savings, and
-// per-aggregate convergence. All values are copies taken at the call.
-struct SessionIntrospection {
-  SessionId id = kInvalidSessionId;
-  SessionState state = SessionState::kQueued;
-  std::string principal;
-  EstimatorFamily family = EstimatorFamily::kNno;
-
-  uint64_t budget = 0;
-  uint64_t queries_used = 0;
-  size_t rounds = 0;
-  uint64_t dedup_hits = 0;
-
-  // Service-clock timeline (ms): submit always set; start/end < 0 until
-  // the session runs / terminates.
-  double submit_ms = 0;
-  double start_ms = -1;
-  double end_ms = -1;
-
-  // Deadline accounting: slack = submit_ms + deadline_ms - now (only
-  // meaningful when has_deadline; negative = already past it).
-  bool has_deadline = false;
+  // The spec's deadline (0 = none) and, when there is one, its slack at the
+  // snapshot: submit_ms + deadline_ms - now (negative = already past it).
   double deadline_ms = 0;
   double deadline_slack_ms = 0;
 
-  // Empty until the session has an engine (queued / rejected sessions).
-  std::vector<AggregateIntrospection> aggregates;
+  // Human-readable detail for kRejected (shed reason) and Poll misses.
+  std::string detail;
 };
 
 }  // namespace service

@@ -11,10 +11,12 @@ namespace {
 
 // The session-level half-width is the worst aggregate's: that is the CI the
 // budget is still being spent to shrink.
-double WorstHalfWidth(const SessionIntrospection& row) {
+double WorstHalfWidth(const SessionStatus& row) {
   double worst = 0.0;
-  for (const AggregateIntrospection& agg : row.aggregates) {
-    if (agg.half_width > worst) worst = agg.half_width;
+  for (const RunResult& result : row.results) {
+    if (!result.trace.empty() && result.trace.back().half_width > worst) {
+      worst = result.trace.back().half_width;
+    }
   }
   return worst;
 }
@@ -29,12 +31,16 @@ SloWatchdog::SloWatchdog(EstimationService* service, SloWatchdogOptions options)
 size_t SloWatchdog::Check() {
   size_t fired = 0;
   const double now_ms = service_->NowMs();
-  for (const SessionIntrospection& row : service_->IntrospectSessions()) {
-    if (IsTerminal(row.state)) {
-      baselines_.erase(row.id);
-      continue;
-    }
+  // Rebuilt from the running rows: a baseline carries over only while its
+  // session keeps running, so finished and forgotten sessions drop out.
+  std::vector<Baseline> running;
+  auto prev = baselines_.begin();
+  for (const SessionStatus& row : service_->IntrospectSessions()) {
     if (row.state != SessionState::kRunning) continue;
+    while (prev != baselines_.end() && prev->id < row.id) ++prev;
+    const bool fresh = prev == baselines_.end() || prev->id != row.id;
+    Baseline& base = running.emplace_back(fresh ? Baseline{.id = row.id}
+                                                : *prev);
 
     SessionEvent event;
     event.id = row.id;
@@ -44,8 +50,6 @@ size_t SloWatchdog::Check() {
     event.rounds = row.rounds;
     event.now_ms = now_ms;
 
-    auto [it, fresh] = baselines_.try_emplace(row.id);
-    Baseline& base = it->second;
     const double half_width = WorstHalfWidth(row);
     if (fresh || (base.half_width == 0.0 && half_width > 0.0)) {
       // First sight — or the CI just became meaningful (it is degenerate
@@ -54,7 +58,7 @@ size_t SloWatchdog::Check() {
       base.half_width = half_width;
     }
 
-    if (row.has_deadline && !base.deadline_fired &&
+    if (row.deadline_ms > 0 && !base.deadline_fired &&
         row.deadline_slack_ms <= options_.deadline_slack_warn_ms) {
       base.deadline_fired = true;
       ++deadline_fired_;
@@ -84,6 +88,7 @@ size_t SloWatchdog::Check() {
       }
     }
   }
+  baselines_ = std::move(running);
   return fired;
 }
 

@@ -1,7 +1,7 @@
 #ifndef LBSAGG_SERVICE_WATCHDOG_H_
 #define LBSAGG_SERVICE_WATCHDOG_H_
 
-// SLO watchdog (DESIGN.md §4.13): turns the convergence telemetry into
+// SLO watchdog (DESIGN.md §4.13): turns the session snapshots into
 // actionable typed triggers. Check() scans IntrospectSessions() and fires
 // the service's existing TriggerRegistry —
 //
@@ -20,12 +20,16 @@
 // rebudget, alert) is the caller's policy.
 //
 // Single-threaded like the scheduler; drive it from the same loop that
-// calls RunSlice(). Under -DLBSAGG_OBS_DISABLED the trajectories it reads
-// are empty, so kSloStalled can never fire; kDeadlineAtRisk still works
-// (deadline slack is scheduler state, not telemetry).
+// calls RunSlice(). Both verdicts work with instrumentation compiled out:
+// the half-width is each aggregate's last trace point, which every build
+// records, and deadline slack is scheduler state.
+//
+// The watchdog keeps a slope baseline only for the sessions the latest
+// scan saw running, so a session that finishes (and is forgotten) between
+// two scans leaves nothing behind.
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "service/service.h"
 
@@ -56,8 +60,12 @@ class SloWatchdog {
   uint64_t stalled_fired() const { return stalled_fired_; }
   uint64_t deadline_fired() const { return deadline_fired_; }
 
+  // Sessions holding a slope baseline: those the last Check() saw running.
+  size_t tracked_sessions() const { return baselines_.size(); }
+
  private:
   struct Baseline {
+    SessionId id = kInvalidSessionId;
     uint64_t queries = 0;
     double half_width = 0.0;
     bool stalled_fired = false;
@@ -66,7 +74,7 @@ class SloWatchdog {
 
   EstimationService* service_;
   SloWatchdogOptions options_;
-  std::unordered_map<SessionId, Baseline> baselines_;
+  std::vector<Baseline> baselines_;  // id-sorted, like the scan's rows
   uint64_t stalled_fired_ = 0;
   uint64_t deadline_fired_ = 0;
 };

@@ -54,8 +54,8 @@ struct ShardedTransportOptions {
   // When set, each logical query emits one "transport.request" span
   // wrapping per-lane "transport.shard.request" spans and their
   // "transport.attempt" children, stamped with virtual-time endpoints. Pair
-  // with a Tracer bound to a FunctionTraceClock on VirtualNowMs so
-  // estimator spans share the timeline (obs/trace.h).
+  // with a Tracer whose clock reads VirtualNowMs() * 1000 so estimator
+  // spans share the timeline (obs/trace.h).
   obs::Tracer* tracer = nullptr;
 };
 

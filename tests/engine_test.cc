@@ -4,6 +4,8 @@
 // store's append/replay/snapshot protocol, seed determinism, and the run
 // loop's one-budget results.
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -131,7 +133,39 @@ TEST(EstimationEngine, LateAggregateReplaysToIdenticalState) {
   for (size_t i = 0; i < early.size(); ++i) {
     EXPECT_EQ(early[i].queries, late[i].queries) << i;
     EXPECT_EQ(early[i].estimate, late[i].estimate) << i;
+    EXPECT_EQ(early[i].half_width, late[i].half_width) << i;
   }
+}
+
+// Each round's trace point carries the half-width that round left behind —
+// bit for bit what ConfidenceHalfWidth() reports right after it — in every
+// build, instrumentation compiled out included.
+TEST(EstimationEngine, TraceCarriesTheHalfWidthAfterEveryRound) {
+  const UsaScenario usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  LrClient client(&server, {.k = 5});
+  UniformSampler sampler(usa.dataset->box());
+  engine::LrCellResolver resolver(&client, &sampler, {.seed = 7});
+  engine::EstimationEngine eng(&resolver);
+  const engine::AggregateQuery* count =
+      eng.AddAggregate(AggregateSpec::Count());
+  const engine::AggregateQuery* sum = eng.AddAggregate(
+      AggregateSpec::Sum(usa.columns.rating, "SUM(rating)"));
+
+  for (size_t round = 1; round <= 40; ++round) {
+    eng.Step();
+    for (const engine::AggregateQuery* query : {count, sum}) {
+      ASSERT_EQ(query->trace().size(), round);
+      const TracePoint& last = query->trace().back();
+      EXPECT_EQ(std::bit_cast<uint64_t>(last.half_width),
+                std::bit_cast<uint64_t>(query->ConfidenceHalfWidth()))
+          << query->spec().name << " round " << round;
+      EXPECT_EQ(std::bit_cast<uint64_t>(last.estimate),
+                std::bit_cast<uint64_t>(query->Estimate()));
+    }
+  }
+  EXPECT_GT(count->trace().back().half_width, 0.0);
+  EXPECT_GT(sum->trace().back().half_width, 0.0);
 }
 
 // --- Adapter equivalence ----------------------------------------------------

@@ -1,13 +1,14 @@
 // Tests of the live introspection plane (DESIGN.md §4.13): flight-recorder
 // publish/drain (including TSAN-raced against concurrent producers and the
 // service scheduler), time-series sampler window arithmetic on a virtual
-// clock, statusz / Prometheus rendering, tracer open-span lifecycle (the
+// clock, statusz / Prometheus rendering, the service's session spans (the
 // Cancel / deadline / teardown truncation regression), the SLO watchdog's
 // typed verdicts, and the determinism contract: estimates and the legacy
 // fig12 trace fingerprint stay bit-identical with the whole plane attached.
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "service/introspect.h"
 #include "service/service.h"
 #include "service/watchdog.h"
+#include "util/json_writer.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -52,6 +54,11 @@ bool SameBits(double a, double b) {
 const UsaScenario& SmallUsa() {
   static const UsaScenario usa = BuildUsaScenario({.num_pois = 1200});
   return usa;
+}
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
 }
 
 size_t CountOccurrences(const std::string& haystack,
@@ -381,48 +388,7 @@ TEST(Prometheus, ExportsCountersGaugesAndCumulativeHistograms) {
   EXPECT_NE(text.find("lbsagg_lat_count 3\n"), std::string::npos);
 }
 
-// --- Tracer open-span lifecycle ---------------------------------------------
-
-TEST(TracerOpenSpans, CloseEmitsCompleteEvent) {
-  obs::Tracer tracer;
-  const uint64_t ticket = tracer.OpenSpan("work", "cat", 100.0);
-  EXPECT_EQ(tracer.open_span_count(), 1u);
-  EXPECT_EQ(tracer.event_count(), 0u);  // nothing emitted while open
-  EXPECT_TRUE(tracer.CloseSpan(ticket, 250.0));
-  EXPECT_EQ(tracer.open_span_count(), 0u);
-  EXPECT_EQ(tracer.event_count(), 1u);
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_NE(json.find("\"name\":\"work\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":150"), std::string::npos);
-  // A ticket resolves exactly once.
-  EXPECT_FALSE(tracer.CloseSpan(ticket, 300.0));
-}
-
-TEST(TracerOpenSpans, TruncatedCloseMarksCategory) {
-  obs::Tracer tracer;
-  const uint64_t ticket = tracer.OpenSpan("work", "cat", 0.0);
-  EXPECT_TRUE(tracer.CloseSpanTruncated(ticket, 10.0));
-  EXPECT_NE(tracer.ToChromeTraceJson().find("\"cat\":\"cat.truncated\""),
-            std::string::npos);
-}
-
-TEST(TracerOpenSpans, DropEmitsNothing) {
-  obs::Tracer tracer;
-  const uint64_t ticket = tracer.OpenSpan("work", "cat", 0.0);
-  EXPECT_TRUE(tracer.DropSpan(ticket));
-  EXPECT_EQ(tracer.event_count(), 0u);
-  EXPECT_FALSE(tracer.DropSpan(ticket));
-}
-
-TEST(TracerOpenSpans, FlushTruncatesEverythingOpen) {
-  obs::Tracer tracer;
-  tracer.OpenSpan("a", "cat", 0.0);
-  tracer.OpenSpan("b", "cat", 5.0);
-  EXPECT_EQ(tracer.FlushOpenSpans(20.0), 2u);
-  EXPECT_EQ(tracer.open_span_count(), 0u);
-  EXPECT_EQ(tracer.event_count(), 2u);
-}
+// --- Tracer -----------------------------------------------------------------
 
 TEST(Tracer, MirrorsCompletedSpansIntoFlightRecorder) {
   FlightRecorder recorder(64);
@@ -476,7 +442,6 @@ TEST(ServiceSpans, CancelAndDeadlineEmitTruncatedSpans) {
   svc.RunUntilIdle();
   EXPECT_EQ(svc.Poll(done).state, SessionState::kCompleted);
 
-  EXPECT_EQ(tracer.open_span_count(), 0u);  // nothing leaked open
   const std::string json = tracer.ToChromeTraceJson();
   // Cancel + deadline spans survive as truncated; the completed session's
   // span keeps the plain category. (The trace also carries client/estimator
@@ -499,7 +464,6 @@ TEST(ServiceSpans, RejectedSessionEmitsNoSpan) {
   const SessionId id = svc.Submit(bad);
   EXPECT_EQ(svc.Poll(id).state, SessionState::kRejected);
   EXPECT_EQ(tracer.event_count(), 0u);
-  EXPECT_EQ(tracer.open_span_count(), 0u);
 }
 
 TEST(ServiceSpans, TeardownFlushesLiveSessionsAsTruncated) {
@@ -521,7 +485,102 @@ TEST(ServiceSpans, TeardownFlushesLiveSessionsAsTruncated) {
   EXPECT_EQ(CountOccurrences(tracer.ToChromeTraceJson(),
                              "\"cat\":\"service.truncated\",\"ph\""),
             1u);
-  EXPECT_EQ(tracer.open_span_count(), 0u);
+}
+
+// The "service.session" events of a tracer's Chrome trace, in order.
+struct SessionSpan {
+  std::string cat;
+  double ts_us = 0.0;
+  double dur_us = 0.0;
+};
+
+std::vector<SessionSpan> SessionSpans(const obs::Tracer& tracer) {
+  const std::string json = tracer.ToChromeTraceJson();
+  const std::string key = "{\"name\":\"service.session\",\"cat\":\"";
+  std::vector<SessionSpan> spans;
+  for (size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + key.size())) {
+    const size_t cat = pos + key.size();
+    SessionSpan span;
+    span.cat = json.substr(cat, json.find('"', cat) - cat);
+    span.ts_us = std::strtod(&json[json.find("\"ts\":", cat) + 5], nullptr);
+    span.dur_us = std::strtod(&json[json.find("\"dur\":", cat) + 6], nullptr);
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+// Every session outcome on one tracer and the fallback clock: completed,
+// cancelled mid-run, deadline-exceeded, rejected, and still running when
+// the service dies. A session's span appears only once it is terminal, and
+// the spans' names, categories and timestamp bits are pinned in order.
+TEST(ServiceSpans, SessionSpansPinned) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  obs::Tracer tracer;
+  {
+    ServiceOptions sopts;
+    sopts.tracer = &tracer;
+    EstimationService svc({{.meta = &server}}, sopts);
+
+    SessionSpec spec;
+    spec.family = EstimatorFamily::kNno;
+    spec.budget = 5000;
+    spec.seed = 3;
+    SessionSpec short_spec = spec;
+    short_spec.budget = 60;
+    SessionSpec deadline_spec = spec;
+    deadline_spec.seed = 4;
+    deadline_spec.deadline_ms = 9;
+    SessionSpec live_spec = spec;
+    live_spec.seed = 5;
+    SessionSpec bad = spec;
+    bad.budget = 0;
+
+    const SessionId done = svc.Submit(short_spec);
+    const SessionId cancelled = svc.Submit(spec);
+    svc.RunSlice();
+    const SessionId dead = svc.Submit(deadline_spec);
+    EXPECT_EQ(svc.Poll(svc.Submit(bad)).state, SessionState::kRejected);
+    svc.RunSlice();
+    const SessionId live = svc.Submit(live_spec);
+
+    const std::vector<SessionId> ids = {done, cancelled, dead, live};
+    auto terminal = [&] {
+      size_t n = 0;
+      for (SessionId id : ids) n += IsTerminal(svc.Poll(id).state) ? 1 : 0;
+      return n;
+    };
+    for (int slice = 0; slice < 2000; ++slice) {
+      if (slice == 5) {
+        ASSERT_TRUE(svc.Cancel(cancelled));
+      }
+      // No session's span exists while it is live.
+      ASSERT_EQ(SessionSpans(tracer).size(), terminal()) << "slice " << slice;
+      if (terminal() == 3) break;
+      ASSERT_TRUE(svc.RunSlice());
+    }
+    EXPECT_EQ(svc.Poll(done).state, SessionState::kCompleted);
+    EXPECT_EQ(svc.Poll(cancelled).state, SessionState::kCancelled);
+    EXPECT_EQ(svc.Poll(dead).state, SessionState::kDeadlineExceeded);
+    EXPECT_EQ(svc.Poll(live).state, SessionState::kRunning);
+  }
+
+  const std::vector<SessionSpan> spans = SessionSpans(tracer);
+  ASSERT_EQ(spans.size(), 4u);
+  uint64_t hash = 0;
+  for (const SessionSpan& span : spans) {
+    for (char c : "service.session" + span.cat) {
+      hash = Mix(hash, static_cast<unsigned char>(c));
+    }
+    uint64_t ts_bits, dur_bits;
+    std::memcpy(&ts_bits, &span.ts_us, sizeof ts_bits);
+    std::memcpy(&dur_bits, &span.dur_us, sizeof dur_bits);
+    hash = Mix(hash, ts_bits);
+    hash = Mix(hash, dur_bits);
+  }
+  EXPECT_EQ(spans.back().cat, "service.truncated");  // the teardown span
+  EXPECT_EQ(hash, 0x7355701151dba43full) << std::hex << hash;
 }
 
 // --- Service events into the flight recorder --------------------------------
@@ -575,37 +634,93 @@ TEST(Introspection, SessionsReportBudgetBurnDownAndTrajectory) {
   const SessionId id = svc.Submit(spec);
   for (int i = 0; i < 8; ++i) svc.RunSlice();
 
-  const std::vector<SessionIntrospection> rows = svc.IntrospectSessions();
+  const std::vector<SessionStatus> rows = svc.IntrospectSessions();
   ASSERT_EQ(rows.size(), 1u);
-  const SessionIntrospection& row = rows[0];
+  const SessionStatus& row = rows[0];
   EXPECT_EQ(row.id, id);
   EXPECT_EQ(row.state, SessionState::kRunning);
+  EXPECT_EQ(row.family, EstimatorFamily::kLr);
   EXPECT_EQ(row.budget, 400u);
   EXPECT_GT(row.queries_used, 0u);
   EXPECT_LT(row.queries_used, 400u);  // mid-flight
-  EXPECT_TRUE(row.has_deadline);
+  EXPECT_EQ(row.deadline_ms, 1e6);
   EXPECT_GT(row.deadline_slack_ms, 0.0);
-  ASSERT_EQ(row.aggregates.size(), 1u);
-  const AggregateIntrospection& agg = row.aggregates[0];
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(agg.trajectory.size(), row.rounds);
-    for (size_t i = 1; i < agg.trajectory.size(); ++i) {
-      EXPECT_GE(agg.trajectory[i].queries, agg.trajectory[i - 1].queries);
-    }
-    // The trajectory's tail is the live estimate.
-    ASSERT_FALSE(agg.trajectory.empty());
-    EXPECT_TRUE(SameBits(agg.trajectory.back().estimate, agg.estimate));
-  } else {
-    // Convergence telemetry compiles out; the burn-down above is scheduler
-    // state and stays.
-    EXPECT_TRUE(agg.trajectory.empty());
+  // The row is the Poll() snapshot.
+  EXPECT_EQ(SessionStatusJson(row), SessionStatusJson(svc.Poll(id)));
+  ASSERT_EQ(row.results.size(), 1u);
+  const RunResult& agg = row.results[0];
+  EXPECT_EQ(agg.name, "COUNT(*)");
+  EXPECT_EQ(agg.trace.size(), row.rounds);
+  for (size_t i = 1; i < agg.trace.size(); ++i) {
+    EXPECT_GE(agg.trace[i].queries, agg.trace[i - 1].queries);
   }
+  // The trajectory's tail is the live estimate.
+  ASSERT_FALSE(agg.trace.empty());
+  EXPECT_TRUE(SameBits(agg.trace.back().estimate, agg.final_estimate));
 
   svc.RunUntilIdle();
-  const std::vector<SessionIntrospection> done = svc.IntrospectSessions();
+  const std::vector<SessionStatus> done = svc.IntrospectSessions();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].state, SessionState::kCompleted);
   EXPECT_GE(done[0].queries_used, 400u);
+}
+
+// Terminal rows keep the trajectory their results froze with: one point per
+// round, the last of which is the row's estimate and half-width. Statusz
+// embeds the rows verbatim.
+TEST(Introspection, TerminalRowsCarryTheirTrajectory) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  EstimationService svc({{.meta = &server}});
+
+  SessionSpec spec;
+  spec.family = EstimatorFamily::kLr;
+  spec.budget = 300;
+  spec.seed = 11;
+  svc.Submit(spec);
+  spec.budget = 5000;
+  spec.seed = 12;
+  const SessionId cancelled = svc.Submit(spec);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(svc.RunSlice());
+  ASSERT_TRUE(svc.Cancel(cancelled));
+  svc.RunUntilIdle();
+
+  const std::vector<SessionStatus> rows = svc.IntrospectSessions();
+  ASSERT_EQ(rows.size(), 2u);
+  std::string sessions = "[";
+  for (const SessionStatus& row : rows) {
+    ASSERT_TRUE(IsTerminal(row.state));
+    ASSERT_EQ(row.results.size(), 1u);
+    const RunResult& result = row.results[0];
+    ASSERT_GT(row.rounds, 1u);
+    ASSERT_EQ(result.trace.size(), row.rounds);
+    const TracePoint& last = result.trace.back();
+    EXPECT_TRUE(SameBits(last.estimate, result.final_estimate));
+    EXPECT_GT(last.half_width, 0.0);
+
+    const std::string json = SessionStatusJson(row);
+    EXPECT_EQ(CountOccurrences(json, "{\"queries\":"), row.rounds) << json;
+    const std::string tail = "\"estimate\":" +
+                             JsonWriter::Shortest(last.estimate) +
+                             ",\"half_width\":" +
+                             JsonWriter::Shortest(last.half_width);
+    EXPECT_NE(json.find("{\"name\":\"COUNT(*)\"," + tail +
+                        ",\"trajectory\":[{"),
+              std::string::npos)
+        << json;
+    EXPECT_TRUE(json.ends_with(tail + "}]}]}")) << json;
+    if (sessions.size() > 1) sessions += ",";
+    sessions += json;
+  }
+  sessions += "]";
+
+  const std::string statusz =
+      ServiceIntrospector({.service = &svc}).BuildStatusz().ToJson();
+  if (obs::kObsEnabled) {
+    EXPECT_NE(statusz.find(sessions), std::string::npos);
+  } else {
+    EXPECT_EQ(statusz, obs::RunReport().ToJson());
+  }
 }
 
 TEST(Introspection, StatuszSnapshotsTheWholeStack) {
@@ -744,7 +859,7 @@ TEST(Introspection, StatuszIsARunReport) {
 
 TEST(Introspection, SessionRowEscapesUserStrings) {
   // Called directly, so it also runs with instrumentation compiled out.
-  SessionIntrospection row;
+  SessionStatus row;
   row.id = 7;
   row.state = SessionState::kRunning;
   row.principal = "ten\"ant\\x";
@@ -755,15 +870,15 @@ TEST(Introspection, SessionRowEscapesUserStrings) {
   row.dedup_hits = 4;
   row.submit_ms = 1.5;
   row.start_ms = 2.25;
-  row.has_deadline = true;
   row.deadline_ms = 1000;
   row.deadline_slack_ms = 996.75;
-  row.aggregates.push_back({"COUNT(\"all\")",
-                            1234.5678,
-                            12.345678,
-                            {{60, 1200.1, 30.5}, {120, 1234.5678, 12.345678}}});
+  row.results.push_back({.trace = {{60, 1200.1, 30.5},
+                                   {120, 1234.5678, 12.345678}},
+                         .final_estimate = 1234.5678,
+                         .queries = 120,
+                         .name = "COUNT(\"all\")"});
   EXPECT_EQ(
-      SessionIntrospectionJson(row),
+      SessionStatusJson(row),
       R"json({"id":7,"state":"running","principal":"ten\"ant\\x",)json"
       R"json("family":"lr","budget":500,"queries_used":120,"rounds":9,)json"
       R"json("dedup_hits":4,"submit_ms":1.5,"start_ms":2.25,"end_ms":-1,)json"
@@ -830,7 +945,48 @@ TEST(SloWatchdog, FiresSloStalledWhenHalfWidthStopsDropping) {
   EXPECT_EQ(watchdog.stalled_fired(), 1u);
 }
 
+// A session one scan saw running, then finished and forgotten before the
+// next scan, leaves no slope baseline behind.
+TEST(SloWatchdog, ForgottenSessionsLeaveNothingTracked) {
+  const UsaScenario& usa = SmallUsa();
+  LbsServer server(usa.dataset.get(), {.max_k = 5});
+  EstimationService svc({{.meta = &server}});
+  SloWatchdog watchdog(&svc);
+
+  SessionSpec spec;
+  spec.family = EstimatorFamily::kNno;
+  spec.budget = 60;
+  spec.seed = 3;
+  const SessionId quick = svc.Submit(spec);
+  spec.budget = 5000;
+  spec.seed = 4;
+  const SessionId slow = svc.Submit(spec);
+  ASSERT_TRUE(svc.RunSlice());
+  ASSERT_TRUE(svc.RunSlice());
+  watchdog.Check();
+  EXPECT_EQ(watchdog.tracked_sessions(), 2u);
+
+  while (!IsTerminal(svc.Poll(quick).state)) ASSERT_TRUE(svc.RunSlice());
+  ASSERT_EQ(svc.Poll(slow).state, SessionState::kRunning);
+  ASSERT_TRUE(svc.Forget(quick));
+  watchdog.Check();
+  EXPECT_EQ(watchdog.tracked_sessions(), 1u);
+
+  ASSERT_TRUE(svc.Cancel(slow));
+  ASSERT_TRUE(svc.Forget(slow));
+  watchdog.Check();
+  EXPECT_EQ(watchdog.tracked_sessions(), 0u);
+}
+
 // --- Determinism: the plane observes, never perturbs -------------------------
+
+std::vector<double> FinalEstimates(const SessionStatus& status) {
+  std::vector<double> estimates;
+  for (const RunResult& result : status.results) {
+    estimates.push_back(result.final_estimate);
+  }
+  return estimates;
+}
 
 TEST(IntrospectionDeterminism, EstimatesBitIdenticalWithPlaneAttached) {
   const UsaScenario& usa = SmallUsa();
@@ -847,7 +1003,7 @@ TEST(IntrospectionDeterminism, EstimatesBitIdenticalWithPlaneAttached) {
     EstimationService svc({{.meta = &server}});
     const SessionId id = svc.Submit(spec);
     svc.RunUntilIdle();
-    bare = svc.Poll(id).estimates;
+    bare = FinalEstimates(svc.Poll(id));
   }
 
   // Same run with recorder + sampler + tracer + watchdog all live.
@@ -875,7 +1031,7 @@ TEST(IntrospectionDeterminism, EstimatesBitIdenticalWithPlaneAttached) {
       watchdog.Check();
       svc.IntrospectSessions();  // statusz mid-run must not perturb
     }
-    observed = svc.Poll(id).estimates;
+    observed = FinalEstimates(svc.Poll(id));
     // The plane was live (with instrumentation compiled out its stubs keep
     // nothing, and the estimates below must still match).
     if (obs::kObsEnabled) {
@@ -959,11 +1115,6 @@ TEST(IntrospectionRaces, DrainRacesSubmitPollCancelAndTriggers) {
 }
 
 // --- The fig12 fingerprint with the plane attached ---------------------------
-
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
 
 // The exact legacy computation engine_regression_test pins, re-run with the
 // flight recorder, sampler, tracer, and metric plane all attached: the

@@ -216,8 +216,7 @@ TEST(Tracer, NullTracerSpansAreNoOps) {
 TEST(Tracer, VirtualClockDrivesTimestamps) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "instrumentation compiled out";
   double now_us = 500.0;
-  obs::FunctionTraceClock clock([&now_us] { return now_us; });
-  obs::Tracer tracer(&clock);
+  obs::Tracer tracer([&now_us] { return now_us; });
   {
     obs::ScopedSpan span(&tracer, "estimator.round", "estimator");
     now_us = 900.0;
