@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/bench_common.h"
-#include "geometry/voronoi_diagram.h"
+#include "core/ground_truth.h"
 #include "util/stats.h"
 #include "util/svg.h"
 #include "util/table.h"
@@ -32,13 +32,17 @@ int main() {
               starbucks.size(), usa.dataset->box().width(),
               usa.dataset->box().height());
 
-  const VoronoiDiagram diagram =
-      VoronoiDiagram::Build(starbucks, usa.dataset->box());
-
+  // Store i's cell is the oracle's exact top-1 cell.
+  const GroundTruthOracle oracle(starbucks, usa.dataset->box());
+  std::vector<TopkRegion> cells;
   std::vector<double> areas;
-  areas.reserve(diagram.size());
-  for (const ConvexPolygon& cell : diagram.cells()) {
-    areas.push_back(cell.Area());
+  double total_area = 0.0;
+  cells.reserve(starbucks.size());
+  areas.reserve(starbucks.size());
+  for (size_t i = 0; i < starbucks.size(); ++i) {
+    cells.push_back(oracle.TopkCell(static_cast<int>(i), 1));
+    areas.push_back(cells.back().area);
+    total_area += areas.back();
   }
   const Summary s = Summarize(areas);
 
@@ -55,7 +59,7 @@ int main() {
 
   std::printf("\nDecomposition sanity: cell areas sum to %.4f of the plane "
               "(must be 1).\n",
-              diagram.TotalArea() / usa.dataset->box().Area());
+              total_area / usa.dataset->box().Area());
   std::printf("The 4-5 orders of magnitude between urban and rural cells "
               "reproduce the paper's skew, justifying weighted sampling.\n");
 
@@ -64,13 +68,13 @@ int main() {
   SvgCanvas canvas(usa.dataset->box(), 1400.0);
   const double log_min = std::log(std::max(s.min, 1e-6));
   const double log_max = std::log(std::max(s.max, 1.0));
-  for (size_t i = 0; i < diagram.size(); ++i) {
-    const double area = diagram.Cell(static_cast<int>(i)).Area();
+  for (size_t i = 0; i < cells.size(); ++i) {
     const double t =
-        1.0 - (std::log(std::max(area, 1e-6)) - log_min) /
+        1.0 - (std::log(std::max(areas[i], 1e-6)) - log_min) /
                   std::max(log_max - log_min, 1e-9);
-    canvas.AddPolygon(diagram.Cell(static_cast<int>(i)),
-                      SvgCanvas::HeatColor(t), "#404040", 0.4);
+    for (const ConvexPolygon& piece : cells[i].pieces) {
+      canvas.AddPolygon(piece, SvgCanvas::HeatColor(t), "#404040", 0.4);
+    }
   }
   for (const Vec2& p : starbucks) canvas.AddPoint(p, 0.8, "black");
   const char* svg_path = "fig11_voronoi.svg";

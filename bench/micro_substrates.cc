@@ -11,9 +11,7 @@
 
 #include "core/ground_truth.h"
 #include "core/sampler.h"
-#include "geometry/delaunay.h"
 #include "geometry/topk_region.h"
-#include "geometry/voronoi_diagram.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "spatial/kdtree.h"
@@ -67,26 +65,6 @@ void BM_LbsServerQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LbsServerQuery);
-
-void BM_DelaunayBuild(benchmark::State& state) {
-  const auto pts = RandomPoints(static_cast<int>(state.range(0)), 5);
-  for (auto _ : state) {
-    Delaunay d(pts);
-    benchmark::DoNotOptimize(d.num_points());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DelaunayBuild)->Arg(1000)->Arg(10000);
-
-void BM_VoronoiDiagramBuild(benchmark::State& state) {
-  const auto pts = RandomPoints(static_cast<int>(state.range(0)), 6);
-  for (auto _ : state) {
-    const VoronoiDiagram vd = VoronoiDiagram::Build(pts, kBox);
-    benchmark::DoNotOptimize(vd.TotalArea());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_VoronoiDiagramBuild)->Arg(1000)->Arg(10000);
 
 void BM_TopkRegion(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -8,10 +8,10 @@
 #include <cstdio>
 
 #include "core/aggregate.h"
+#include "core/ground_truth.h"
 #include "core/sampler.h"
 #include "engine/engine.h"
 #include "engine/lr_resolver.h"
-#include "geometry/voronoi_diagram.h"
 #include "lbs/client.h"
 #include "lbs/server.h"
 #include "util/svg.h"
@@ -35,12 +35,14 @@ int main() {
   for (int i = 0; i < 12; ++i) eng.Step();
 
   SvgCanvas canvas(usa.dataset->box(), 1400.0);
-  // Context: the true decomposition (what the estimator is discovering).
-  const VoronoiDiagram diagram =
-      VoronoiDiagram::Build(usa.dataset->Positions(), usa.dataset->box());
-  for (size_t i = 0; i < diagram.size(); ++i) {
-    canvas.AddPolygon(diagram.Cell(static_cast<int>(i)), "none", "#c0c0c0",
-                      0.6);
+  // Context: the true decomposition (what the estimator is discovering),
+  // each cell the oracle's exact top-1 cell.
+  const GroundTruthOracle oracle(usa.dataset->Positions(), usa.dataset->box());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    for (const ConvexPolygon& piece :
+         oracle.TopkCell(static_cast<int>(i), 1).pieces) {
+      canvas.AddPolygon(piece, "none", "#c0c0c0", 0.6);
+    }
   }
   for (const Tuple& t : usa.dataset->tuples()) {
     canvas.AddPoint(t.pos, 2.0, "#305080");

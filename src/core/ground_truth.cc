@@ -33,7 +33,10 @@ TopkRegion GroundTruthOracle::TopkCell(int id, int h) const {
       if (n.index != id) candidates.push_back(positions_[n.index]);
     }
     TopkRegion region = ComputeTopkRegion(focal, candidates, box_, h);
-    LBSAGG_CHECK(!region.IsEmpty());
+    // No piece survives when the cell is no larger than ComputeTopkRegion's
+    // area floor (1e-14 of the box), as in a tight cluster of sites. The
+    // points left out only shrink the cell further, so it is empty too.
+    if (region.IsEmpty()) return region;
 
     // Farthest cell point from the focal tuple: the maximum over all piece
     // vertices (each piece is convex, so its maximum is at a vertex).

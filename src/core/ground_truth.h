@@ -22,7 +22,9 @@ class GroundTruthOracle {
  public:
   GroundTruthOracle(std::vector<Vec2> positions, const Box& box);
 
-  // Exact top-h cell of point `id`, clipped to the box.
+  // Exact top-h cell of point `id`, clipped to the box. A cell no larger
+  // than ComputeTopkRegion's area floor (1e-14 of the box) comes back empty,
+  // with area 0, as the all-bisector computation returns it.
   TopkRegion TopkCell(int id, int h) const;
 
   // Area of the exact top-h cell.

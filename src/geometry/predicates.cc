@@ -1,69 +1,8 @@
 #include "geometry/predicates.h"
 
-#include <cmath>
-
 #include "util/check.h"
 
 namespace lbsagg {
-
-namespace {
-
-// Error coefficients follow Shewchuk's analysis of the naive expressions;
-// the constants are slightly conservative.
-constexpr double kOrientErrBound = 3.3306690738754716e-16;   // ~ 3 ulp
-constexpr double kInCircleErrBound = 1.1102230246251565e-14;  // conservative
-
-int SignWithExtended(long double v) {
-  if (v > 0) return 1;
-  if (v < 0) return -1;
-  return 0;
-}
-
-}  // namespace
-
-int Orient2d(const Vec2& a, const Vec2& b, const Vec2& c) {
-  const double detleft = (a.x - c.x) * (b.y - c.y);
-  const double detright = (a.y - c.y) * (b.x - c.x);
-  const double det = detleft - detright;
-  const double detsum = std::abs(detleft) + std::abs(detright);
-  if (std::abs(det) > kOrientErrBound * detsum) return det > 0 ? 1 : -1;
-
-  // Recompute in extended precision.
-  const long double ax = a.x, ay = a.y, bx = b.x, by = b.y, cx = c.x, cy = c.y;
-  const long double d =
-      (ax - cx) * (by - cy) - (ay - cy) * (bx - cx);
-  return SignWithExtended(d);
-}
-
-int InCircle(const Vec2& a, const Vec2& b, const Vec2& c, const Vec2& d) {
-  const double adx = a.x - d.x, ady = a.y - d.y;
-  const double bdx = b.x - d.x, bdy = b.y - d.y;
-  const double cdx = c.x - d.x, cdy = c.y - d.y;
-
-  const double ad2 = adx * adx + ady * ady;
-  const double bd2 = bdx * bdx + bdy * bdy;
-  const double cd2 = cdx * cdx + cdy * cdy;
-
-  const double det = adx * (bdy * cd2 - cdy * bd2) -
-                     ady * (bdx * cd2 - cdx * bd2) +
-                     ad2 * (bdx * cdy - cdx * bdy);
-
-  const double permanent = (std::abs(bdy * cd2) + std::abs(cdy * bd2)) * std::abs(adx) +
-                           (std::abs(bdx * cd2) + std::abs(cdx * bd2)) * std::abs(ady) +
-                           (std::abs(bdx * cdy) + std::abs(cdx * bdy)) * ad2;
-  if (std::abs(det) > kInCircleErrBound * permanent) return det > 0 ? 1 : -1;
-
-  // Extended precision fallback.
-  const long double ladx = adx, lady = ady, lbdx = bdx, lbdy = bdy,
-                    lcdx = cdx, lcdy = cdy;
-  const long double lad2 = ladx * ladx + lady * lady;
-  const long double lbd2 = lbdx * lbdx + lbdy * lbdy;
-  const long double lcd2 = lcdx * lcdx + lcdy * lcdy;
-  const long double ldet = ladx * (lbdy * lcd2 - lcdy * lbd2) -
-                           lady * (lbdx * lcd2 - lcdx * lbd2) +
-                           lad2 * (lbdx * lcdy - lcdx * lbdy);
-  return SignWithExtended(ldet);
-}
 
 Vec2 Circumcenter(const Vec2& a, const Vec2& b, const Vec2& c) {
   const long double ax = a.x, ay = a.y;

@@ -5,24 +5,10 @@
 
 namespace lbsagg {
 
-// Geometric predicates used by the Delaunay triangulation. They are
-// implemented with long double accumulation plus a forward error bound: when
-// the double-precision result is safely away from zero it is returned
-// directly; otherwise the computation is repeated in extended precision.
-// This is not Shewchuk-exact, but combined with the general-position
-// jittering applied by the triangulator it is reliable for every workload in
-// this repository (the paper likewise assumes general positioning, §2.2).
-
-// Sign of the signed area of triangle (a, b, c): > 0 if counter-clockwise,
-// < 0 if clockwise, 0 if collinear (within extended precision).
-int Orient2d(const Vec2& a, const Vec2& b, const Vec2& c);
-
-// In-circle test: > 0 if d lies strictly inside the circumcircle of the
-// counter-clockwise triangle (a, b, c); < 0 outside; 0 on the circle.
-int InCircle(const Vec2& a, const Vec2& b, const Vec2& c, const Vec2& d);
-
-// Circumcenter of triangle (a, b, c). Requires the points to be
-// non-collinear.
+// Circumcenter of triangle (a, b, c), computed in long double and rounded
+// once to double. Requires the points to be non-collinear. LNR cell
+// inference (core/lnr_cell) uses it to find the centre of a d_max coverage
+// disc from three boundary points that lie on its circle.
 Vec2 Circumcenter(const Vec2& a, const Vec2& b, const Vec2& c);
 
 }  // namespace lbsagg

@@ -35,7 +35,8 @@ struct AdmissionOptions {
   AdmissionPolicy policy = AdmissionPolicy::kFifo;
 
   // Waiting sessions beyond the active set; an enqueue past this sheds the
-  // session (kRejected). 0 = reject whenever the active set is full.
+  // session (kRejected). Submit() enqueues every session before the active
+  // set is filled, so 0 sheds every submission, even into an empty service.
   size_t queue_capacity = 1024;
 
   // Sessions concurrently admitted to the cooperative scheduler. Bounds the

@@ -63,11 +63,15 @@ void TriggerRegistry::Fire(const SessionEvent& event) {
   ++firing_depth_;
   // Index loop: a trigger may Add() (appends, seen by this very fire — the
   // registration-order contract) or Remove() (tombstones, skipped below).
+  // Each trigger runs from a copy: an Add() that reallocates entries_, or a
+  // Remove() of the running trigger, would otherwise free its functor while
+  // it runs.
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& entry = entries_[i];
     if (entry.fn == nullptr) continue;
     if (entry.kind >= 0 && entry.kind != static_cast<int>(event.kind)) continue;
-    entry.fn(event);
+    const SessionTrigger fn = entry.fn;
+    fn(event);
   }
   if (--firing_depth_ == 0 && dirty_) Compact();
 }

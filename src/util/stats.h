@@ -40,7 +40,7 @@ class RunningStats {
 
   // One-line JSON object: `{"count":..,"mean":..,"stddev":..,"se":..,
   // "ci95_half_width":..,"min":..,"max":..}`. Consumed by obs::RunReport;
-  // values use the default ostream double formatting.
+  // values print through JsonWriter::Shortest (shortest round-trip form).
   std::string ToJson() const;
 
  private:

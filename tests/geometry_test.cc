@@ -249,29 +249,6 @@ TEST(ConvexPolygon, FuzzClipSequencesMatchMonteCarlo) {
   }
 }
 
-TEST(Predicates, Orient2dSigns) {
-  EXPECT_GT(Orient2d({0, 0}, {1, 0}, {0, 1}), 0);
-  EXPECT_LT(Orient2d({0, 0}, {0, 1}, {1, 0}), 0);
-  EXPECT_EQ(Orient2d({0, 0}, {1, 1}, {2, 2}), 0);
-}
-
-TEST(Predicates, OrientNearlyCollinearIsStable) {
-  // Classic adversarial case: tiny perturbations around a collinear triple.
-  const Vec2 a{0.5, 0.5}, b{12.0, 12.0};
-  const Vec2 c{24.0, 24.0 + 1e-13};
-  EXPECT_GT(Orient2d(a, b, c), 0);
-  const Vec2 c2{24.0, 24.0 - 1e-13};
-  EXPECT_LT(Orient2d(a, b, c2), 0);
-}
-
-TEST(Predicates, InCircleBasic) {
-  // CCW unit circle triangle.
-  const Vec2 a{1, 0}, b{0, 1}, c{-1, 0};
-  EXPECT_GT(InCircle(a, b, c, {0, 0}), 0);
-  EXPECT_LT(InCircle(a, b, c, {2, 2}), 0);
-  EXPECT_EQ(InCircle(a, b, c, {0, -1}), 0);
-}
-
 TEST(Predicates, CircumcenterEquidistant) {
   Rng rng(9);
   for (int i = 0; i < 200; ++i) {

@@ -745,6 +745,53 @@ TEST(TriggerRegistry, RemoveAndReentrantMutation) {
   EXPECT_EQ(fired.back(), 3);
 }
 
+// A trigger whose capture std::function stores inline (one pointer) adds
+// enough triggers to reallocate the registry, then reads its capture: it must
+// still be alive, and the added same-kind triggers run in this very fire.
+TEST(TriggerRegistry, TriggerAddingTriggersSurvivesReallocation) {
+  struct State {
+    TriggerRegistry registry;
+    std::vector<int> fired;
+  };
+  State state;
+  State* s = &state;
+  s->registry.Add(SessionEventKind::kProgress, [s](const SessionEvent&) {
+    for (int i = 1; i <= 8; ++i) {
+      s->registry.Add(SessionEventKind::kProgress,
+                      [s, i](const SessionEvent&) { s->fired.push_back(i); });
+    }
+    s->fired.push_back(0);  // reads the capture after the reallocations
+  });
+
+  SessionEvent progress;
+  progress.kind = SessionEventKind::kProgress;
+  s->registry.Fire(progress);
+  EXPECT_EQ(state.fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(state.registry.size(), 9u);
+}
+
+// A trigger whose capture std::function stores on the heap (a std::string)
+// removes itself, then reads its capture: it must still be alive, and the
+// removed trigger never fires again.
+TEST(TriggerRegistry, SelfRemovingTriggerSurvivesItsRemoval) {
+  TriggerRegistry registry;
+  std::vector<std::string> fired;
+  TriggerRegistry::Handle self = TriggerRegistry::kInvalidHandle;
+  const std::string label = "a capture longer than the small-string buffer";
+  self = registry.Add(SessionEventKind::kProgress,
+                      [&registry, &self, &fired, label](const SessionEvent&) {
+                        EXPECT_TRUE(registry.Remove(self));
+                        fired.push_back(label);  // reads the capture
+                      });
+
+  SessionEvent progress;
+  progress.kind = SessionEventKind::kProgress;
+  registry.Fire(progress);
+  registry.Fire(progress);
+  EXPECT_EQ(fired, (std::vector<std::string>{label}));
+  EXPECT_EQ(registry.size(), 0u);
+}
+
 // --- Diagnostics ------------------------------------------------------------
 
 // --- Resume at the round cap --------------------------------------------------
