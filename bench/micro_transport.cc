@@ -1,7 +1,8 @@
 // Transport-layer micro-benchmarks: the direct in-process wire, the cost
 // of the simulated wire's policy pipeline (a one-shard ShardedTransport),
-// and dispatcher batch throughput at 1/2/4/8 workers. These are the
-// numbers tracked in BENCH_transport.json (regenerate with
+// the four-shard gather, and dispatcher batch throughput at 1/2/4/8
+// workers. These are the numbers tracked in BENCH_transport.json
+// (regenerate with
 //   build/bench/micro_transport --benchmark_format=json > BENCH_transport.json
 // on a quiet machine; see DESIGN.md "Transport & fault model").
 
@@ -13,6 +14,8 @@
 
 #include "lbs/client.h"
 #include "lbs/server.h"
+#include "lbs/sharded_server.h"
+#include "obs/metrics.h"
 #include "transport/async_dispatcher.h"
 #include "transport/sharded_transport.h"
 #include "util/rng.h"
@@ -96,6 +99,57 @@ void BM_SimulatedQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatedQuery);
+
+// The four-shard gather on the fleet's data shape: 2*10^5 China-scenario
+// users in city clusters, so the four Z-order shard boxes overlap and a
+// query often lies inside several of them. Queries come from the
+// scenario's census, k = 5, over a clean wire. points_per_query is the k-d
+// tree points tested per query, counted on an untimed pass over a twin
+// server that publishes its search counters.
+struct ShardedFixture {
+  static constexpr size_t kQueries = 4096;
+  ChinaScenario china;
+  ShardedLbsServer server;
+  std::vector<Vec2> queries;
+  double points_per_query = 0.0;
+
+  ShardedFixture()
+      : china(BuildChinaScenario({.num_users = 200000})),
+        server(china.dataset.get(), Options(nullptr)) {
+    Rng rng(5);
+    for (size_t i = 0; i < kQueries; ++i) {
+      queries.push_back(china.census.Sample(rng));
+    }
+    obs::MetricsRegistry stats;
+    const ShardedLbsServer counted(china.dataset.get(), Options(&stats));
+    ShardedTransport wire(&counted);
+    for (const Vec2& q : queries) (void)wire.Query(q, 5, nullptr);
+    points_per_query =
+        static_cast<double>(
+            stats.GetCounter("spatial.kdtree.points_tested")->Value()) /
+        kQueries;
+  }
+
+  static ShardedServerOptions Options(obs::MetricsRegistry* stats) {
+    ShardedServerOptions options{.num_shards = 4, .build_threads = 1};
+    options.server.max_k = 5;
+    options.server.stats_registry = stats;
+    return options;
+  }
+};
+
+void BM_ShardedQuery(benchmark::State& state) {
+  static const ShardedFixture* fixture = new ShardedFixture();
+  ShardedTransport transport(&fixture->server);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transport.Query(
+        fixture->queries[i++ % ShardedFixture::kQueries], 5, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["points_per_query"] = fixture->points_per_query;
+}
+BENCHMARK(BM_ShardedQuery);
 
 // Dispatcher throughput: one batch of independent probes per iteration,
 // pipelined over N workers. items_per_second is the headline number

@@ -26,9 +26,10 @@ namespace lbsagg {
 // splitting the box by each bisector and pruning pieces whose
 // closer-count reaches k.
 struct TopkRegion {
-  // Convex pieces tiling the region. For k = 1 there is exactly one piece
-  // (or zero if the region is empty, which cannot happen when t is in the
-  // box).
+  // Convex pieces tiling the region. For k = 1 there is at most one piece.
+  // The clip drops every piece no larger than 10^-14 of the domain's area,
+  // so the region can be empty even when t is in the box: a tight
+  // cluster's interior sites get empty k = 1 regions.
   std::vector<ConvexPolygon> pieces;
 
   // Outer boundary edges (including box edges and hole boundaries), in no

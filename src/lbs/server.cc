@@ -56,16 +56,19 @@ uint32_t MortonKey(const Vec2& p, const Box& box) {
 // tie-break equals the global (d2, id) tie order. One shard owns every
 // tuple. N shards are a Z-order range partition by sampled splitters: each
 // shard owns one contiguous Morton-key range, chosen from the key quantiles
-// of a deterministic stride sample. Shards are spatially coherent, which is
+// of a deterministic stride sample: the N - 1 `splitters` it fills, shard
+// s owning keys < (*splitters)[s]. Shards are spatially coherent, which is
 // what makes coverage-radius shard pruning (ReachableShards) effective.
 // O(n) assignment instead of an O(n log n) full sort — the partition is off
 // the build's critical path even at 10^8 tuples (bench/fig18_sharded.cc) —
 // at the cost of shard sizes being only approximately equal
 // (splitter-grade, not exact cuts).
 std::vector<std::vector<int>> PartitionIds(const std::vector<Vec2>& positions,
-                                           const Box& box, int num_shards) {
+                                           const Box& box, int num_shards,
+                                           std::vector<uint32_t>* splitters) {
   const int n = static_cast<int>(positions.size());
   std::vector<std::vector<int>> ids(num_shards);
+  splitters->clear();
   if (num_shards == 1) {
     ids[0].resize(n);
     std::iota(ids[0].begin(), ids[0].end(), 0);
@@ -78,14 +81,13 @@ std::vector<std::vector<int>> PartitionIds(const std::vector<Vec2>& positions,
   sample.reserve(static_cast<size_t>(n / stride) + 1);
   for (int id = 0; id < n; id += stride) sample.push_back(key[id]);
   std::sort(sample.begin(), sample.end());
-  std::vector<uint32_t> splitters;  // shard s owns keys < splitters[s]
-  splitters.reserve(num_shards - 1);
+  splitters->reserve(num_shards - 1);
   for (int s = 1; s < num_shards; ++s) {
-    splitters.push_back(sample[sample.size() * s / num_shards]);
+    splitters->push_back(sample[sample.size() * s / num_shards]);
   }
   for (int id = 0; id < n; ++id) {
-    ids[std::upper_bound(splitters.begin(), splitters.end(), key[id]) -
-        splitters.begin()]
+    ids[std::upper_bound(splitters->begin(), splitters->end(), key[id]) -
+        splitters->begin()]
         .push_back(id);
   }
   return ids;
@@ -99,10 +101,9 @@ double ShardMinDist2(const Box& b, const Vec2& q) {
 }
 
 // One candidate of a page, ranked by (key, id): `key` is the prominence
-// score under kProminence, otherwise the exact squared distance
-// dx*dx + dy*dy. The builds use no FP-contraction flags, so d2 is the same
-// IEEE double in every translation unit, and ordering by it reproduces the
-// SpatialIndex (squared distance, index) contract exactly. Sorting by
+// score under kProminence, otherwise the squared distance the shard's
+// index ranked the hit by (ServerHit::d2), so ordering by it reproduces
+// the SpatialIndex (squared distance, index) contract exactly. Sorting by
 // `distance` instead would be wrong: two distinct d2 can round to the same
 // sqrt, and the id tie-break would then disagree with the index's d2 order.
 struct Ranked {
@@ -180,7 +181,7 @@ LbsServer::LbsServer(const Dataset* dataset, ServerOptions options,
   const auto t0 = std::chrono::steady_clock::now();
   effective_pos_ = ComputeEffectivePositions(*dataset_, options_);
   std::vector<std::vector<int>> ids =
-      PartitionIds(effective_pos_, dataset_->box(), num_shards);
+      PartitionIds(effective_pos_, dataset_->box(), num_shards, &splitters_);
   shards_.resize(num_shards);
   std::vector<std::vector<Vec2>> shard_points(num_shards);
   for (int s = 0; s < num_shards; ++s) {
@@ -212,38 +213,49 @@ LbsServer::LbsServer(const Dataset* dataset, ServerOptions options,
 
 std::vector<ServerHit> LbsServer::Query(const Vec2& q, int k,
                                         const TupleFilter& filter) const {
-  if (num_shards() == 1) return QueryShard(0, q, k, filter);
   return GatherShards(q, k, filter);
 }
 
 std::vector<ServerHit> LbsServer::GatherShards(
     const Vec2& q, int k, const TupleFilter& filter,
     const Truncation& truncation) const {
+  // One shard's page is already in (d2, id) order and radius-trimmed, and
+  // an unreachable shard's page trims to empty: nothing to fold.
+  if (num_shards() == 1 && truncation.shards.empty()) {
+    return QueryShard(0, q, k, filter);
+  }
   LBSAGG_CHECK_GE(k, 1);
   constexpr double kNoCap = std::numeric_limits<double>::infinity();
   const bool capped_ranking = options_.ranking == RankingMode::kDistance;
   // A global top-k hit has d2 <= the k-th d2 of any k gathered hits, so
   // the inclusive cap keeps it (DESIGN.md §4.11).
   RunningTopK best(std::min(k, options_.max_k));
-  // Lanes nearest-first, in ascending (bbox d2, shard id): each pass picks
-  // the smallest pair above the previous lane's, so no order is stored.
+  // Lanes nearest-first, in ascending (bbox d2, home, shard id): q often
+  // lies inside several overlapping shard boxes at bbox d2 0, and among
+  // those the home shard is the likeliest to hold q's neighbours and set a
+  // tight cap for the rest. Each pass picks the smallest (bbox d2, rank)
+  // above the previous lane's, so no order is stored.
+  const int home = HomeShard(q);
+  const auto rank = [home](int s) { return s == home ? -1 : s; };
   double last_d2 = -kNoCap;
-  int last = -1;
+  int last_rank = -2;
   for (;;) {
     int shard = -1;
     double bbox_d2 = kNoCap;
     for (int s = 0; s < num_shards(); ++s) {
       const double d2 = ShardMinDist2(shards_[s].bbox, q);
-      const bool after_last = d2 > last_d2 || (d2 == last_d2 && s > last);
+      const bool after_last =
+          d2 > last_d2 || (d2 == last_d2 && rank(s) > last_rank);
       if (!after_last || !Reachable(s, d2)) continue;
-      if (shard < 0 || d2 < bbox_d2) {
+      if (shard < 0 || d2 < bbox_d2 ||
+          (d2 == bbox_d2 && rank(s) < rank(shard))) {
         shard = s;
         bbox_d2 = d2;
       }
     }
     if (shard < 0) break;
     last_d2 = bbox_d2;
-    last = shard;
+    last_rank = rank(shard);
     const auto cut = std::lower_bound(truncation.shards.begin(),
                                       truncation.shards.end(), shard);
     const bool truncated = cut != truncation.shards.end() && *cut == shard;
@@ -258,9 +270,16 @@ std::vector<ServerHit> LbsServer::GatherShards(
     }
     std::vector<ServerHit> page = QueryShard(shard, q, k, filter, lane_cap);
     if (truncated) truncation.cut(cut - truncation.shards.begin(), &page);
-    for (const ServerHit& h : page) best.Offer(RankKey(q, h), h);
+    for (const ServerHit& h : page) best.Offer(RankKey(h), h);
   }
   return best.Hits();
+}
+
+int LbsServer::HomeShard(const Vec2& q) const {
+  return static_cast<int>(
+      std::upper_bound(splitters_.begin(), splitters_.end(),
+                       MortonKey(q, dataset_->box())) -
+      splitters_.begin());
 }
 
 std::vector<int> LbsServer::ReachableShards(const Vec2& q) const {
@@ -298,9 +317,9 @@ std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
     // global winner ranks at least as high within its own shard.
     RunningTopK best(k);
     for (const Neighbor& n : sh.index->WithinRadius(q, options_.max_radius)) {
-      const ServerHit hit{sh.ids[n.index], n.distance};
+      const ServerHit hit{sh.ids[n.index], n.distance, n.d2};
       if (filter && !filter(dataset_->tuple(hit.tuple_id))) continue;
-      best.Offer(RankKey(q, hit), hit);
+      best.Offer(RankKey(hit), hit);
     }
     return best.Hits();
   }
@@ -317,27 +336,26 @@ std::vector<ServerHit> LbsServer::QueryShard(int shard, const Vec2& q, int k,
   hits.reserve(nearest.size());
   for (const Neighbor& n : nearest) {
     if (n.distance > options_.max_radius) break;  // sorted ascending
-    hits.push_back({sh.ids[n.index], n.distance});
+    hits.push_back({sh.ids[n.index], n.distance, n.d2});
   }
   return hits;
 }
 
 std::vector<ServerHit> LbsServer::MergeShardPages(
-    const Vec2& q, const std::vector<std::vector<ServerHit>>& pages,
-    int k) const {
+    const std::vector<std::vector<ServerHit>>& pages, int k) const {
   LBSAGG_CHECK_GE(k, 1);
   RunningTopK best(std::min(k, options_.max_k));
   for (const auto& page : pages) {
-    for (const ServerHit& h : page) best.Offer(RankKey(q, h), h);
+    for (const ServerHit& h : page) best.Offer(RankKey(h), h);
   }
   return best.Hits();
 }
 
-double LbsServer::RankKey(const Vec2& q, const ServerHit& hit) const {
+double LbsServer::RankKey(const ServerHit& hit) const {
   return options_.ranking == RankingMode::kProminence
              ? hit.distance -
                    options_.prominence_weight * prominence_[hit.tuple_id]
-             : SquaredDistance(q, effective_pos_[hit.tuple_id]);
+             : hit.d2;
 }
 
 const std::vector<int>& LbsServer::shard_ids(int shard) const {

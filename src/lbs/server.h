@@ -2,6 +2,7 @@
 #define LBSAGG_LBS_SERVER_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -65,10 +66,13 @@ struct ServerOptions {
 };
 
 // One ranked hit; `distance` is measured to the tuple's effective
-// (possibly obfuscated) position.
+// (possibly obfuscated) position, and `d2` is the squared distance the
+// shard's index ranked it by (Neighbor::d2), of which `distance` is the
+// sqrt.
 struct ServerHit {
   int tuple_id = -1;
   double distance = 0.0;
+  double d2 = 0.0;
 };
 
 // Construction cost breakdown, for bench/fig18_sharded.cc. The serial
@@ -95,9 +99,10 @@ struct ShardBuildStats {
 // tuple; ShardedLbsServer (lbs/sharded_server.h) builds N. The shard count
 // is invisible through the interface, exactly like the index backend: a
 // query scatters to the ReachableShards, and GatherShards asks each for its
-// QueryShard page nearest-first under the running k-th best d2 and folds
-// the hits by (d2, id) into one running top-k, so every answer is
-// bit-identical to the one-shard server's (DESIGN.md §4.11).
+// QueryShard page nearest-first (q's home shard first among equally near
+// ones) under the running k-th best d2 and folds the hits by (d2, id) into
+// one running top-k, so every answer is bit-identical to the one-shard
+// server's (DESIGN.md §4.11).
 //
 // Thread-safety: construction is internally parallel; afterwards the object
 // is immutable and every method is const and safe to call concurrently.
@@ -107,16 +112,16 @@ class LbsServer {
   LbsServer(const Dataset* dataset, ServerOptions options = {});
 
   // Answers a kNN query at `q` for min(k, max_k) tuples, honoring
-  // max_radius and the optional pass-through selection condition. One
-  // shard answers with its own page; N shards run GatherShards over the
-  // ReachableShards.
+  // max_radius and the optional pass-through selection condition:
+  // GatherShards with no truncated lane.
   std::vector<ServerHit> Query(const Vec2& q, int k,
                                const TupleFilter& filter = nullptr) const;
 
   // The per-shard endpoint the sharded transport fans out to, and the only
   // ranking code: this shard's top-k page among its tuples with d2 <=
-  // max_d2 (global tuple ids, clamped to max_k, radius-trimmed; under
-  // kProminence, scored and re-ranked by (score, global id), uncapped).
+  // max_d2 (global tuple ids, clamped to max_k, radius-trimmed, in (d2, id)
+  // order; under kProminence, scored and re-ranked by (score, global id),
+  // uncapped).
   // Merging every reachable shard's uncapped page with MergeShardPages
   // reproduces the one-shard answer exactly.
   std::vector<ServerHit> QueryShard(
@@ -132,9 +137,11 @@ class LbsServer {
     std::function<void(size_t i, std::vector<ServerHit>* page)> cut;
   };
 
-  // The N-shard gather of Query and ShardedTransport::Fulfill. It visits
-  // the ReachableShards in ascending (bbox d2, shard id) and searches each
-  // under the running cap: the min(k, max_k)-th smallest d2 among the hits
+  // The gather of Query and ShardedTransport::Fulfill. One shard with no
+  // truncated lane answers with its own QueryShard page. Otherwise it
+  // visits the ReachableShards in ascending (bbox d2, home, shard id), the
+  // HomeShard first among lanes at equal bbox d2, and searches each under
+  // the running cap: the min(k, max_k)-th smallest d2 among the hits
   // gathered so far, +inf until that many are in. A lane whose bbox lies
   // beyond its cap is not searched; truncated lanes and kProminence run
   // uncapped. The hits fold into one running top-min(k, max_k) buffer,
@@ -149,8 +156,7 @@ class LbsServer {
   // deterministic — page order and page-internal order are irrelevant. The
   // tests' oracle for GatherShards, which folds its lanes the same way.
   std::vector<ServerHit> MergeShardPages(
-      const Vec2& q, const std::vector<std::vector<ServerHit>>& pages,
-      int k) const;
+      const std::vector<std::vector<ServerHit>>& pages, int k) const;
 
   // Shards that could contribute to any query at `q` under the coverage
   // radius: mind2(q, shard bbox) <= max_radius^2, ascending shard id, empty
@@ -158,6 +164,11 @@ class LbsServer {
   // shard. Pure geometry — the sharded transport uses it to decide the
   // scatter fan-out before any backend work runs.
   std::vector<int> ReachableShards(const Vec2& q) const;
+
+  // The shard whose Morton key range holds q's key (q clamped to the
+  // dataset box): the shard that owns any tuple placed at q. It may be
+  // empty, and q may lie outside its bbox.
+  int HomeShard(const Vec2& q) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   // Global tuple ids owned by `shard`, ascending.
@@ -185,8 +196,8 @@ class LbsServer {
   };
 
   // What a hit ranks by, ties broken by id: its prominence score under
-  // kProminence, else the exact d2 from q to its effective position.
-  double RankKey(const Vec2& q, const ServerHit& hit) const;
+  // kProminence, else the d2 its shard's index ranked it by.
+  double RankKey(const ServerHit& hit) const;
 
   // Whether a non-empty shard at squared bbox distance `bbox_d2` from the
   // query lies within the coverage radius.
@@ -197,6 +208,8 @@ class LbsServer {
   std::vector<Vec2> effective_pos_;  // global, id order
   std::vector<double> prominence_;   // empty unless kProminence
   std::vector<Shard> shards_;
+  // The N - 1 Morton-key splitters: shard s owns keys < splitters_[s].
+  std::vector<uint32_t> splitters_;
   ShardBuildStats build_stats_;
 };
 

@@ -37,7 +37,7 @@ std::vector<Neighbor> BruteForceIndex::NearestFiltered(
   std::partial_sort(all.begin(), all.begin() + keep, all.end(), Better);
   std::vector<Neighbor> result(keep);
   for (size_t i = 0; i < keep; ++i) {
-    result[i] = {all[i].index, std::sqrt(all[i].d2)};
+    result[i] = {all[i].index, std::sqrt(all[i].d2), all[i].d2};
   }
   return result;
 }
@@ -48,7 +48,7 @@ std::vector<Neighbor> BruteForceIndex::WithinRadius(const Vec2& q,
   std::vector<Neighbor> result;
   for (size_t i = 0; i < points_.size(); ++i) {
     const double d2 = SquaredDistance(q, points_[i]);
-    if (d2 <= r2) result.push_back({static_cast<int>(i), std::sqrt(d2)});
+    if (d2 <= r2) result.push_back({static_cast<int>(i), std::sqrt(d2), d2});
   }
   return result;
 }

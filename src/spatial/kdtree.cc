@@ -229,7 +229,9 @@ void KdTree::SearchSorted(const Vec2& q, int k, const Accept& accept,
     }
   });
   out.resize(m);
-  for (int i = 0; i < m; ++i) out[i] = {best[i].index, std::sqrt(best[i].d2)};
+  for (int i = 0; i < m; ++i) {
+    out[i] = {best[i].index, std::sqrt(best[i].d2), best[i].d2};
+  }
 }
 
 template <typename Accept>
@@ -277,7 +279,9 @@ void KdTree::SearchBuffered(const Vec2& q, int k, const Accept& accept,
   if (m > k) compact();
   std::sort(buf, buf + m, Better);
   out.resize(m);
-  for (int i = 0; i < m; ++i) out[i] = {buf[i].index, std::sqrt(buf[i].d2)};
+  for (int i = 0; i < m; ++i) {
+    out[i] = {buf[i].index, std::sqrt(buf[i].d2), buf[i].d2};
+  }
 }
 
 std::vector<Neighbor> KdTree::NearestFiltered(const Vec2& q, int k,
@@ -307,7 +311,9 @@ std::vector<Neighbor> KdTree::WithinRadius(const Vec2& q, double radius) const {
   const double r2 = radius * radius;
   Walk(q, r2, [&](const double* d2s, const double* ids, int count) {
     for (int j = 0; j < count; ++j) {
-      if (d2s[j] <= r2) result.push_back({LoadId(ids, j), std::sqrt(d2s[j])});
+      if (d2s[j] <= r2) {
+        result.push_back({LoadId(ids, j), std::sqrt(d2s[j]), d2s[j]});
+      }
     }
   });
   return result;

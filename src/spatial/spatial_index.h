@@ -9,23 +9,26 @@
 
 namespace lbsagg {
 
-// One kNN search result: the index of the point in the indexed set and its
-// distance to the query location.
+// One kNN search result: the index of the point in the indexed set, its
+// distance to the query location, and the squared distance it was ranked
+// by.
 //
 // Candidate ordering contract: every implementation ranks candidates by the
 // total order (squared distance, index) — squared distances are exact
 // products of coordinate differences, so the order is identical across
-// implementations regardless of traversal — and `distance` is the sqrt of
-// that squared distance. In particular, equidistant neighbors are returned
-// in ascending point-id order: ties are broken by index, deterministically,
-// on every backend. The kNN result of any two implementations over the
-// same point set is therefore bit-identical (spatial_equivalence_test.cc
-// enforces this — including the tie order directly, via ExpectTotalOrder —
-// and the LBS server relies on it to make the index backend invisible
-// through the interface).
+// implementations regardless of traversal — `d2` is that squared distance,
+// SquaredDistance(q, p) bit for bit, and `distance` is its sqrt. In
+// particular, equidistant neighbors are returned in ascending point-id
+// order: ties are broken by index, deterministically, on every backend.
+// The kNN result of any two implementations over the same point set is
+// therefore bit-identical (spatial_equivalence_test.cc enforces this —
+// including the tie order directly, via ExpectTotalOrder — and the LBS
+// server relies on it to make the index backend invisible through the
+// interface, and re-ranks gathered hits by `d2` without recomputing it).
 struct Neighbor {
   int index = -1;
   double distance = 0.0;
+  double d2 = 0.0;
 };
 
 // Accepts or rejects a candidate point index during a filtered search. Used

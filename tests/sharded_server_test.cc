@@ -2,7 +2,9 @@
 // are invisible through the query interface — every answer is bit-identical
 // to the one-shard LbsServer over the same dataset and options, the same
 // guarantee the index backends give (spatial_equivalence_test.cc). Both
-// also match a naive scan that shares no ranking code with the server.
+// also match a naive scan that shares no ranking code with the server, d2
+// included: the gather ranks hits by the d2 their shard's index computed,
+// so the naive scan's d2 holds the k-d tree's.
 
 #include <algorithm>
 #include <cmath>
@@ -15,6 +17,7 @@
 #include "lbs/dataset.h"
 #include "lbs/server.h"
 #include "lbs/sharded_server.h"
+#include "transport/sharded_transport.h"
 #include "util/rng.h"
 
 namespace lbsagg {
@@ -55,6 +58,7 @@ void ExpectHitsEqual(const std::vector<ServerHit>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tuple_id, b[i].tuple_id) << what << " rank " << i;
     EXPECT_EQ(a[i].distance, b[i].distance) << what << " rank " << i;
+    EXPECT_EQ(a[i].d2, b[i].d2) << what << " rank " << i;
   }
 }
 
@@ -68,7 +72,7 @@ std::vector<ServerHit> Gather(const ShardedLbsServer& sharded, const Vec2& q,
   for (int s : sharded.ReachableShards(q)) {
     pages.push_back(sharded.QueryShard(s, q, k, filter));
   }
-  return sharded.MergeShardPages(q, pages, k);
+  return sharded.MergeShardPages(pages, k);
 }
 
 void ExpectBitIdentical(const Dataset& d, const ServerOptions& server_opts,
@@ -98,6 +102,7 @@ std::vector<ServerHit> NaiveQuery(const LbsServer& server, const Vec2& q,
     double key;
     int id;
     double distance;
+    double d2;
   };
   std::vector<Candidate> all;
   for (size_t i = 0; i < d.size(); ++i) {
@@ -114,7 +119,7 @@ std::vector<ServerHit> NaiveQuery(const LbsServer& server, const Vec2& q,
         prominence ? distance - opts.prominence_weight *
                                     std::get<double>(t.values[score_col])
                    : d2;
-    all.push_back({key, id, distance});
+    all.push_back({key, id, distance, d2});
   }
   std::sort(all.begin(), all.end(), [](const Candidate& a, const Candidate& b) {
     return a.key < b.key || (a.key == b.key && a.id < b.id);
@@ -122,7 +127,7 @@ std::vector<ServerHit> NaiveQuery(const LbsServer& server, const Vec2& q,
   std::vector<ServerHit> hits;
   for (const Candidate& c : all) {
     if (hits.size() == static_cast<size_t>(std::min(k, opts.max_k))) break;
-    hits.push_back({c.id, c.distance});
+    hits.push_back({c.id, c.distance, c.d2});
   }
   return hits;
 }
@@ -276,14 +281,14 @@ TEST(ShardedServer, ShardPagesMergeToGlobalAnswerInAnyOrder) {
     for (int s : sharded.ReachableShards(q)) {
       pages.push_back(sharded.QueryShard(s, q, 10));
     }
-    ExpectHitsEqual(sharded.MergeShardPages(q, pages, 10), expected, "merge");
+    ExpectHitsEqual(sharded.MergeShardPages(pages, 10), expected, "merge");
     // Arrival order and page-internal order are irrelevant.
     for (int trial = 0; trial < 3; ++trial) {
       std::shuffle(pages.begin(), pages.end(), shuffler);
       for (auto& page : pages) {
         std::shuffle(page.begin(), page.end(), shuffler);
       }
-      ExpectHitsEqual(sharded.MergeShardPages(q, pages, 10), expected,
+      ExpectHitsEqual(sharded.MergeShardPages(pages, 10), expected,
                       "merge shuffled");
     }
   }
@@ -299,6 +304,126 @@ TEST(ShardedServer, BuildThreadCountDoesNotChangeAnswers) {
   EXPECT_GE(serial.build_stats().critical_path_ms(), 0.0);
   for (const Vec2& q : queries) {
     ExpectHitsEqual(Gather(parallel, q, 5), Gather(serial, q, 5), "threads");
+  }
+}
+
+// City clusters over four Z-order shards. A Morton key range is not a
+// rectangle, so the shards' bounding boxes overlap, and a query often lies
+// inside several of them at bbox d2 0, where the gather's lane order falls
+// to its home-shard tie-break. Whatever lane goes first, every page,
+// through Query and through the wire, equals the one-shard server's in
+// ids, distances and d2: under distance ranking with and without a filter,
+// with a finite d_max, and under prominence. The queries cover q inside
+// several shard boxes, q outside its home shard's box, q on the dataset
+// box's edge and outside it (where the Morton key clamps), and q at every
+// tuple: below 65,536 tuples the splitter sample is every key, so each
+// splitter is some tuple's key and a query there hits it exactly. A server
+// with more shards than tuples gives queries an empty home shard.
+TEST(ShardedServer, HomeShardFirstAmongTiedLanesKeepsPagesBitIdentical) {
+  Dataset d(kBox, MakeSchema());
+  Rng rng(71);
+  std::vector<Vec2> centers;
+  for (int c = 0; c < 6; ++c) centers.push_back(kBox.SamplePoint(rng));
+  for (int i = 0; i < 2000; ++i) {
+    const Vec2& c = centers[i % 2 == 0 ? 0 : rng.UniformInt(6)];
+    const double spread = 5.0 + 60.0 * rng.Uniform01();
+    d.Add(kBox.Clamp(c + Vec2{rng.Uniform(-spread, spread),
+                              rng.Uniform(-spread, spread)}),
+          {std::string(i % 4 == 0 ? "restaurant" : "other"),
+           rng.Uniform(0.0, 10.0)});
+  }
+  Dataset tiny(kBox, MakeSchema());
+  for (const Vec2& p : {Vec2{700, 400}, Vec2{720, 380}, Vec2{300, 500}}) {
+    tiny.Add(p, {std::string("restaurant"), 1.0});
+  }
+
+  std::vector<Vec2> queries;
+  for (int i = 0; i < 200; ++i) queries.push_back(kBox.SamplePoint(rng));
+  for (int i = 0; i <= 10; ++i) {
+    const double t = i / 10.0;
+    queries.push_back({t * kBox.width(), kBox.lo.y});
+    queries.push_back({t * kBox.width(), kBox.hi.y});
+    queries.push_back({kBox.lo.x, t * kBox.height()});
+    queries.push_back({kBox.hi.x, t * kBox.height()});
+  }
+  const Box outside = kBox.Expanded(150.0);
+  for (int i = 0; i < 60;) {
+    const Vec2 q = outside.SamplePoint(rng);
+    if (!kBox.Contains(q)) {
+      queries.push_back(q);
+      ++i;
+    }
+  }
+  queries.push_back(outside.lo);
+  for (size_t id = 0; id < d.size(); ++id) queries.push_back(d.tuple(id).pos);
+
+  const TupleFilter restaurants = [](const Tuple& t) {
+    return std::get<std::string>(t.values[0]) == "restaurant";
+  };
+  ServerOptions trimmed{.max_k = 10, .max_radius = 40.0};
+  ServerOptions prominence{.max_k = 10, .max_radius = 80.0};
+  prominence.ranking = RankingMode::kProminence;
+  prominence.prominence_column = "score";
+  prominence.prominence_weight = 3.0;
+
+  for (const Dataset* data : {&d, &tiny}) {
+    const int shards = data == &d ? 4 : 8;
+    const ShardedLbsServer sharded(data, {.num_shards = shards});
+    // Each shard's bbox, from its tuples.
+    std::vector<Box> boxes(shards);
+    for (int s = 0; s < shards; ++s) {
+      const std::vector<int>& ids = sharded.shard_ids(s);
+      if (ids.empty()) continue;
+      boxes[s] = Box(data->tuple(ids[0]).pos, data->tuple(ids[0]).pos);
+      for (int id : ids) boxes[s] = boxes[s].Including(data->tuple(id).pos);
+    }
+    // A tuple's own position is in its owner's key range.
+    for (int s = 0; s < shards; ++s) {
+      for (int id : sharded.shard_ids(s)) {
+        EXPECT_EQ(sharded.HomeShard(data->tuple(id).pos), s) << "tuple " << id;
+      }
+    }
+    int in_several = 0;
+    int away_from_home = 0;
+    int empty_home = 0;
+    for (const Vec2& q : queries) {
+      const int home = sharded.HomeShard(q);
+      if (sharded.shard_ids(home).empty()) {
+        ++empty_home;
+        continue;
+      }
+      int containing = 0;
+      for (int s = 0; s < shards; ++s) {
+        containing += !sharded.shard_ids(s).empty() && boxes[s].Contains(q);
+      }
+      in_several += containing >= 2;
+      away_from_home += !boxes[home].Contains(q);
+    }
+    if (data == &d) {
+      EXPECT_GT(in_several, 100);
+      EXPECT_GT(away_from_home, 10);
+    } else {
+      EXPECT_GT(empty_home, 0);
+    }
+
+    for (const ServerOptions& opts : {ServerOptions{.max_k = 10}, trimmed,
+                                      prominence}) {
+      const LbsServer one(data, opts);
+      const ShardedLbsServer many(data,
+                                  {.num_shards = shards, .server = opts});
+      ShardedTransport wire(&many);
+      for (const TupleFilter& filter : {TupleFilter{}, restaurants}) {
+        for (int k : {1, 5, 10}) {
+          for (const Vec2& q : queries) {
+            const std::vector<ServerHit> expected = one.Query(q, k, filter);
+            ExpectHitsEqual(many.Query(q, k, filter), expected, "query");
+            const TransportReply reply = wire.Query(q, k, filter);
+            ASSERT_EQ(reply.outcome, TransportOutcome::kOk);
+            ExpectHitsEqual(reply.hits, expected, "wire");
+          }
+        }
+      }
+    }
   }
 }
 

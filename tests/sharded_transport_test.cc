@@ -65,6 +65,7 @@ void ExpectHitsEqual(const std::vector<ServerHit>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tuple_id, b[i].tuple_id) << what << " rank " << i;
     EXPECT_EQ(a[i].distance, b[i].distance) << what << " rank " << i;
+    EXPECT_EQ(a[i].d2, b[i].d2) << what << " rank " << i;
   }
 }
 
@@ -331,17 +332,20 @@ TEST(ShardedTransport, CappedLaneWorkPinnedBelowUncappedScatter) {
       pages.push_back(uncapped.QueryShard(s, q, 5));
     }
     ExpectHitsEqual(transport.Query(q, 5, nullptr).hits,
-                    uncapped.MergeShardPages(q, pages, 5), "capped lanes");
+                    uncapped.MergeShardPages(pages, 5), "capped lanes");
   }
   const auto value = [](obs::MetricsRegistry& registry, const char* name) {
     return registry.GetCounter(name)->Value();
   };
   const uint64_t searches = value(wire_stats, "spatial.kdtree.searches");
   const uint64_t points = value(wire_stats, "spatial.kdtree.points_tested");
-  // Per query: 1.39 searches testing 99.9 points, against 4 searches
-  // testing 623.5 uncapped.
+  // Per query: 1.39 searches testing 92.1 points, against 4 searches
+  // testing 623.5 uncapped. Lanes tied at bbox d2 go home shard first;
+  // by shard id alone the wire tested 29,978 points, and a gather that
+  // searched the home lane first whatever its bbox d2 ran 458 searches
+  // testing 32,366 points, so this pin fails for both.
   EXPECT_EQ(searches, 417u);
-  EXPECT_EQ(points, 29978u);
+  EXPECT_EQ(points, 27628u);
   EXPECT_EQ(value(uncapped_stats, "spatial.kdtree.searches"), 1200u);
   EXPECT_LT(searches, value(uncapped_stats, "spatial.kdtree.searches"));
   EXPECT_LT(points, value(uncapped_stats, "spatial.kdtree.points_tested"));

@@ -10,7 +10,9 @@
 // Every kd-tree search runs one traversal; the k values used here cover
 // both of its kNN candidate stores (the sorted insertion array for k <= 16,
 // k = 1 included, and the 2k buffer above it), and the radius cases its
-// radius collector.
+// radius collector. Each result's d2, which the LBS server's shard gather
+// ranks by, is bit-equal across the two backends, equals SquaredDistance
+// from q to the returned point, and has `distance` as its sqrt.
 
 #include <algorithm>
 #include <cmath>
@@ -79,6 +81,23 @@ void ExpectTotalOrder(const std::vector<Neighbor>& r, const char* label) {
   }
 }
 
+// `distance` is the sqrt of the carried d2, bit for bit.
+void ExpectSqrtOfD2(const std::vector<Neighbor>& r, const char* label) {
+  for (size_t i = 0; i < r.size(); ++i) {
+    EXPECT_EQ(r[i].distance, std::sqrt(r[i].d2)) << label << " rank " << i;
+  }
+}
+
+// The carried d2 is SquaredDistance(q, p) for the returned point p.
+void ExpectExactD2(const std::vector<Neighbor>& r,
+                   const std::vector<Vec2>& pts, const Vec2& q,
+                   const char* label) {
+  for (size_t i = 0; i < r.size(); ++i) {
+    EXPECT_EQ(r[i].d2, SquaredDistance(q, pts[r[i].index]))
+        << label << " rank " << i;
+  }
+}
+
 void ExpectIdentical(const std::vector<Neighbor>& a,
                      const std::vector<Neighbor>& b, const char* label) {
   ASSERT_EQ(a.size(), b.size()) << label;
@@ -86,8 +105,11 @@ void ExpectIdentical(const std::vector<Neighbor>& a,
     EXPECT_EQ(a[i].index, b[i].index) << label << " rank " << i;
     // Bit-identical, not approximately equal.
     EXPECT_EQ(a[i].distance, b[i].distance) << label << " rank " << i;
+    EXPECT_EQ(a[i].d2, b[i].d2) << label << " rank " << i;
   }
   ExpectTotalOrder(a, label);
+  ExpectSqrtOfD2(a, label);
+  ExpectSqrtOfD2(b, label);
 }
 
 // WithinRadius is unsorted by contract; compare as sorted sets.
@@ -102,7 +124,10 @@ void ExpectSameSet(std::vector<Neighbor> a, std::vector<Neighbor> b,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].index, b[i].index) << label << " rank " << i;
     EXPECT_EQ(a[i].distance, b[i].distance) << label << " rank " << i;
+    EXPECT_EQ(a[i].d2, b[i].d2) << label << " rank " << i;
   }
+  ExpectSqrtOfD2(a, label);
+  ExpectSqrtOfD2(b, label);
 }
 
 // The k values cover both KdTree kNN candidate stores (sorted insertion for
@@ -129,13 +154,15 @@ TEST(SpatialEquivalence, KdTreeMatchesBruteForceRandomized) {
       for (const int k : kTestKs) {
         const auto want = brute.Nearest(q, k);
         ExpectTotalOrder(want, "brute Nearest");
+        ExpectExactD2(want, pts, q, "brute Nearest");
         ExpectIdentical(kd.Nearest(q, k), want, "kd Nearest");
       }
 
       const IndexFilter filter = [](int id) { return (id & 3) != 0; };
       for (const int k : {1, 7, 30}) {
-        ExpectIdentical(kd.NearestFiltered(q, k, filter),
-                        brute.NearestFiltered(q, k, filter),
+        const auto want = brute.NearestFiltered(q, k, filter);
+        ExpectExactD2(want, pts, q, "brute NearestFiltered");
+        ExpectIdentical(kd.NearestFiltered(q, k, filter), want,
                         "kd NearestFiltered");
       }
 
@@ -158,8 +185,9 @@ TEST(SpatialEquivalence, KdTreeMatchesBruteForceRandomized) {
                       "kd null filter");
 
       for (const double radius : {0.0, 15.0, 120.0, 2000.0}) {
-        ExpectSameSet(kd.WithinRadius(q, radius),
-                      brute.WithinRadius(q, radius), "kd WithinRadius");
+        const auto want = brute.WithinRadius(q, radius);
+        ExpectExactD2(want, pts, q, "brute WithinRadius");
+        ExpectSameSet(kd.WithinRadius(q, radius), want, "kd WithinRadius");
       }
     }
   }
@@ -303,6 +331,7 @@ TEST(SpatialEquivalence, CappedSearchMatchesCappedOracle) {
             }
             const std::vector<Neighbor> want =
                 brute.NearestFiltered(q, k, filter, cap);
+            ExpectExactD2(want, pts, q, "capped oracle");
             ExpectIdentical(want, within, "capped oracle");
             ExpectIdentical(kd.NearestFiltered(q, k, filter, cap), want,
                             "kd capped");

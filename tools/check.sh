@@ -88,19 +88,21 @@ if [[ "$FAST" == "0" ]]; then
 
   echo "==> LBSAGG_OBS_DISABLED build + transport, obs, service and introspection suites"
   # The wire's own accounting (TransportMetrics) must stay exact with every
-  # metric-plane cell compiled out, the report document and the service's
-  # tallies (its dedup registry, its sections) must work without the
-  # counters, and the introspection plane's stubs must keep their contract
-  # (nothing recorded, estimates unchanged, statusz an empty report).
+  # metric-plane cell compiled out, the one-shard and N-shard gathers must
+  # still answer alike, the report document and the service's tallies (its
+  # dedup registry, its sections) must work without the counters, and the
+  # introspection plane's stubs must keep their contract (nothing recorded,
+  # estimates unchanged, statusz an empty report).
   NOOBS_TARGETS=(micro_hotpath transport_test transport_determinism_test
-                 sharded_transport_test sweep_determinism_test
-                 obs_test service_test introspect_test)
+                 sharded_server_test sharded_transport_test
+                 sweep_determinism_test obs_test service_test introspect_test)
   cmake -B build-noobs -S . -DLBSAGG_OBS_DISABLED=ON > /dev/null
   cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}" \
     -- --quiet 2>/dev/null \
     || cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}"
   ./build-noobs/tests/transport_test
   ./build-noobs/tests/transport_determinism_test
+  ./build-noobs/tests/sharded_server_test
   ./build-noobs/tests/sharded_transport_test
   ./build-noobs/tests/sweep_determinism_test
   ./build-noobs/tests/obs_test
