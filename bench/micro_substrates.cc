@@ -13,8 +13,10 @@
 #include "core/sampler.h"
 #include "geometry/topk_region.h"
 #include "lbs/client.h"
+#include "lbs/dataset.h"
 #include "lbs/server.h"
 #include "spatial/kdtree.h"
+#include "workload/generators.h"
 #include "workload/scenarios.h"
 
 namespace lbsagg {
@@ -39,6 +41,39 @@ void BM_KdTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KdTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// n China users with every 7th moved onto an earlier one's position, so the
+// jitter runs both its miss path and its move path.
+Dataset ChinaWithTwins(int n) {
+  const Box china({0.0, 0.0}, {5000.0, 3500.0});
+  Rng rng(88);
+  const std::vector<ClusterSpec> cities =
+      MakeZipfClusters(50, china, 1.1, 40.0, rng);
+  std::vector<Vec2> pos = GenerateClustered(n, china, cities, 0.08, rng);
+  for (size_t i = 7; i < pos.size(); i += 7) pos[i] = pos[rng.UniformInt(i)];
+  Dataset d(china, Schema());
+  for (const Vec2& p : pos) d.Add(p, {});
+  return d;
+}
+
+void BM_JitterDuplicates(benchmark::State& state) {
+  const Dataset input = ChinaWithTwins(static_cast<int>(state.range(0)));
+  int moved = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Dataset d = input;
+    Rng rng(31);
+    state.ResumeTiming();
+    moved = d.JitterDuplicates(rng, 1e-7);
+    benchmark::DoNotOptimize(moved);
+  }
+  state.counters["moved"] = moved;
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_JitterDuplicates)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KdTreeKnnQuery(benchmark::State& state) {
   const auto pts = RandomPoints(100000, 2);

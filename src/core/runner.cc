@@ -47,13 +47,19 @@ size_t RunEngine(engine::EstimationEngine* engine, const StopRule& rule,
   return rounds;
 }
 
-std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine) {
+std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine,
+                                     bool last_point_only) {
   std::vector<RunResult> results;
   results.reserve(engine.num_aggregates());
   for (size_t i = 0; i < engine.num_aggregates(); ++i) {
     const engine::AggregateQuery& query = *engine.aggregate(i);
+    const std::vector<TracePoint>& trace = query.trace();
     RunResult result;
-    result.trace = query.trace();
+    if (!last_point_only) {
+      result.trace = trace;
+    } else if (!trace.empty()) {
+      result.trace.push_back(trace.back());
+    }
     result.final_estimate = query.Estimate();
     result.queries = engine.queries_used();
     result.name = query.spec().name;

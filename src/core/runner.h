@@ -70,8 +70,11 @@ size_t RunEngine(engine::EstimationEngine* engine, const StopRule& rule,
 
 // One RunResult per registered aggregate, results[i] for
 // engine.aggregate(i) — all carved from the same evidence stream, so the N
-// results together cost one budget.
-std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine);
+// results together cost one budget. With `last_point_only` each trace holds
+// only its last point (none before the first round), so the copy costs one
+// point per aggregate however many rounds the engine has run.
+std::vector<RunResult> EngineResults(const engine::EstimationEngine& engine,
+                                     bool last_point_only = false);
 
 // The running estimate of a trace at query cost `c` (last round completed at
 // or before c; 0 before the first round).

@@ -1,9 +1,11 @@
 #include "lbs/dataset.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
 
+#include "geometry/loc_key.h"
 #include "util/check.h"
 
 namespace lbsagg {
@@ -40,23 +42,25 @@ std::vector<Vec2> Dataset::Positions() const {
 
 int Dataset::JitterDuplicates(Rng& rng, double eps) {
   LBSAGG_CHECK_GT(eps, 0.0);
-  struct Key {
-    int64_t x, y;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return std::hash<int64_t>()(k.x * 1000003 ^ k.y);
-    }
-  };
+  // The eps-grid keys seen so far, in one power-of-two open-addressing
+  // table at most half full (each tuple inserts one key). A slot holds
+  // id + 1 (0 = empty) of the tuple that claimed the key; that tuple never
+  // moves again, so its key is recomputed from its position.
+  const size_t mask = std::bit_ceil(2 * tuples_.size()) - 1;
+  std::vector<uint32_t> slots(mask + 1, 0);
   int moved = 0;
-  std::unordered_map<Key, int, KeyHash> seen;
   for (Tuple& t : tuples_) {
     while (true) {
-      const Key key{static_cast<int64_t>(std::llround(t.pos.x / eps)),
-                    static_cast<int64_t>(std::llround(t.pos.y / eps))};
-      auto [it, inserted] = seen.emplace(key, t.id);
-      if (inserted) break;
+      const LocKey key = MakeLocKey(t.pos, eps);
+      size_t i = LocKeyHash()(key) & mask;
+      while (slots[i] != 0 &&
+             MakeLocKey(tuples_[slots[i] - 1].pos, eps) != key) {
+        i = (i + 1) & mask;
+      }
+      if (slots[i] == 0) {
+        slots[i] = static_cast<uint32_t>(t.id) + 1;
+        break;
+      }
       const double angle = rng.Uniform(0.0, 2.0 * M_PI);
       t.pos = box_.Clamp(t.pos + Vec2{std::cos(angle), std::sin(angle)} *
                                      (eps * (2.0 + rng.Uniform01())));

@@ -46,8 +46,10 @@ class Dataset {
   // Positions of all tuples, in id order.
   std::vector<Vec2> Positions() const;
 
-  // Enforces general position (§2.2): any tuples sharing a location are
-  // jittered apart by up to `eps`. Returns the number of moved tuples.
+  // Enforces general position (§2.2). Visits tuples in id order; a tuple
+  // whose position lands on an eps-grid key (MakeLocKey) an earlier tuple
+  // holds moves 2–3 eps in a random direction, clamped into the box, until
+  // its key is free. Returns the number of moves.
   int JitterDuplicates(Rng& rng, double eps);
 
   // Ground-truth aggregate: sum over tuples passing `cond` (null = all) of

@@ -52,6 +52,10 @@ void EmitSessionSpan(obs::Tracer* tracer, double submit_ms, double end_ms,
                       end_ms * 1000.0 - ts_us);
 }
 
+bool ById(const SessionStatus& a, const SessionStatus& b) {
+  return a.id < b.id;
+}
+
 }  // namespace
 
 // The per-session engine stack, built at activation and torn down at
@@ -208,7 +212,8 @@ SessionId EstimationService::Submit(SessionSpec spec) {
 }
 
 SessionStatus EstimationService::Status(const Session& session,
-                                        double now_ms) const {
+                                        double now_ms,
+                                        bool last_point_only) const {
   SessionStatus status;
   status.id = session.id;
   status.state = session.state;
@@ -219,7 +224,7 @@ SessionStatus EstimationService::Status(const Session& session,
   status.dedup_hits = session.dedup_hits;
   if (session.run != nullptr) {
     status.queries_used = session.run->engine->queries_used();
-    status.results = EngineResults(*session.run->engine);
+    status.results = EngineResults(*session.run->engine, last_point_only);
   } else {
     status.queries_used = session.queries;
     status.results = session.results;
@@ -535,10 +540,18 @@ std::vector<SessionStatus> EstimationService::IntrospectSessions() const {
   for (const auto& [id, session] : sessions_) {
     rows.push_back(Status(*session, now_ms));
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const SessionStatus& a, const SessionStatus& b) {
-              return a.id < b.id;
-            });
+  std::sort(rows.begin(), rows.end(), ById);
+  return rows;
+}
+
+std::vector<SessionStatus> EstimationService::RunningSessions() const {
+  std::vector<SessionStatus> rows;
+  rows.reserve(active_.size());
+  const double now_ms = NowMs();
+  for (const Session* session : active_) {
+    rows.push_back(Status(*session, now_ms, /*last_point_only=*/true));
+  }
+  std::sort(rows.begin(), rows.end(), ById);
   return rows;
 }
 

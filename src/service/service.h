@@ -173,6 +173,12 @@ class EstimationService {
   // observation — calling it perturbs no schedule, estimate, or counter.
   std::vector<SessionStatus> IntrospectSessions() const;
 
+  // The SLO watchdog's scan: the running rows of IntrospectSessions(), with
+  // each aggregate's trace cut to its last point. A scan copies one point
+  // per aggregate of each running session, not every round the remembered
+  // sessions hold.
+  std::vector<SessionStatus> RunningSessions() const;
+
  private:
   struct ActiveRun;
   struct Session;
@@ -180,7 +186,8 @@ class EstimationService {
 
   Session* Find(SessionId id);
   const Session* Find(SessionId id) const;
-  SessionStatus Status(const Session& session, double now_ms) const;
+  SessionStatus Status(const Session& session, double now_ms,
+                       bool last_point_only = false) const;
   void Activate(Session* session);
   void Finalize(Session* session, SessionState state, std::string detail);
   void RemoveActive(Session* session);

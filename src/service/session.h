@@ -3,7 +3,8 @@
 
 // Session types of the estimation service (DESIGN.md §4.12): what a caller
 // submits (SessionSpec), the typed lifecycle states, and the one snapshot
-// of a session (SessionStatus) that Poll() and IntrospectSessions() return.
+// of a session (SessionStatus) that Poll(), IntrospectSessions() and
+// RunningSessions() return.
 // A session is one estimation run — one resolver family, one seed, one
 // budget — hosted by the EstimationService scheduler alongside many others.
 
@@ -123,7 +124,8 @@ struct SessionSpec {
 };
 
 // Snapshot of one session: what EstimationService::Poll() returns, and one
-// row of IntrospectSessions() (statusz and the SLO watchdog read these).
+// row of IntrospectSessions() (statusz) or RunningSessions() (the SLO
+// watchdog, whose rows carry only each trace's last point).
 // While the session runs, the progress fields read its live engine; once it
 // is terminal they are frozen at finalization. All values are copies.
 struct SessionStatus {

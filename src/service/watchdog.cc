@@ -10,7 +10,8 @@ namespace service {
 namespace {
 
 // The session-level half-width is the worst aggregate's: that is the CI the
-// budget is still being spent to shrink.
+// budget is still being spent to shrink. Each trace of a RunningSessions()
+// row holds only its last point.
 double WorstHalfWidth(const SessionStatus& row) {
   double worst = 0.0;
   for (const RunResult& result : row.results) {
@@ -33,10 +34,11 @@ size_t SloWatchdog::Check() {
   const double now_ms = service_->NowMs();
   // Rebuilt from the running rows: a baseline carries over only while its
   // session keeps running, so finished and forgotten sessions drop out.
+  const std::vector<SessionStatus> rows = service_->RunningSessions();
   std::vector<Baseline> running;
+  running.reserve(rows.size());
   auto prev = baselines_.begin();
-  for (const SessionStatus& row : service_->IntrospectSessions()) {
-    if (row.state != SessionState::kRunning) continue;
+  for (const SessionStatus& row : rows) {
     while (prev != baselines_.end() && prev->id < row.id) ++prev;
     const bool fresh = prev == baselines_.end() || prev->id != row.id;
     Baseline& base = running.emplace_back(fresh ? Baseline{.id = row.id}

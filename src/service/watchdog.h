@@ -2,8 +2,9 @@
 #define LBSAGG_SERVICE_WATCHDOG_H_
 
 // SLO watchdog (DESIGN.md §4.13): turns the session snapshots into
-// actionable typed triggers. Check() scans IntrospectSessions() and fires
-// the service's existing TriggerRegistry —
+// actionable typed triggers. Check() scans RunningSessions() (the running
+// statusz rows, each trace cut to its last point) and fires the service's
+// existing TriggerRegistry —
 //
 //   kSloStalled      the session's CI half-width stopped shrinking per
 //                    interface query spent (error-per-budget slope below

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -53,14 +52,22 @@ inline int32_t LoadId(const double* ids, int j) {
 
 }  // namespace
 
+struct KdTree::Record {
+  Vec2 p;
+  int32_t id;
+};
+
 KdTree::KdTree(std::vector<Vec2> points) {
   const int n = static_cast<int>(points.size());
   size_ = static_cast<size_t>(n);
   if (n == 0) return;
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<Record> records(n);
+  for (int i = 0; i < n; ++i) records[i] = {points[i], i};
+  // The records carry every coordinate from here on; freeing the input
+  // keeps the build's peak at records plus leaf blocks.
+  std::vector<Vec2>().swap(points);
   nodes_.reserve(static_cast<size_t>(2 * n) / kLeafSize + 2);
-  Build(order, points, 0, n, 1);
+  Build(records.data(), 0, n, 1);
   // The search stack holds at most one pending far-subtree per level plus
   // the root entry.
   LBSAGG_CHECK_LT(depth_ + 1, kMaxStack);
@@ -79,16 +86,16 @@ KdTree::KdTree(std::vector<Vec2> points) {
   size_t off = 0;
   for (Node& nd : nodes_) {
     if (!(nd.tag & kLeafBit)) continue;
-    const int lo = nd.right;  // first slot in `order` (set by Build)
+    const Record* leaf = records.data() + nd.right;  // set by Build
     const int count = static_cast<int>(nd.tag & ~kLeafBit);
     nd.right = static_cast<int32_t>(off);
     double* xb = blob_.data() + off;
     double* yb = xb + count;
     for (int j = 0; j < count; ++j) {
-      xb[j] = points[order[lo + j]].x;
-      yb[j] = points[order[lo + j]].y;
-      const int32_t id = order[lo + j];
-      std::memcpy(reinterpret_cast<char*>(yb + count) + 4 * j, &id, 4);
+      xb[j] = leaf[j].p.x;
+      yb[j] = leaf[j].p.y;
+      std::memcpy(reinterpret_cast<char*>(yb + count) + 4 * j, &leaf[j].id,
+                  4);
     }
     const size_t doubles = 2 * count + (count + 1) / 2;
     off += (doubles + 7) & ~size_t{7};
@@ -108,8 +115,7 @@ void KdTree::EnableStats(obs::MetricsRegistry* registry) {
 #endif
 }
 
-int KdTree::Build(std::vector<int>& order, const std::vector<Vec2>& input,
-                  int lo, int hi, int depth) {
+int KdTree::Build(Record* records, int lo, int hi, int depth) {
   const int me = static_cast<int>(nodes_.size());
   nodes_.push_back(Node{});
   depth_ = std::max(depth_, depth);
@@ -121,10 +127,10 @@ int KdTree::Build(std::vector<int>& order, const std::vector<Vec2>& input,
   // Split the wider extent of the bucket's bounding box: on skewed data this
   // keeps cells close to square, which is what makes the axis-gap pruning
   // bound tight.
-  double min_x = input[order[lo]].x, max_x = min_x;
-  double min_y = input[order[lo]].y, max_y = min_y;
+  double min_x = records[lo].p.x, max_x = min_x;
+  double min_y = records[lo].p.y, max_y = min_y;
   for (int i = lo + 1; i < hi; ++i) {
-    const Vec2& p = input[order[i]];
+    const Vec2& p = records[i].p;
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
@@ -132,18 +138,28 @@ int KdTree::Build(std::vector<int>& order, const std::vector<Vec2>& input,
   }
   const int axis = (max_x - min_x) >= (max_y - min_y) ? 0 : 1;
   const int mid = lo + (hi - lo) / 2;
-  std::nth_element(order.begin() + lo, order.begin() + mid, order.begin() + hi,
-                   [&](int a, int b) {
-                     return axis == 0 ? input[a].x < input[b].x
-                                      : input[a].y < input[b].y;
-                   });
+  // The comparator tests the split coordinate only, with no id tie-break:
+  // nth_element's moves depend on nothing but its comparisons' outcomes, so
+  // records land exactly where an id permutation compared through the
+  // points would, and the tree comes out node for node the same.
+  if (axis == 0) {
+    std::nth_element(records + lo, records + mid, records + hi,
+                     [](const Record& a, const Record& b) {
+                       return a.p.x < b.p.x;
+                     });
+  } else {
+    std::nth_element(records + lo, records + mid, records + hi,
+                     [](const Record& a, const Record& b) {
+                       return a.p.y < b.p.y;
+                     });
+  }
   // Left = [lo, mid) holds coords <= split, right = [mid, hi) coords >=
   // split (the median itself goes right); both sides are non-empty because
   // hi - lo > kLeafSize.
-  nodes_[me].split = axis == 0 ? input[order[mid]].x : input[order[mid]].y;
+  nodes_[me].split = axis == 0 ? records[mid].p.x : records[mid].p.y;
   nodes_[me].tag = static_cast<uint32_t>(axis);
-  Build(order, input, lo, mid, depth + 1);
-  nodes_[me].right = Build(order, input, mid, hi, depth + 1);
+  Build(records, lo, mid, depth + 1);
+  nodes_[me].right = Build(records, mid, hi, depth + 1);
   return me;
 }
 

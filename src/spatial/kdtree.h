@@ -36,7 +36,8 @@ namespace lbsagg {
 // index) total order, bit-identical to BruteForceIndex.
 class KdTree : public SpatialIndex {
  public:
-  // Builds the tree over `points` in O(n log n).
+  // Builds the tree over `points` in O(n log n), partitioning one array of
+  // (point, index) records in place; `points` is released once copied.
   explicit KdTree(std::vector<Vec2> points);
 
   size_t size() const override { return size_; }
@@ -76,8 +77,10 @@ class KdTree : public SpatialIndex {
     uint32_t tag = 0;
   };
 
-  int Build(std::vector<int>& order, const std::vector<Vec2>& input, int lo,
-            int hi, int depth);
+  // A point and its index: Build partitions an array of these in place.
+  struct Record;
+
+  int Build(Record* records, int lo, int hi, int depth);
 
   // Per-search tally kept in locals (registers) and flushed to the metric
   // plane once per search; compiles to nothing under LBSAGG_OBS_DISABLED.

@@ -1,14 +1,18 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "geometry/loc_key.h"
 #include "lbs/client.h"
 #include "lbs/dataset.h"
 #include "lbs/server.h"
 #include "lbs/trilateration.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace lbsagg {
 namespace {
@@ -81,6 +85,66 @@ TEST(Dataset, JitterRemovesDuplicates) {
     for (size_t j = i + 1; j < d.size(); ++j) {
       EXPECT_GT(Distance(d.tuple(i).pos, d.tuple(j).pos), 0.0);
     }
+  }
+}
+
+// Every tuple's position bits, in id order.
+uint64_t PositionBitsHash(const Dataset& d) {
+  uint64_t h = 0;
+  for (const Tuple& t : d.tuples()) {
+    h = SplitMix64(h ^ std::bit_cast<uint64_t>(t.pos.x));
+    h = SplitMix64(h ^ std::bit_cast<uint64_t>(t.pos.y));
+  }
+  return h;
+}
+
+// Pins the jitter's output bits, not only that positions end up distinct:
+// which tuples move, how often, and where every draw from the rng puts
+// them. Long runs of twins make jittered tuples land on each other's keys,
+// so a table that skipped re-probing a moved tuple, or probed tuples in
+// another order, moves other tuples or draws differently. Values were
+// captured from the node-based map the flat table replaced.
+TEST(Dataset, JitterDuplicatesBitsPinned) {
+  {
+    constexpr double kEps = 1e-3;
+    Dataset d(kBox, MakeSchema());
+    const auto add = [&d](const Vec2& p) {
+      d.Add(p, {std::string("x"), 1.0, false});
+    };
+    // Runs of 2..20 exact twins.
+    for (int run = 2; run <= 20; ++run) {
+      for (int i = 0; i < run; ++i) add({5.0 * run - 7.25, 40.0 + 0.5 * run});
+    }
+    // Distinct doubles that round to one eps-grid key.
+    for (int i = 0; i < 10; ++i) {
+      const Vec2 p{20.0 + 3.0 * i, 70.0 + i};
+      add(p);
+      add({std::nextafter(p.x, 200.0), p.y});
+      add({p.x + 0.3 * kEps, p.y - 0.2 * kEps});
+    }
+    // Twins on every corner and edge, whose jitter Box::Clamp pulls back.
+    for (const Vec2& p : {Vec2{0, 0}, Vec2{100, 0}, Vec2{0, 100},
+                          Vec2{100, 100}, Vec2{50, 0}, Vec2{0, 50},
+                          Vec2{100, 50}, Vec2{50, 100}}) {
+      for (int i = 0; i < 6; ++i) add(p);
+    }
+    Rng rng(29);
+    EXPECT_EQ(d.JitterDuplicates(rng, kEps), 310);
+    EXPECT_EQ(PositionBitsHash(d), 0xe8b7dc483eba3686ull);
+  }
+  {
+    // Clustered China users, every 7th moved onto an earlier one's spot.
+    const Box china({0.0, 0.0}, {5000.0, 3500.0});
+    Rng gen(88);
+    const std::vector<ClusterSpec> cities =
+        MakeZipfClusters(50, china, 1.1, 40.0, gen);
+    std::vector<Vec2> pos = GenerateClustered(200000, china, cities, 0.08, gen);
+    for (size_t i = 7; i < pos.size(); i += 7) pos[i] = pos[gen.UniformInt(i)];
+    Dataset d(china, Schema());
+    for (const Vec2& p : pos) d.Add(p, {});
+    Rng rng(31);
+    EXPECT_EQ(d.JitterDuplicates(rng, 1e-7), 29059);
+    EXPECT_EQ(PositionBitsHash(d), 0x80b44dc00d858711ull);
   }
 }
 

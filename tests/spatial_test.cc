@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
+#include "geometry/loc_key.h"
 #include "obs/metrics.h"
 #include "spatial/brute_force.h"
 #include "spatial/kdtree.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace lbsagg {
 namespace {
@@ -171,6 +173,46 @@ TEST(KdTree, WorkCountersPinned) {
   EXPECT_EQ(value("spatial.kdtree.nodes_visited"), 18555u);
   EXPECT_EQ(value("spatial.kdtree.leaves_scanned"), 9709u);
   EXPECT_EQ(value("spatial.kdtree.points_tested"), 83546u);
+}
+
+// The ids a radius covering every point returns, hashed in order: the
+// walk's leaf order, so the hash moves with any node's split or any leaf's
+// contents or order.
+uint64_t LeafOrderHash(const KdTree& tree, size_t n) {
+  const std::vector<Neighbor> all = tree.WithinRadius({317.5, 611.25}, 5000.0);
+  EXPECT_EQ(all.size(), n);
+  uint64_t h = 0;
+  for (const Neighbor& nb : all) {
+    h = SplitMix64(h ^ static_cast<uint64_t>(nb.index));
+  }
+  return h;
+}
+
+// Pins the tree's layout node for node, in every build (the work counters
+// above compile out with the instrumentation). The lattice repeats every x
+// and every y and stacks coincident points on it, so most comparisons in
+// the median partition are ties: a comparator that broke them by id, or a
+// median taken at another slot, lays out other leaves. Values were
+// captured from the id-permutation build the record build replaced.
+TEST(KdTree, LayoutPinned) {
+  std::vector<Vec2> lattice;
+  for (int i = 0; i < 170; ++i) {
+    for (int j = 0; j < 170; ++j) lattice.push_back({3.0 * i, 2.0 * j + 100});
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const Vec2 twin = lattice[29 * i];
+    lattice.push_back(twin);
+  }
+  EXPECT_EQ(LeafOrderHash(KdTree(lattice), lattice.size()),
+            0x5e21c408f754508bull);
+
+  Rng rng(353);
+  const std::vector<ClusterSpec> clusters =
+      MakeZipfClusters(8, kBox, 1.1, 20.0, rng);
+  const std::vector<Vec2> clustered =
+      GenerateClustered(10000, kBox, clusters, 0.1, rng);
+  EXPECT_EQ(LeafOrderHash(KdTree(clustered), clustered.size()),
+            0x7d29fab3cffc7950ull);
 }
 
 TEST(BruteForce, TieBreakByIndex) {

@@ -3,55 +3,21 @@
 // saves nothing and the whole path runs on every query — the registry
 // lookup and insert, the scatter's plan, the capped gather and the
 // published page. The binary replaces the global operator new with a
-// counting one and pins the allocations per interface query.
+// counting one (counting_new.cc) and pins the allocations per interface
+// query.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
 #include "lbs/dataset.h"
 #include "lbs/sharded_server.h"
 #include "service/dedup.h"
 #include "transport/sharded_transport.h"
 #include "util/rng.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocations{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-}  // namespace
-
-// Every plain and nothrow form, so each allocation pairs with its own free
-// (sanitizer builds check that new/delete and malloc/free pair up).
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace lbsagg {
 namespace {
@@ -79,13 +45,13 @@ TEST(WireAllocations, CleanDistinctQueriesStayUnderTwelvePerQuery) {
 
   int clean = 0;
   size_t hits = 0;
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = testing_alloc::g_allocations.load();
   for (const Vec2& q : queries) {
     const TransportReply reply = wire.Query(q, 5, nullptr);
     clean += reply.outcome == TransportOutcome::kOk;
     hits += reply.hits.size();
   }
-  const uint64_t allocations = g_allocations.load() - before;
+  const uint64_t allocations = testing_alloc::g_allocations.load() - before;
 
   EXPECT_EQ(clean, kQueries);
   EXPECT_EQ(hits, 5u * kQueries);

@@ -7,10 +7,12 @@
 #                             # compiled out, and the obs gate)
 #   tools/check.sh --fast     # sanitizer tests only, skip the rest
 #
-# The sanitizer builds live in build-asan/ and build-tsan/ so they never
-# clobber the regular build/ tree. ASAN and TSAN cannot share a binary, so
-# the thread-sanitizer pass is its own build; it covers the suites that
-# exercise real threads (the transport dispatcher and the sweep fan-out).
+# The sanitizer builds live in build-asan/ and build-tsan/, and the overhead
+# gate's two code-aligned builds in build-obs/ and build-noobs/, so they
+# never clobber the regular build/ tree. ASAN and TSAN cannot share a
+# binary, so the thread-sanitizer pass is its own build; it covers the
+# suites that exercise real threads (the transport dispatcher and the sweep
+# fan-out).
 # The perf smoke runs the micro benchmarks from the regular (optimized)
 # build with a token min-time: it validates that the bench code runs, not
 # the timings — see BENCH_hotpath.json / BENCH_transport.json for those.
@@ -96,7 +98,15 @@ if [[ "$FAST" == "0" ]]; then
   NOOBS_TARGETS=(micro_hotpath transport_test transport_determinism_test
                  sharded_server_test sharded_transport_test
                  sweep_determinism_test obs_test service_test introspect_test)
-  cmake -B build-noobs -S . -DLBSAGG_OBS_DISABLED=ON > /dev/null
+  # The overhead gate below compares this build's micro_hotpath with an
+  # instrumented twin. Both start every function and loop on a 64-byte
+  # boundary, so code placement is not what differs between them: unaligned,
+  # the gate read -17.8% to +22.0% on k-d tree code neither build had
+  # changed. Aligned, it still reads a few percent either way on a shared
+  # 4-core VM, above its 1% budget.
+  ALIGN_FLAGS="-falign-functions=64 -falign-loops=64"
+  cmake -B build-noobs -S . -DLBSAGG_OBS_DISABLED=ON \
+    -DCMAKE_CXX_FLAGS="$ALIGN_FLAGS" > /dev/null
   cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}" \
     -- --quiet 2>/dev/null \
     || cmake --build build-noobs -j "$(nproc)" --target "${NOOBS_TARGETS[@]}"
@@ -110,11 +120,15 @@ if [[ "$FAST" == "0" ]]; then
   ./build-noobs/tests/introspect_test
 
   echo "==> observability overhead gate (instrumented vs LBSAGG_OBS_DISABLED)"
-  # Paired interleaved min-of-N: the two binaries alternate, each benchmark
-  # keeps its best time per round, and the gate compares the mins — the only
-  # methodology that survives a noisy shared VM (see DESIGN.md §4.8). The
-  # budget is 1% on the kd-tree search benchmarks, the hottest instrumented
-  # loop (and the only one the opt-in spatial counters could slow down).
+  cmake -B build-obs -S . -DCMAKE_CXX_FLAGS="$ALIGN_FLAGS" > /dev/null
+  cmake --build build-obs -j "$(nproc)" --target micro_hotpath \
+    -- --quiet 2>/dev/null \
+    || cmake --build build-obs -j "$(nproc)" --target micro_hotpath
+  # Paired interleaved min-of-N between the two aligned builds: the binaries
+  # alternate, each benchmark keeps its best time per round, and the gate
+  # compares the mins (see DESIGN.md §4.8). The budget is 1% on the kd-tree
+  # search benchmarks, the hottest instrumented loop (and the only one the
+  # opt-in spatial counters could slow down).
   python3 - <<'PYEOF'
 import json, subprocess, sys
 
@@ -128,7 +142,7 @@ def run(binary):
 
 best_on, best_off = {}, {}
 for _ in range(5):  # interleave so machine noise hits both binaries alike
-    for times, binary in ((best_on, "./build/bench/micro_hotpath"),
+    for times, binary in ((best_on, "./build-obs/bench/micro_hotpath"),
                           (best_off, "./build-noobs/bench/micro_hotpath")):
         for name, t in run(binary).items():
             times[name] = min(times.get(name, float("inf")), t)
