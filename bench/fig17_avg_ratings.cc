@@ -35,7 +35,7 @@ int main() {
   // to the metro (equivalently, every query and every cell is clipped to B).
   Dataset metro_db(metro, usa.dataset->schema());
   for (const Tuple& t : usa.dataset->tuples()) {
-    if (metro.Contains(t.pos)) metro_db.Add(t.pos, t.values);
+    if (metro.Contains(t.pos)) metro_db.Add(t.pos, t.values.ToVector());
   }
 
   LbsServer server(&metro_db, {.max_k = config.k});

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -137,6 +138,39 @@ void BM_LrExactCell(benchmark::State& state) {
   state.counters["queries"] = static_cast<double>(client.queries_used());
 }
 BENCHMARK(BM_LrExactCell);
+
+// The history searches of an LR round: a 3,500-entry history, about the
+// largest an lr_adaptive session reaches, recorded in LR page order (the
+// k = 5 pages of census-sampled points over 20k USA POIs, as the server
+// returns them). One iteration = one NearestOtherPositions call at a
+// recorded tuple, excluding itself: limit 2 is the disc certificate, 32 the
+// cell seed, 64 the λ_h bound seed.
+void BM_HistoryNearest(benchmark::State& state) {
+  static const History* history = [] {
+    const UsaScenario usa = BuildUsaScenario({.num_pois = 20000, .seed = 11});
+    LbsServer server(usa.dataset.get(), {.max_k = 5});
+    LrClient client(&server, {.k = 5});
+    const CensusSampler sampler(&usa.census);
+    Rng rng(5);
+    auto* h = new History;
+    while (h->size() < 3500) {
+      for (const LrClient::Item& item : client.Query(sampler.Sample(rng))) {
+        h->Record(item.id, item.location);
+      }
+    }
+    return h;
+  }();
+  const std::vector<std::pair<int, Vec2>> entries = history->Entries();
+  const size_t limit = static_cast<size_t>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [id, pos] = entries[i];
+    i = (i + 1) % entries.size();
+    benchmark::DoNotOptimize(history->NearestOtherPositions(pos, id, limit));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistoryNearest)->Arg(2)->Arg(32)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // Scale: k-d tree build cost and k=10 query cost at 10^5..10^7 points.

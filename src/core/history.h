@@ -1,14 +1,13 @@
 #ifndef LBSAGG_CORE_HISTORY_H_
 #define LBSAGG_CORE_HISTORY_H_
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.h"
 #include "geometry/topk_region.h"
 #include "geometry/vec2.h"
-#include "spatial/kdtree.h"
 
 namespace lbsagg {
 
@@ -21,18 +20,17 @@ class History {
  public:
   History() = default;
 
-  // Records a tuple location (idempotent).
+  // Records a tuple location (idempotent: the first position wins).
   void Record(int id, const Vec2& pos);
 
-  bool Known(int id) const { return by_id_.count(id) > 0; }
-  const Vec2& Position(int id) const;
-  size_t size() const { return entries_.size(); }
+  bool Known(int id) const { return Find(id) >= 0; }
+  Vec2 Position(int id) const;
+  size_t size() const { return nodes_.size(); }
 
   // Every recorded (id, position) in insertion order — the checkpoint
   // serialization of the history. Replaying these through Record() on a
-  // fresh History reproduces the full state bit-identically, kd-index
-  // included: the rebuild points are a pure function of the insertion
-  // sequence (size thresholds), and the tree build is deterministic.
+  // fresh History reproduces the full state bit-identically, tree
+  // included: insertion is deterministic.
   std::vector<std::pair<int, Vec2>> Entries() const;
 
   // Positions of the `limit` known tuples nearest to `p`, excluding
@@ -41,10 +39,8 @@ class History {
   // seeds every cell computation and the adaptive-h decision of every
   // wanted returned tuple (a 2-NN search for the disc certificate, then the
   // 64-NN bound seed when the disc does not decide), so it sits on LR's hot
-  // path. A kd-tree over the settled prefix of the history (rebuilt on
-  // doubling) answers for the prefix; a linear pass over the recent tail
-  // keeps only entries nearer than the tree's limit-th hit, and the two
-  // sorted runs merge.
+  // path. One stack walk of the insertion-built tree keeps the best `limit`
+  // in a sorted insertion array; nothing is allocated but the result.
   std::vector<Vec2> NearestOtherPositions(const Vec2& p, int excluded_id,
                                           size_t limit) const;
 
@@ -72,21 +68,29 @@ class History {
                              double lambda0) const;
 
  private:
-  struct Entry {
-    int id;
+  // Entry i of the history is node i of a point k-d tree grown by
+  // insertion, so the (squared distance, insertion order) tie-break is the
+  // node index. A node splits its subtree on `axis` (0 = x, 1 = y, by
+  // depth) at its own coordinate: child[0] holds the coordinates below it,
+  // child[1] the rest; -1 = no child. 32 bytes.
+  struct Node {
     Vec2 pos;
+    int32_t id;
+    int32_t axis;
+    int32_t child[2];
   };
 
-  // Index entries_[0..indexed_) once the history is big enough for the
-  // rebuild to pay for itself; rebuilt when entries_ doubles past it, so
-  // total rebuild work stays O(n log n) over a run.
-  static constexpr size_t kIndexThreshold = 128;
-  void RebuildIndex();
+  // Node index of `id`, or -1.
+  int32_t Find(int id) const;
+  // Claims the first free slot along `node`'s id probe sequence.
+  void InsertSlot(int32_t node);
 
-  std::vector<Entry> entries_;
-  std::unordered_map<int, Vec2> by_id_;
-  std::unique_ptr<KdTree> index_;  // over entries_[0..indexed_)
-  size_t indexed_ = 0;
+  std::vector<Node> nodes_;
+  // Open-addressing id table, a power of two at most half full (empty
+  // before the first Record). A slot holds node index + 1 (0 = empty).
+  std::vector<uint32_t> slots_;
+  // Deepest node (root = 0): bounds the search's stack.
+  int depth_ = 0;
 };
 
 }  // namespace lbsagg

@@ -404,41 +404,47 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTopkCell(int id,
 
     // All candidate pairs by ascending distance (short segments cross the
     // fewest irrelevant boundaries); keep the closest few untried ones.
+    // 16-byte records of (d², anchor indices): the comparator reads d²
+    // alone, so std::sort permutes them exactly as it would the full pairs,
+    // and a pair's points and key are built only once the loop reaches it.
     struct Pair {
       double d2;
-      Vec2 ta, fa;
-      uint64_t key;
+      int32_t ti, fi;
     };
     std::vector<Pair> candidates;
-    for (const Vec2& t_pt : true_anchors) {
-      for (const Vec2& f_pt : false_anchors) {
-        const LocKey ka = MakeKey(t_pt, grid * 1e3);
-        const LocKey kb = MakeKey(f_pt, grid * 1e3);
-        uint64_t key = static_cast<uint64_t>(other) * 0x9e3779b97f4a7c15ull;
-        key ^= LocKeyHash()(ka) + 0x517cc1b727220a95ull * LocKeyHash()(kb);
-        candidates.push_back({SquaredDistance(t_pt, f_pt), t_pt, f_pt, key});
+    candidates.reserve(true_anchors.size() * false_anchors.size());
+    for (size_t ti = 0; ti < true_anchors.size(); ++ti) {
+      for (size_t fi = 0; fi < false_anchors.size(); ++fi) {
+        candidates.push_back(
+            {SquaredDistance(true_anchors[ti], false_anchors[fi]),
+             static_cast<int32_t>(ti), static_cast<int32_t>(fi)});
       }
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Pair& a, const Pair& b) { return a.d2 < b.d2; });
 
     int attempted = 0;
-    for (const Pair& pair : candidates) {
+    for (const Pair& candidate : candidates) {
       if (attempted >= 3) break;
-      if (!tried_pairs.insert(pair.key).second) continue;
+      const Vec2 ta = true_anchors[candidate.ti];
+      const Vec2 fa = false_anchors[candidate.fi];
+      const LocKey ka = MakeKey(ta, grid * 1e3);
+      const LocKey kb = MakeKey(fa, grid * 1e3);
+      uint64_t key = static_cast<uint64_t>(other) * 0x9e3779b97f4a7c15ull;
+      key ^= LocKeyHash()(ka) + 0x517cc1b727220a95ull * LocKeyHash()(kb);
+      if (!tried_pairs.insert(key).second) continue;
       ++attempted;
 
       constexpr int kSubdivisions = 7;
       Vec2 pts_scan[kSubdivisions + 2];
       bool truth[kSubdivisions + 2];
-      pts_scan[0] = pair.ta;
+      pts_scan[0] = ta;
       truth[0] = true;
-      pts_scan[kSubdivisions + 1] = pair.fa;
+      pts_scan[kSubdivisions + 1] = fa;
       truth[kSubdivisions + 1] = false;
       for (int j = 1; j <= kSubdivisions; ++j) {
-        pts_scan[j] = pair.ta + (pair.fa - pair.ta) *
-                                    (static_cast<double>(j) /
-                                     (kSubdivisions + 1));
+        pts_scan[j] =
+            ta + (fa - ta) * (static_cast<double>(j) / (kSubdivisions + 1));
         const std::vector<int> ids = client_->Query(pts_scan[j]);
         ingest(pts_scan[j], ids);
         truth[j] = pred(ids);
@@ -448,11 +454,11 @@ std::optional<LnrCellResult> LnrCellComputer::ComputeTopkCell(int id,
         std::optional<Line> line = finder.FindBoundaryLine(
             pred, pts_scan[j], pts_scan[j + 1], baseline, validator);
         if (!line.has_value()) continue;
-        if (line->Side(pair.ta) < 0) {
+        if (line->Side(ta) < 0) {
           // Positive side = `other` closer (a global bisector property).
           *line = Line(-line->normal, -line->offset);
         }
-        if (add_edge(*line, other, pair.fa, pair.ta)) return true;
+        if (add_edge(*line, other, fa, ta)) return true;
       }
     }
     return false;

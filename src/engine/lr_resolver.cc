@@ -190,8 +190,8 @@ bool LrCellResolver::RestoreState(std::string_view blob) {
     int32_t id;
     Vec2 pos;
     if (!r.GetI32(&id) || !r.GetF64(&pos.x) || !r.GetF64(&pos.y)) return false;
-    // Replaying Record() in insertion order reproduces the kd-index rebuild
-    // schedule exactly — indexed_ is a pure function of the entry count.
+    // Replaying Record() in insertion order rebuilds the same tree: each
+    // insertion's place is a pure function of the entries before it.
     history_.Record(id, pos);
   }
   uint64_t rounds, exact, mc, cell_queries;

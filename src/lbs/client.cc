@@ -26,10 +26,7 @@ bool LbsClient::HasBudget(uint64_t upcoming) const {
 }
 
 AttrValue LbsClient::Attribute(int id, int col) const {
-  const Tuple& t = server_->dataset().tuple(id);
-  LBSAGG_CHECK_GE(col, 0);
-  LBSAGG_CHECK_LT(static_cast<size_t>(col), t.values.size());
-  return t.values[col];
+  return server_->dataset().Value(id, col);
 }
 
 double LbsClient::NumericAttribute(int id, int col) const {

@@ -83,6 +83,7 @@ KdTree::KdTree(std::vector<Vec2> points) {
     total += (doubles + 7) & ~size_t{7};
   }
   blob_.assign(total, 0.0);
+  LBSAGG_CHECK_EQ(reinterpret_cast<uintptr_t>(blob_.data()) % 64, 0u);
   size_t off = 0;
   for (Node& nd : nodes_) {
     if (!(nd.tag & kLeafBit)) continue;

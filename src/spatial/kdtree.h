@@ -1,8 +1,10 @@
 #ifndef LBSAGG_SPATIAL_KDTREE_H_
 #define LBSAGG_SPATIAL_KDTREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <vector>
 
 #include "obs/obs.h"
@@ -129,9 +131,30 @@ class KdTree : public SpatialIndex {
   void SearchBuffered(const Vec2& q, int k, const Accept& accept,
                       double max_d2, std::vector<Neighbor>& out) const;
 
-  // Per-leaf interleaved point blocks (see Node); blocks start on 64-byte
-  // boundaries so each bucket scan is one contiguous run of cache lines.
-  std::vector<double> blob_;
+  // Storage aligned to a 64-byte cache line.
+  template <typename T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) {}
+    T* allocate(size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, size_t n) {
+      ::operator delete(p, n * sizeof(T), kAlign);
+    }
+    friend bool operator==(const CacheLineAllocator&,
+                           const CacheLineAllocator&) {
+      return true;
+    }
+  };
+
+  // Per-leaf interleaved point blocks (see Node). The base is 64-byte
+  // aligned and every block spans whole cache lines, so every block starts
+  // on a cache line and each bucket scan is one contiguous run of them.
+  std::vector<double, CacheLineAllocator<double>> blob_;
   std::vector<Node> nodes_;
   size_t size_ = 0;
   int depth_ = 0;

@@ -21,6 +21,7 @@ UsaScenario BuildUsaScenario(const UsaOptions& options) {
   cols.popularity = schema.AddColumn("popularity", AttrType::kDouble);
 
   auto dataset = std::make_unique<Dataset>(box, schema);
+  dataset->Reserve(options.num_pois);
 
   const std::vector<ClusterSpec> cities =
       MakeZipfClusters(options.num_cities, box, options.zipf_s,
@@ -54,15 +55,13 @@ UsaScenario BuildUsaScenario(const UsaOptions& options) {
 TupleFilter CategoryIs(const UsaColumns& cols, const std::string& category) {
   const int col = cols.category;
   return [col, category](const Tuple& t) {
-    return std::get<std::string>(t.values[col]) == category;
+    return t.values.String(col) == category;
   };
 }
 
 TupleFilter NameIs(const UsaColumns& cols, const std::string& name) {
   const int col = cols.name;
-  return [col, name](const Tuple& t) {
-    return std::get<std::string>(t.values[col]) == name;
-  };
+  return [col, name](const Tuple& t) { return t.values.String(col) == name; };
 }
 
 TupleFilter OpenSunday(const UsaColumns& cols) {
@@ -81,6 +80,7 @@ ChinaScenario BuildChinaScenario(const ChinaOptions& options) {
   cols.male_indicator = schema.AddColumn("male", AttrType::kDouble);
 
   auto dataset = std::make_unique<Dataset>(box, schema);
+  dataset->Reserve(options.num_users);
 
   const std::vector<ClusterSpec> cities =
       MakeZipfClusters(options.num_cities, box, options.zipf_s,
@@ -106,7 +106,7 @@ ChinaScenario BuildChinaScenario(const ChinaOptions& options) {
 TupleFilter GenderIs(const ChinaColumns& cols, const std::string& gender) {
   const int col = cols.gender;
   return [col, gender](const Tuple& t) {
-    return std::get<std::string>(t.values[col]) == gender;
+    return t.values.String(col) == gender;
   };
 }
 

@@ -8,6 +8,7 @@ namespace testing_alloc {
 
 std::atomic<uint64_t> g_allocations{0};
 std::atomic<uint64_t> g_bytes{0};
+std::atomic<uint64_t> g_deallocations{0};
 
 namespace {
 
@@ -17,11 +18,17 @@ void* CountedAlloc(std::size_t size) {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+void CountedFree(void* p) {
+  if (p != nullptr) g_deallocations.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
 }  // namespace
 }  // namespace testing_alloc
 }  // namespace lbsagg
 
 using lbsagg::testing_alloc::CountedAlloc;
+using lbsagg::testing_alloc::CountedFree;
 
 // Every plain and nothrow form, so each allocation pairs with its own free
 // (sanitizer builds check that new/delete and malloc/free pair up).
@@ -36,11 +43,13 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return CountedAlloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }

@@ -14,6 +14,8 @@ namespace testing_alloc {
 
 extern std::atomic<uint64_t> g_allocations;
 extern std::atomic<uint64_t> g_bytes;
+// Blocks returned through operator delete (null pointers not counted).
+extern std::atomic<uint64_t> g_deallocations;
 
 }  // namespace testing_alloc
 }  // namespace lbsagg

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,55 +80,178 @@ std::vector<Vec2> ReferenceNearest(const History& h, const Vec2& p,
   return out;
 }
 
-// The kd-indexed prefix plus linear tail must agree with the linear
-// reference exactly, on both sides of every index rebuild (the index
-// appears at 128 entries and is rebuilt at 256 and 512). Positions sit on
-// an integer grid and some repeat, so many candidates tie on distance and
-// only insertion order separates them. The excluded id lies in the indexed
-// prefix (the first entry), in the tail (the last entry, when there is a
-// tail), or nowhere.
-TEST(History, NearestOtherPositionsMatchesLinearReference) {
-  for (const size_t size : {127u, 128u, 129u, 255u, 256u, 257u, 600u}) {
-    History h;
-    Rng rng(size);
-    std::vector<Vec2> recorded;
-    for (size_t i = 0; i < size; ++i) {
-      Vec2 pos{static_cast<double>(rng.UniformInt(40)),
-               static_cast<double>(rng.UniformInt(40))};
-      if (i % 7 == 6) pos = recorded[rng.UniformInt(recorded.size())];
-      recorded.push_back(pos);
-      h.Record(1000 + static_cast<int>(i), pos);
-    }
-    ASSERT_EQ(h.size(), size);
-    std::vector<Vec2> probes = {{20, 20}, {0, 0}, {39, 0}, {13.5, 27.25}};
-    for (int i = 0; i < 4; ++i) probes.push_back(kBox.SamplePoint(rng) * 0.4);
-    probes.push_back(recorded.front());
-    probes.push_back(recorded.back());
-    const int first_id = 1000;
-    const int last_id = 1000 + static_cast<int>(size) - 1;
-    for (const Vec2& probe : probes) {
-      for (const int excluded : {first_id, last_id, -1, 7}) {
-        for (const size_t limit : {size_t{0}, size_t{1}, size_t{32},
-                                   size_t{64}, size + 5}) {
-          const std::vector<Vec2> got =
-              h.NearestOtherPositions(probe, excluded, limit);
-          const std::vector<Vec2> want =
-              ReferenceNearest(h, probe, excluded, limit);
-          ASSERT_EQ(got.size(), want.size())
-              << "size " << size << " probe " << probe << " excluded "
-              << excluded << " limit " << limit;
-          for (size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].x, want[i].x)
-                << "size " << size << " probe " << probe << " excluded "
-                << excluded << " limit " << limit << " rank " << i;
-            ASSERT_EQ(got[i].y, want[i].y)
-                << "size " << size << " probe " << probe << " excluded "
-                << excluded << " limit " << limit << " rank " << i;
-          }
+// Every limit a caller passes (the disc's 2, the cell seed's 32, the
+// bound seed's 64), one past the inline candidate buffer, and past the
+// size.
+std::vector<size_t> LimitsFor(size_t size) {
+  return {0, 1, 2, 32, History::kBoundSeedSize, History::kBoundSeedSize + 1,
+          size + 5};
+}
+
+// NearestOtherPositions agrees with the linear reference exactly at every
+// probe and limit, excluding the first, a middle or the last recorded id,
+// an unknown id, or nobody.
+void ExpectMatchesReference(const History& h, const std::vector<Vec2>& probes,
+                            const std::string& label) {
+  const std::vector<std::pair<int, Vec2>> entries = h.Entries();
+  const int excludes[] = {entries.front().first,
+                          entries[entries.size() / 2].first,
+                          entries.back().first, -7, -1};
+  for (const Vec2& probe : probes) {
+    for (const int excluded : excludes) {
+      for (const size_t limit : LimitsFor(h.size())) {
+        const std::vector<Vec2> got =
+            h.NearestOtherPositions(probe, excluded, limit);
+        const std::vector<Vec2> want =
+            ReferenceNearest(h, probe, excluded, limit);
+        ASSERT_EQ(got.size(), want.size())
+            << label << " probe " << probe << " excluded " << excluded
+            << " limit " << limit;
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].x, want[i].x)
+              << label << " probe " << probe << " excluded " << excluded
+              << " limit " << limit << " rank " << i;
+          ASSERT_EQ(got[i].y, want[i].y)
+              << label << " probe " << probe << " excluded " << excluded
+              << " limit " << limit << " rank " << i;
         }
       }
     }
   }
+}
+
+// Probes around recorded positions: fixed points, box samples, the first
+// and last recorded positions, and one just beside the last.
+std::vector<Vec2> ProbesFor(const std::vector<Vec2>& recorded, Rng& rng) {
+  std::vector<Vec2> probes = {{20, 20}, {0, 0}, {39, 0}, {13.5, 27.25}};
+  for (int i = 0; i < 4; ++i) probes.push_back(kBox.SamplePoint(rng) * 0.4);
+  probes.push_back(recorded.front());
+  probes.push_back(recorded.back());
+  probes.push_back(recorded.back() + Vec2{0.25, -0.5});
+  return probes;
+}
+
+// Insertion orders that are hard for a tree grown by insertion, each
+// recorded with ids 1000, 1001, ...
+struct InsertionOrder {
+  std::string name;
+  std::vector<Vec2> points;
+};
+
+std::vector<InsertionOrder> HardInsertionOrders() {
+  std::vector<InsertionOrder> orders;
+  Rng rng(17);
+  // Positions on an integer grid, every seventh a repeat: many candidates
+  // tie on distance and only insertion order separates them. Sizes around
+  // the id table's growth points.
+  for (const size_t size : {1u, 2u, 9u, 17u, 127u, 600u}) {
+    InsertionOrder grid{"grid" + std::to_string(size), {}};
+    for (size_t i = 0; i < size; ++i) {
+      Vec2 pos{static_cast<double>(rng.UniformInt(40)),
+               static_cast<double>(rng.UniformInt(40))};
+      if (i % 7 == 6) pos = grid.points[rng.UniformInt(grid.points.size())];
+      grid.points.push_back(pos);
+    }
+    orders.push_back(std::move(grid));
+  }
+  InsertionOrder by_x{"sorted-by-x", {}};
+  for (int i = 0; i < 1000; ++i) by_x.points.push_back(kBox.SamplePoint(rng));
+  InsertionOrder by_y = by_x;
+  by_y.name = "sorted-by-y";
+  std::sort(by_x.points.begin(), by_x.points.end(),
+            [](const Vec2& a, const Vec2& b) { return a.x < b.x; });
+  std::sort(by_y.points.begin(), by_y.points.end(),
+            [](const Vec2& a, const Vec2& b) { return a.y < b.y; });
+  orders.push_back(std::move(by_x));
+  orders.push_back(std::move(by_y));
+  // One line, in order along it: every insertion descends the same side,
+  // a chain 2,000 deep.
+  InsertionOrder line{"one-line", {}};
+  for (int i = 0; i < 2000; ++i) {
+    line.points.push_back({0.02 * i, 30.0 - 0.01 * i});
+  }
+  orders.push_back(std::move(line));
+  // 2,000 ids at one location: a chain deeper than any fixed stack, and
+  // every distance ties.
+  orders.push_back({"one-location", std::vector<Vec2>(2000, Vec2{12, 34})});
+  // A staircase with a leaf beside every step: a path 1,000 deep whose
+  // nodes all have two children. A chain defers no subtree, but a search
+  // here that cannot prune (a limit past the size) defers one per step
+  // toward the far end, far more than any fixed stack holds.
+  InsertionOrder stairs{"staircase", {}};
+  for (int j = 0; j < 1000; ++j) {
+    const double step = 0.04 * j;
+    stairs.points.push_back({step, step});
+    stairs.points.push_back(j % 2 == 0 ? Vec2{step - 0.02, step}
+                                       : Vec2{step, step - 0.02});
+  }
+  orders.push_back(std::move(stairs));
+  return orders;
+}
+
+History RecordAll(const std::vector<Vec2>& points) {
+  History h;
+  for (size_t i = 0; i < points.size(); ++i) {
+    h.Record(1000 + static_cast<int>(i), points[i]);
+  }
+  return h;
+}
+
+TEST(History, NearestOtherPositionsMatchesLinearReference) {
+  for (const InsertionOrder& order : HardInsertionOrders()) {
+    const History h = RecordAll(order.points);
+    ASSERT_EQ(h.size(), order.points.size());
+    Rng rng(order.points.size());
+    ExpectMatchesReference(h, ProbesFor(order.points, rng), order.name);
+  }
+}
+
+// A deferred subtree whose bound equals the current cut must still be
+// searched: a tie there with a lower insertion index wins. The root A
+// splits on x, S (right of A) on y, Q lies in S's far side exactly at the
+// bound, and W, left of A, ties Q at d² = 10 but was recorded after it.
+TEST(History, TieAtADeferredSubtreesBoundStillCompetes) {
+  const History h = RecordAll({{0, 0}, {5, 3}, {0, 3}, {-4, 1}});
+  EXPECT_EQ(h.NearestOtherPositions({-1, 0}, -1, 2),
+            (std::vector<Vec2>{{0, 0}, {0, 3}}));
+  ExpectMatchesReference(h, {{-1, 0}}, "deferred tie");
+}
+
+// A history rebuilt from Entries() — an LR checkpoint's restore — answers
+// every probe exactly as the original does.
+TEST(History, ReplayedEntriesAnswerIdentically) {
+  for (const InsertionOrder& order : HardInsertionOrders()) {
+    const History h = RecordAll(order.points);
+    History replayed;
+    for (const auto& [id, pos] : h.Entries()) replayed.Record(id, pos);
+    ASSERT_EQ(replayed.Entries(), h.Entries()) << order.name;
+    Rng rng(order.points.size());
+    for (const Vec2& probe : ProbesFor(order.points, rng)) {
+      for (const int excluded : {1000, -1}) {
+        for (const size_t limit : LimitsFor(h.size())) {
+          EXPECT_EQ(replayed.NearestOtherPositions(probe, excluded, limit),
+                    h.NearestOtherPositions(probe, excluded, limit))
+              << order.name << " probe " << probe << " limit " << limit;
+        }
+      }
+    }
+  }
+}
+
+TEST(History, PositionFindsEveryRecordedIdAndRejectsOthers) {
+  for (const InsertionOrder& order : HardInsertionOrders()) {
+    const History h = RecordAll(order.points);
+    for (const auto& [id, pos] : h.Entries()) {
+      ASSERT_TRUE(h.Known(id)) << order.name;
+      ASSERT_EQ(h.Position(id), pos) << order.name;
+    }
+    EXPECT_FALSE(h.Known(999)) << order.name;
+    EXPECT_FALSE(h.Known(1000 + static_cast<int>(h.size()))) << order.name;
+  }
+  History h;
+  EXPECT_DEATH(h.Position(0), "unknown tuple 0");
+  h.Record(1, {1, 1});
+  EXPECT_DEATH(h.Position(999), "unknown tuple 999");
 }
 
 TEST(History, UpperBoundCellAreaShrinksWithKnowledge) {

@@ -166,7 +166,7 @@ int RunLocalize(const FlagParser& flags, Dataset& dataset) {
     const uint64_t before = client.queries_used();
     const std::optional<Vec2> pos = localizer.Locate(id, q);
     if (!pos.has_value()) continue;
-    const Vec2& truth = dataset.tuple(id).pos;
+    const Vec2 truth = dataset.tuple(id).pos;
     const double err = Distance(*pos, truth);
     errors.push_back(err);
     std::ostringstream t_os, p_os;
